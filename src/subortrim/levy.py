@@ -218,7 +218,7 @@ def parse_tail(text: str) -> TailFunction:
 
 def _validated(x, name: str):
     arr = np.asarray(x, dtype=float)
-    if arr.size and (np.any(~np.isfinite(arr) & ~np.isposinf(arr)) or np.any(arr <= 0.0)):
+    if arr.size and (np.any(np.isnan(arr)) or np.any(arr <= 0.0)):
         raise ValueError(f"{name} must be positive and not NaN")
     return arr
 
@@ -288,50 +288,107 @@ def tail_inverse_log(tail: TailFunction, u) -> float | np.ndarray:
     unit log-power tail gives ``-u`` exactly, so arbitrarily large rate
     arguments stay representable.  All branches guarantee
     ``tail_eval_from_log(tail, result) <= u``: the bisection keeps the
-    safe bracket end, the rational family's Newton iteration starts and
-    stays on the safe side of the root, and closed or iterated forms are
-    nudged up by an ulp when the recomposition overshoots (never triggered
-    where the round trip is exact, so the unit log-power identity is
-    untouched).
+    safe bracket end, the rational family's Newton iteration starts on the
+    safe side of the root, and closed or iterated forms are nudged up when
+    the recomposition overshoots (never triggered where the round trip is
+    exact, so the unit log-power identity is untouched).
+
+    The solvers work on ``u`` flattened to 1-D and stop per element:
+    Newton drops an element once its step is exactly zero and ends when
+    every step is below ``max(log1p(2**-40), spacing(|y|))``; the nudge
+    drops an element once its recomposed tail is ``<= u``.  Dropping
+    changes no bit against iterating every element to the end.  A query
+    whose exact log inverse overflows a double (log-power tails with
+    ``p < 1`` and huge ``u``) raises ``ValueError``.
     """
     arr = _validated(u, "u")
+    flat = arr.reshape(-1)
     a, f = tail.alpha, tail.factor
     if isinstance(f, (Constant, StableExact)):
         c = f.c if isinstance(f, Constant) else 1.0
-        out = _nudge_inverse_log(tail, (math.log(c) - np.log(arr)) / a, arr)
+        out = _nudge_inverse_log(tail, (math.log(c) - np.log(flat)) / a, flat)
     elif isinstance(f, LogPower) and a == 0.0:
-        out = _nudge_inverse_log(tail, -(arr ** (1.0 / f.p)), arr)
+        # 0.0 - x, not -x: a root that underflows to zero stays +0.0.  One
+        # that overflows to -inf is rejected by the nudge.
+        with np.errstate(over="ignore"):
+            root = 0.0 - flat ** (1.0 / f.p)
+        out = _nudge_inverse_log(tail, root, flat)
     elif isinstance(f, RationalPerturb) and a > 0.0:
-        out = _nudge_inverse_log(tail, _newton_inverse_log_rational(a, arr), arr)
+        out = _nudge_inverse_log(tail, _newton_inverse_log_rational(a, flat), flat)
     else:
-        out = _bisect_inverse_log(tail, arr)
-    return _maybe_scalar(out, u)
+        out = _bisect_inverse_log(tail, flat)
+    return _maybe_scalar(out.reshape(arr.shape), u)
 
 
 def _newton_inverse_log_rational(a: float, u: np.ndarray) -> np.ndarray:
-    """Newton solve of ``-a*y - log1p(exp(y)) = log(u)`` for ``y``.
+    """Newton solve of ``-a*y - log1p(exp(y)) = log(u)`` for ``y``, 1-D ``u``.
 
     The left side is strictly decreasing and concave in ``y``, so starting
     from the pure-power anchor ``y0 = -log(u)/a`` (where the tail is already
     <= u, the perturbation only shrinking it) every Newton iterate stays on
-    the safe side of the root and the iteration converges quadratically.
-    Unlike bisection this needs no finite bracket, so arbitrarily deep
-    queries stay exact in the exponent.
+    the safe side of the root, up to rounding, and the iteration converges
+    quadratically.  Unlike bisection this needs no finite bracket, so
+    arbitrarily deep queries stay exact in the exponent.
+
+    The first pass runs over every element; later passes run only over the
+    elements whose last step was nonzero (a zero step is a fixed point, so
+    dropping the element changes no bit).  The solve ends once every step
+    is below ``max(log1p(2**-40), spacing(|y|))``: from ``|y| >= 4096`` on,
+    one ulp of ``y`` exceeds the absolute tolerance and the rounded
+    iteration can cycle between adjacent floats.  A cycle may end on the
+    unsafe side of the root; the caller's nudge restores the sandwich.
     """
-    tau = np.log(np.asarray(u, dtype=float))
-    y = -tau / a
-    for _ in range(_BISECT_ITERS):
-        resid = -a * y - np.logaddexp(0.0, y) - tau
-        z = np.exp(-np.abs(y))
-        sigmoid = np.where(y >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-        step = resid / (a + sigmoid)
-        y = y + step
-        if np.max(np.abs(step)) < math.log1p(_BISECT_RTOL):
+    tau = np.log(u)
+    y = np.divide(tau, -a)
+    step = _newton_step(a, y, tau)
+    y += step
+    moving = np.flatnonzero(step)
+    step = step[moving]
+    tau = tau[moving]
+    ya = y[moving]
+    for _ in range(_BISECT_ITERS - 1):
+        if _newton_converged(ya, step):
             return y
-    raise ArithmeticError("rational inverse iteration failed to converge")
+        keep = step != 0.0
+        del step
+        moving = moving[keep]
+        ya = ya[keep]
+        tau = tau[keep]
+        step = _newton_step(a, ya, tau)
+        ya += step
+        y[moving] = ya
+    if not _newton_converged(ya, step):
+        raise ArithmeticError("rational inverse iteration failed to converge")
+    return y
 
 
-def _nudge_inverse_log(tail: TailFunction, log_x, u) -> np.ndarray:
+def _newton_step(a: float, y: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Newton step ``resid / (a + sigmoid(y))`` with a stable sigmoid."""
+    z = np.multiply(y, -a)
+    resid = np.logaddexp(0.0, y)
+    np.subtract(z, resid, out=resid)
+    resid -= tau
+    np.abs(y, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    sigmoid = np.add(z, 1.0)
+    np.copyto(z, 1.0, where=y >= 0.0)
+    np.divide(z, sigmoid, out=sigmoid)
+    sigmoid += a
+    resid /= sigmoid
+    return resid
+
+
+def _newton_converged(y: np.ndarray, step: np.ndarray) -> bool:
+    """True when every step is below ``max(log1p(2**-40), spacing(|y|))``.
+
+    A NaN step never counts as converged.
+    """
+    limit = np.maximum(math.log1p(_BISECT_RTOL), np.spacing(np.abs(y)))
+    return bool(np.all(np.abs(step) < limit))
+
+
+def _nudge_inverse_log(tail: TailFunction, log_x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Round a computed log inverse up until the tail drops to <= u.
 
     The offset starts at one ulp and doubles while the recomposition still
@@ -339,22 +396,36 @@ def _nudge_inverse_log(tail: TailFunction, log_x, u) -> np.ndarray:
     of the abscissa moves the tail by less than one ulp of its value).  A
     result that already satisfies the bound is returned bitwise unchanged,
     so exact closed-form identities are never disturbed.
+
+    ``log_x`` and ``u`` are 1-D of one length, and ``log_x`` is updated in
+    place.  The first check runs over every element; each later pass grows
+    and rechecks only the elements that still overshoot, and an element
+    leaves that set once its recomposed tail is ``<= u``, after which its
+    offset would never change again.
     """
-    out = np.atleast_1d(np.asarray(log_x, dtype=float))
-    u = np.broadcast_to(np.atleast_1d(u), out.shape)
-    delta = np.zeros_like(out)
-    for _ in range(_BISECT_ITERS):
-        bad = _eval_from_log(tail, out + delta) > u
-        if not np.any(bad):
-            return (out + delta).reshape(np.shape(log_x))
-        grown = np.maximum(2.0 * delta, np.maximum(np.spacing(np.abs(out)), 2.0**-60))
-        delta = np.where(bad, grown, delta)
+    over = np.flatnonzero(_eval_from_log(tail, log_x) > u)
+    if over.size == 0:
+        return log_x
+    base, ua = log_x[over], u[over]
+    if np.any(np.isneginf(base)):
+        raise ValueError("inverse query too deep: its log abscissa overflows")
+    floor = np.spacing(np.abs(base))
+    np.maximum(floor, 2.0**-60, out=floor)
+    delta = np.zeros_like(base)
+    for _ in range(_BISECT_ITERS - 1):
+        delta *= 2.0
+        np.maximum(delta, floor, out=delta)
+        trial = base + delta
+        log_x[over] = trial
+        still = _eval_from_log(tail, trial) > ua
+        if not np.any(still):
+            return log_x
+        over, base, ua, floor, delta = over[still], base[still], ua[still], floor[still], delta[still]
     raise ArithmeticError("inverse rounding guard failed to converge")
 
 
 def _bisect_inverse_log(tail: TailFunction, u: np.ndarray) -> np.ndarray:
     """Vectorised bisection for the generalised inverse, on log abscissa."""
-    u = np.atleast_1d(u).astype(float)
     lo = np.full(u.shape, math.log(_BRACKET_FLOOR))
     if np.any(_eval_from_log(tail, lo) < u):
         raise ValueError("inverse query below the supported bracket floor 2**-80")

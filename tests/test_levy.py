@@ -9,10 +9,14 @@ plain ``quad`` silently loses 3-4 digits at the singular endpoint and is
 not a valid reference here.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
 from subortrim.levy import (
@@ -300,6 +304,139 @@ class TestInverse:
     def test_scalar_in_scalar_out(self):
         out = tail_inverse_log(rational_tail(0.5), 2.0)
         assert isinstance(out, float)
+
+    @pytest.mark.parametrize(
+        "a, u", [(0.05, 8.505236006836121e192), (0.01, 7.935019987433316e35)]
+    )
+    def test_rational_deep_small_index_converges(self, a, u):
+        # At |y| >= 4096 one ulp of y exceeds the absolute Newton tolerance;
+        # the rounded iteration used to cycle between adjacent floats here.
+        tail = rational_tail(a)
+        log_x = tail_inverse_log(tail, u)
+        assert log_x == pytest.approx(-math.log(u) / a, rel=1e-14)
+        assert tail_eval_from_log(tail, log_x) <= u
+        vec = np.asarray(tail_inverse_log(tail, np.array([u, 2.0, u * 3.0])))
+        assert vec[0] == log_x
+        assert np.all(np.asarray(tail_eval_from_log(tail, vec)) <= [u, 2.0, u * 3.0])
+
+    @pytest.mark.parametrize("u", [1e155, np.array([2.0, 1e300])])
+    def test_overflowing_log_abscissa_raises(self, u):
+        # log(1/x)**0.5 = u needs log x = -u**2, below -1.8e308.
+        with pytest.raises(ValueError, match="overflows"):
+            tail_inverse_log(log_power_tail(0.5), u)
+
+    def test_scalar_bisection_path(self):
+        out = tail_inverse_log(log_power_tail(2.0, 0.35), 3.0)
+        assert isinstance(out, float)
+        assert tail_eval_from_log(log_power_tail(2.0, 0.35), out) <= 3.0
+
+
+# sha256 of tail_inverse_log's output bytes on seeded queries, and the bits
+# of scalar results, recorded before the solvers were rewritten to iterate
+# only over unsettled elements.  The per-element stopping rules must keep
+# every output bit.
+PINNED_INVERSE_SHA256 = {
+    ("stable(0.5)", "2d"): "80403327a4c71d3380b1a2e641895c1a0b9bd8ff97318cb9b066200396e14852",
+    ("stable(0.5)", "1d"): "e3cee6beca4f94c271169aca76986428011543a8d3c7a66937b9d588df5932c5",
+    ("const(2,0.5)", "2d"): "eac47af8162ae908c00d97962b7d33fb663a9b6d753c815572c541ef6adb03c0",
+    ("const(2,0.5)", "1d"): "d6164a23f96edc47b3be2b764dc4d685a70bb28ae785f6cd11efec3bab612342",
+    ("rational(0.5)", "2d"): "d513513b2c19e77c73456f8093494bcc6febe3e82aa2e2651ee851bcef930c4c",
+    ("rational(0.5)", "1d"): "bfda8261876570280f640529884fcf5a8f0ff6b543af8761a2a951ff779f8133",
+    ("rational(0.9)", "2d"): "93b24784a0f7b6584e7315ac6216596995bc0199beed2e1c3f8ce7d607c02134",
+    ("rational(0.9)", "1d"): "fb985169f2563cf04c748e97465d31a9e23daf8abee590a4dc4a663d2775f689",
+    ("log", "2d"): "f0205d06791b083fedee3b7e0fc6ff1e020c99b14949ca0ed546ede3e9cc7381",
+    ("log", "1d"): "1f667c9aff715170366b04d488a1acc8cc369dd58ab7cf5e123be13e553289ca",
+    ("logpow(2.5)", "2d"): "60fcbb6f7e6bb42c901922df192a493d2b83cceec5178093f2f5803410adfc8b",
+    ("logpow(2.5)", "1d"): "f938477fb96731ba245479cd9cccb093f15da5f77fafc6a28f0894c2d5e7bec1",
+}
+
+PINNED_SCALAR_INVERSE_HEX = {
+    ("stable(0.5)", 3.0): "-0x1.193ea7aad030ap+1",
+    ("stable(0.5)", 0.37): "0x1.fd0ea24bf89b7p+0",
+    ("stable(0.5)", 2.5e7): "-0x1.108cd8bc5b176p+5",
+    ("const(2,0.5)", 3.0): "-0x1.9f323ecbf984dp-1",
+    ("const(2,0.5)", 0.37): "0x1.aff9691dce1d3p+1",
+    ("const(2,0.5)", 2.5e7): "-0x1.0575b73cddfa7p+5",
+    ("rational(0.5)", 3.0): "-0x1.3002e601df9e1p+1",
+    ("rational(0.5)", 0.37): "0x1.298f9e87ed5cdp-2",
+    ("rational(0.5)", 2.5e7): "-0x1.108cd8bc5b177p+5",
+    ("rational(0.9)", 3.0): "-0x1.7437edccd6f45p+0",
+    ("rational(0.9)", 0.37): "0x1.b05700c0438a0p-3",
+    ("rational(0.9)", 2.5e7): "-0x1.2ed5629a315e1p+4",
+    ("log", 3.0): "-0x1.8000000000000p+1",
+    ("log", 0.37): "-0x1.7ae147ae147aep-2",
+    ("log", 2.5e7): "-0x1.7d78400000000p+24",
+    ("logpow(2.5)", 3.0): "-0x1.8d45c06468a87p+0",
+    ("logpow(2.5)", 0.37): "-0x1.57fe6b850aee7p-1",
+    ("logpow(2.5)", 2.5e7): "-0x1.c7241be702546p+9",
+}
+
+
+def _pinned_queries():
+    rng = np.random.default_rng(20261018)
+    return {
+        "2d": 10.0 ** rng.uniform(-4.0, 10.0, (80, 50)),
+        "1d": 10.0 ** rng.uniform(-300.0, 300.0, 3000),
+    }
+
+
+class TestInversePinnedBits:
+    @pytest.mark.parametrize("spec", sorted({k[0] for k in PINNED_INVERSE_SHA256}))
+    def test_array_digests(self, spec):
+        tail = parse_tail(spec)
+        for name, u in _pinned_queries().items():
+            out = tail_inverse_log(tail, u)
+            assert out.dtype == np.float64 and out.shape == u.shape
+            digest = hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
+            assert digest == PINNED_INVERSE_SHA256[(spec, name)], name
+
+    @pytest.mark.parametrize("key", sorted(PINNED_SCALAR_INVERSE_HEX))
+    def test_scalar_bits(self, key):
+        spec, u = key
+        tail = parse_tail(spec)
+        for query in (u, np.array(u)):
+            out = tail_inverse_log(tail, query)
+            assert type(out) is float
+            assert out.hex() == PINNED_SCALAR_INVERSE_HEX[key]
+
+
+@st.composite
+def _inverse_queries(draw):
+    """A tail family, an index in [0.01, 0.99], a shape and log-uniform u."""
+    family = draw(st.sampled_from(["stable", "const", "rational", "logpow", "logpow-indexed"]))
+    alpha = draw(st.floats(0.01, 0.99))
+    p = draw(st.floats(0.25, 4.0))
+    c = draw(st.floats(0.01, 100.0))
+    tail = {
+        "stable": stable_tail(alpha),
+        "const": constant_tail(c, alpha),
+        "rational": rational_tail(alpha),
+        "logpow": log_power_tail(p),
+        "logpow-indexed": log_power_tail(p, alpha),
+    }[family]
+    top = 300.0
+    if family == "logpow":
+        # The exact log inverse -u**(1/p) must be a finite double.
+        top = min(top, 300.0 * p)
+    elif family == "logpow-indexed":
+        # The bisection bracket stops at 2**-80; deeper queries are rejected.
+        top = math.log10(tail_eval_from_log(tail, -80.0 * math.log(2.0))) - 1e-9
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=6))
+    exponents = draw(hnp.arrays(np.float64, shape, elements=st.floats(-8.0, top), fill=st.nothing()))
+    u = np.asarray(10.0**exponents)
+    return tail, (float(u) if draw(st.booleans()) and u.ndim == 0 else u)
+
+
+class TestInverseProperties:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(_inverse_queries())
+    def test_sandwich(self, query):
+        tail, u = query
+        log_x = tail_inverse_log(tail, u)
+        assert np.shape(log_x) == np.shape(u)
+        assert isinstance(log_x, float) == (np.ndim(u) == 0)
+        assert np.all(np.isfinite(log_x))
+        assert np.all(np.asarray(tail_eval_from_log(tail, log_x)) <= u)
 
 
 class TestSmallJumpMean:
