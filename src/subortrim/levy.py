@@ -299,7 +299,8 @@ def tail_inverse_log(tail: TailFunction, u) -> float | np.ndarray:
     drops an element once its recomposed tail is ``<= u``.  Dropping
     changes no bit against iterating every element to the end.  A query
     whose exact log inverse overflows a double (log-power tails with
-    ``p < 1`` and huge ``u``) raises ``ValueError``.
+    ``p < 1`` and huge ``u``) raises ``ValueError``.  ``u = inf`` gives
+    ``-inf`` for every family.
     """
     arr = _validated(u, "u")
     flat = arr.reshape(-1)
@@ -340,7 +341,9 @@ def _newton_inverse_log_rational(a: float, u: np.ndarray) -> np.ndarray:
     """
     tau = np.log(u)
     y = np.divide(tau, -a)
-    step = _newton_step(a, y, tau)
+    with np.errstate(invalid="ignore"):
+        step = _newton_step(a, y, tau)
+    step[np.isinf(tau)] = 0.0  # u = inf: y = -inf is exact, and its step inf - inf is NaN
     y += step
     moving = np.flatnonzero(step)
     step = step[moving]
@@ -425,9 +428,12 @@ def _nudge_inverse_log(tail: TailFunction, log_x: np.ndarray, u: np.ndarray) -> 
 
 
 def _bisect_inverse_log(tail: TailFunction, u: np.ndarray) -> np.ndarray:
-    """Vectorised bisection for the generalised inverse, on log abscissa."""
+    """Vectorised bisection for the generalised inverse, on log abscissa.
+
+    ``u = inf`` gives ``-inf``: every admitted tail is unbounded at 0+.
+    """
     lo = np.full(u.shape, math.log(_BRACKET_FLOOR))
-    if np.any(_eval_from_log(tail, lo) < u):
+    if np.any(_eval_from_log(tail, lo) < u, where=u < math.inf):
         raise ValueError("inverse query below the supported bracket floor 2**-80")
     if math.isfinite(tail.support_cap):
         hi = np.full(u.shape, math.log(tail.support_cap))
@@ -446,8 +452,9 @@ def _bisect_inverse_log(tail: TailFunction, u: np.ndarray) -> np.ndarray:
         too_high = _eval_from_log(tail, mid) > u
         lo = np.where(too_high, mid, lo)
         hi = np.where(too_high, hi, mid)
-        if np.max(hi - lo) < math.log1p(_BISECT_RTOL):
+        if np.all(hi - lo < math.log1p(_BISECT_RTOL)):  # true at once for an empty query
             break
+    hi[u == math.inf] = -math.inf
     return hi
 
 

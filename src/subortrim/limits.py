@@ -21,7 +21,6 @@ grid, memoised by suffix start.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,18 +33,13 @@ from .pointproc import ArrivalSeries
 
 __all__ = [
     "FidiQuery",
-    "CountCell",
     "FIDI_QUERY_GRID",
     "cauchy_rth_jump_cdf",
     "extremal_fidi_cdf",
-    "poisson_count_prob",
-    "count_cell",
     "second_jump_fidi",
     "fidi_probability",
-    "parse_fidi_query",
     "trimmed_stable_power_sample",
     "cauchy_ordered_jump_sample",
-    "stable_marginal_laplace",
 ]
 
 
@@ -74,27 +68,6 @@ class FidiQuery:
 
     def __len__(self):
         return len(self.lambdas)
-
-
-@dataclass(frozen=True)
-class CountCell:
-    """One Poisson cell of the fidi decomposition.
-
-    Counts jumps in time slice ``(lam_{ell-1}, lam_ell]`` with sizes in
-    the level band starting at ``y_j``; the count is Poisson with mean
-    ``time_mass * level_mass``.
-    """
-
-    ell: int
-    j: int
-    time_mass: float
-    level_mass: float
-
-    def __post_init__(self):
-        if not 1 <= self.ell <= self.j:
-            raise ValueError(f"cell indices need 1 <= ell <= j, got ({self.ell}, {self.j})")
-        if self.time_mass < 0.0 or self.level_mass < 0.0:
-            raise ValueError("cell masses must be nonnegative")
 
 
 def _measure_tail(measure):
@@ -143,37 +116,6 @@ def extremal_fidi_cdf(q: FidiQuery, measure="cauchy") -> float:
     gaps = np.diff(lams, prepend=0.0)
     exponent = math.fsum(g * tail(y) for g, y in zip(gaps, reduced))
     return math.exp(-exponent)
-
-
-def poisson_count_prob(cell: CountCell, k: int) -> float:
-    """Probability that a fidi cell holds exactly ``k`` jumps.
-
-    Poisson pmf with mean ``time_mass * level_mass``; a zero-mass cell
-    has all mass at ``k = 0``.
-    """
-    if k < 0:
-        raise ValueError(f"count must be >= 0, got {k}")
-    mean = cell.time_mass * cell.level_mass
-    if mean == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
-
-
-def count_cell(q: FidiQuery, ell: int, j: int, measure="cauchy") -> CountCell:
-    """Build the (ell, j) cell of a query under a measure descriptor.
-
-    Time mass is the slice width ``lam_ell - lam_{ell-1}``; level mass is
-    the measure of the band from ``y_j`` up to the next level (infinity
-    for the top band), i.e. the difference of tail masses.
-    """
-    n = len(q)
-    if not 1 <= ell <= j <= n:
-        raise ValueError(f"need 1 <= ell <= j <= {n}, got ({ell}, {j})")
-    tail = _measure_tail(measure)
-    lams, ys = q.lambdas, q.levels
-    time_mass = lams[ell - 1] - (lams[ell - 2] if ell >= 2 else 0.0)
-    level_mass = tail(ys[j - 1]) - (tail(ys[j]) if j < n else 0.0)
-    return CountCell(ell=ell, j=j, time_mass=time_mass, level_mass=max(level_mass, 0.0))
 
 
 def second_jump_fidi(levy_level_mass, q: FidiQuery) -> float:
@@ -229,34 +171,6 @@ def fidi_probability(q: FidiQuery, r: int, measure="cauchy") -> float:
     raise ValueError(f"fidi rank must be 1 or 2, got {r}")
 
 
-def parse_fidi_query(source) -> tuple[FidiQuery, int, str]:
-    """Parse a JSON fidi query: lambdas, levels, rank, measure string.
-
-    Accepts a JSON string or an already-decoded mapping with keys
-    ``lambdas``, ``levels``, ``r`` (1 or 2) and optional ``measure``
-    (default ``"cauchy"``).
-    """
-    obj = json.loads(source) if isinstance(source, (str, bytes)) else source
-    if not isinstance(obj, dict):
-        raise ValueError("fidi query must be a JSON object")
-    extra = set(obj) - {"lambdas", "levels", "r", "measure"}
-    if extra:
-        raise ValueError(f"unknown fidi query keys: {sorted(extra)}")
-    try:
-        lams = tuple(float(v) for v in obj["lambdas"])
-        ys = tuple(float(v) for v in obj["levels"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed fidi query arrays: {exc}") from None
-    r = obj.get("r", 1)
-    if r not in (1, 2):
-        raise ValueError(f"fidi rank must be 1 or 2, got {r!r}")
-    measure = obj.get("measure", "cauchy")
-    if not isinstance(measure, str):
-        raise ValueError("measure must be a string descriptor")
-    _measure_tail(measure)  # fail fast on unknown families
-    return FidiQuery(lambdas=lams, levels=ys), int(r), measure
-
-
 def trimmed_stable_power_sample(arr: ArrivalSeries, alpha: float, r: int, lam: float) -> float:
     """One draw of the ``alpha``-power of an ``r``-trimmed stable value.
 
@@ -305,21 +219,6 @@ def _restricted_log_jumps(arr: ArrivalSeries, lam: float) -> np.ndarray:
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"restriction level must lie in (0, 1], got {lam}")
     return -np.log(arr.arrivals[arr.marks <= lam])
-
-
-def stable_marginal_laplace(alpha: float, t: float, s: float) -> float:
-    """Laplace transform of the positive stable marginal at time ``t``.
-
-    ``E exp(-s * X_t) = exp(-t * gamma(1 - alpha) * s**alpha)`` under the
-    pure power-law tail normalisation ``x**-alpha``.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"index must lie in (0, 1), got {alpha}")
-    if not t > 0.0 or math.isnan(t):
-        raise ValueError(f"horizon must be positive, got {t}")
-    if not s > 0.0 or math.isnan(s):
-        raise ValueError(f"transform argument must be positive, got {s}")
-    return math.exp(-t * math.gamma(1.0 - alpha) * s**alpha)
 
 
 #: Fixed validation grid: 12 queries spanning n = 1..4, mixed widths and levels,

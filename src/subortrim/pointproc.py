@@ -46,6 +46,9 @@ __all__ = [
     "z_statistic",
     "z_statistic_trimmed",
     "ratio_diagnostic",
+    "trimmed_log_sums",
+    "trimmed_ratios",
+    "trimmed_z_rows",
     "dump_ladder",
     "load_ladder",
 ]
@@ -135,8 +138,8 @@ class JumpLadder:
 class TrimmedValue(NamedTuple):
     """A trimmed-sum value with its always-finite log companion.
 
-    ``value`` may underflow to 0.0 in extreme regimes; ``log_value`` is
-    then still exact (log-sum-exp accumulation).
+    ``value`` is ``exp(log_value)`` and may underflow to 0.0 in extreme
+    regimes; ``log_value`` is then still exact (log-sum-exp accumulation).
     """
 
     value: float
@@ -211,28 +214,70 @@ def restrict_to(ladder: JumpLadder, lam: float) -> JumpLadder:
     )
 
 
-def _compensated_sum(values: np.ndarray) -> float:
-    """Neumaier-compensated sum; callers pass values smallest-first."""
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        s = total + v
-        if abs(total) >= abs(v):
-            carry += (total - s) + v
-        else:
-            carry += (v - s) + total
-        total = s
-    return total + carry
+def _log_compensation(tail: TailFunction, horizon: float, floor_log_jumps) -> np.ndarray:
+    """Per row, the log mean mass below the floor: ``log(horizon * small_jump_mean)``."""
+    log_h = math.log(horizon)
+    return np.array([log_h + log_small_jump_mean(tail, float(v)) for v in floor_log_jumps])
 
 
-def _log_sum_exp(log_terms) -> float:
-    """log(sum exp(term)) with max-shift; -inf for an empty collection."""
-    if len(log_terms) == 0:
-        return -math.inf
-    m = max(log_terms)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(math.exp(v - m) for v in log_terms))
+def trimmed_log_sums(log_j: np.ndarray, keep: np.ndarray, r: int, log_comp) -> np.ndarray:
+    """Row-wise log of the trimmed sum: the kept jumps beyond the ``r`` largest.
+
+    ``log_j`` is a ``(rows, terms)`` matrix of ranked log-jumps, ``keep`` a
+    mask of the same shape (the jumps a restriction retains), and
+    ``log_comp`` a per-row log term added to each sum (``-inf`` for none).
+    The sum is a max-shifted log-sum-exp with numpy's pairwise summation,
+    so its rounding error is ``O(eps log terms)`` and it stays exact in the
+    exponent when every jump underflows.  Raises when a row keeps no more
+    than ``r`` jumps.
+    """
+    if r < 0:
+        raise ValueError(f"trim count must be >= 0, got {r}")
+    rank = np.cumsum(keep, axis=1)
+    if rank.shape[1] == 0 or np.any(rank[:, -1] < r + 1):
+        raise ValueError(f"a row keeps no more than {r} jumps: deepen the series")
+    use = keep & (rank > r)
+    terms = np.where(use, log_j, -np.inf)
+    m = np.maximum(np.max(terms, axis=1), log_comp)
+    m[m == -np.inf] = 0.0  # a row of zero jumps sums to log 0 = -inf, not NaN
+    with np.errstate(under="ignore", divide="ignore"):
+        total = np.sum(np.exp(terms - m[:, None]), axis=1) + np.exp(log_comp - m)
+        return m + np.log(total)
+
+
+def trimmed_ratios(log_j: np.ndarray, r: int) -> np.ndarray:
+    """Row-wise ``(sum of jumps beyond r) / J_(r+1)`` of a ``(rows, terms)`` log matrix.
+
+    Formed from log-jump differences only, so it is exact even when every
+    jump underflows.  Raises when a row holds fewer than ``r + 2`` jumps.
+    """
+    if r < 0:
+        raise ValueError(f"trim count must be >= 0, got {r}")
+    if log_j.shape[1] < r + 2:
+        raise ValueError(f"need at least {r + 2} jumps for the ratio, have {log_j.shape[1]}")
+    pivot = log_j[:, r : r + 1]
+    with np.errstate(under="ignore"):
+        return 1.0 + np.sum(np.exp(log_j[:, r + 1 :] - pivot), axis=1)
+
+
+def trimmed_z_rows(
+    tail: TailFunction, t: float, log_j, marks, lam: float, r: int, floor_log_jumps
+) -> np.ndarray:
+    """Row-wise :func:`z_statistic_trimmed` over a ``(rows, terms)`` ladder matrix.
+
+    Each row is a ladder over horizon ``t`` with its marks and the log of
+    its resolution floor.  The trimmed sum keeps the jumps with marks
+    ``<= lam`` and is compensated over ``t * lam`` when the tail is
+    summable.
+    """
+    if tail.is_summable:
+        comp = _log_compensation(tail, t * lam, floor_log_jumps)
+    else:
+        comp = np.full(len(log_j), -np.inf)
+    log_x = trimmed_log_sums(log_j, marks <= lam, r, comp)
+    rate = np.asarray(tail_eval_from_log(tail, log_x))
+    with np.errstate(divide="ignore"):
+        return 1.0 / (t * rate)
 
 
 def trimmed_value(ladder: JumpLadder, r: int, compensate: bool = False) -> TrimmedValue:
@@ -253,25 +298,17 @@ def trimmed_value(ladder: JumpLadder, r: int, compensate: bool = False) -> Trimm
     Returns
     -------
     TrimmedValue
-        Linear value (compensated summation, smallest jump first) and its
-        log-sum-exp companion, which stays exact under underflow.
+        The log of the sum from :func:`trimmed_log_sums` on the one-row
+        ladder, and its exponential.
     """
-    if r < 0:
-        raise ValueError(f"trim count must be >= 0, got {r}")
-    n = len(ladder)
-    if n <= r:
-        raise ValueError(f"ladder holds {n} jumps, cannot trim {r}: deepen the series")
-    kept = ladder.log_jumps[r:]
-    log_terms = list(kept)
     if compensate:
-        if not ladder.tail.is_summable:
-            raise ValueError("compensation needs a summable tail (index < 1)")
-        log_terms.append(
-            math.log(ladder.horizon) + log_small_jump_mean(ladder.tail, ladder.floor_log_jump)
-        )
-    with np.errstate(under="ignore"):
-        linear = _compensated_sum(np.exp(np.asarray(log_terms)[::-1]))
-    return TrimmedValue(value=float(linear), log_value=_log_sum_exp(log_terms))
+        comp = _log_compensation(ladder.tail, ladder.horizon, [ladder.floor_log_jump])
+    else:
+        comp = np.full(1, -np.inf)
+    log_j = ladder.log_jumps[None, :]
+    log_value = float(trimmed_log_sums(log_j, np.ones(log_j.shape, dtype=bool), r, comp)[0])
+    with np.errstate(over="ignore", under="ignore"):
+        return TrimmedValue(value=float(np.exp(log_value)), log_value=log_value)
 
 
 def z_statistic(ladder: JumpLadder, lam: float, r: int) -> float:
@@ -299,37 +336,28 @@ def z_statistic(ladder: JumpLadder, lam: float, r: int) -> float:
 def z_statistic_trimmed(ladder: JumpLadder, lam: float, r: int) -> float:
     """Trimmed-sum variant: ``1/(t * tail(trimmed restricted sum))``.
 
-    The restricted ladder is trimmed of its ``r`` largest jumps and mean
-    compensation is applied when the tail admits it; the tail function is
-    then evaluated at the log-domain sum.  Pathwise it dominates
-    ``z_statistic`` at rank ``r + 1`` (the trimmed sum exceeds the next
-    jump, and the tail is nonincreasing).
+    The jumps landing in the first ``lam`` fraction of the horizon are
+    trimmed of their ``r`` largest and mean compensation is applied when
+    the tail admits it; the tail function is then evaluated at the
+    log-domain sum.  Pathwise it dominates ``z_statistic`` at rank
+    ``r + 1`` (the trimmed sum exceeds the next jump, and the tail is
+    nonincreasing).  A one-row call of :func:`trimmed_z_rows`.
     """
-    if r < 0:
-        raise ValueError(f"trim count must be >= 0, got {r}")
-    restricted = restrict_to(ladder, lam)
-    tv = trimmed_value(restricted, r, compensate=ladder.tail.is_summable)
-    rate = float(tail_eval_from_log(ladder.tail, tv.log_value))
-    if rate == 0.0:
-        return math.inf
-    return 1.0 / (ladder.horizon * rate)
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"restriction level must lie in (0, 1], got {lam}")
+    lj, mk = ladder.log_jumps[None, :], ladder.marks[None, :]
+    z = trimmed_z_rows(ladder.tail, ladder.horizon, lj, mk, lam, r, [ladder.floor_log_jump])
+    return float(z[0])
 
 
 def ratio_diagnostic(ladder: JumpLadder, r: int) -> float:
     """Trimmed sum over its own largest term: ``(sum of jumps beyond r) / J_(r+1)``.
 
     Always ``>= 1``; drifts to 1 as the horizon shrinks, when a single
-    jump dominates the trimmed remainder.  Computed purely from log-jump
-    differences, so it is exact even when every jump underflows.
+    jump dominates the trimmed remainder.  A one-row call of
+    :func:`trimmed_ratios`.
     """
-    if r < 0:
-        raise ValueError(f"trim count must be >= 0, got {r}")
-    n = len(ladder)
-    if n < r + 2:
-        raise ValueError(f"need at least {r + 2} jumps for the ratio, have {n}")
-    pivot = ladder.log_jumps[r]
-    with np.errstate(under="ignore"):
-        return 1.0 + math.fsum(math.exp(v - pivot) for v in ladder.log_jumps[r + 1 :])
+    return float(trimmed_ratios(ladder.log_jumps[None, :], r)[0])
 
 
 def dump_ladder(ladder: JumpLadder, path) -> None:

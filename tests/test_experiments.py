@@ -1,12 +1,13 @@
 """Tests for the experiment runners: configs, seeds, rows, verdicts.
 
-The batched kernels used inside the runners are required to agree
-elementwise with the scalar point-process operations they vectorise;
-those comparisons are the load-bearing checks here.  End-to-end runs use
+The ladder-matrix kernels the runners call are checked against hand
+ladders whose trimmed sums and ratios are known in closed form, and the
+CSV bytes of small edge runs are pinned by digest.  End-to-end runs use
 deliberately small grids so the whole module stays fast.
 """
 
 import csv
+import hashlib
 import io
 import math
 
@@ -21,8 +22,6 @@ from subortrim.experiments import (
     ExperimentReport,
     ReportRow,
     Verdict,
-    _batched_ratio,
-    _batched_z_trimmed,
     _downsample,
     _family_tail,
     _weakly_nonincreasing,
@@ -33,11 +32,12 @@ from subortrim.experiments import (
     run_fidi_validation,
 )
 from subortrim.pointproc import (
-    ArrivalSeries,
-    ordered_jumps,
+    JumpLadder,
     ratio_diagnostic,
-    restrict_to,
     sample_arrivals,
+    trimmed_log_sums,
+    trimmed_ratios,
+    trimmed_z_rows,
     z_statistic_trimmed,
 )
 
@@ -174,11 +174,21 @@ class TestCsvShape:
         assert not report.all_pass
 
 
-class TestBatchedKernels:
-    @property
-    def rng(self):
-        return np.random.default_rng(777)
+# Two hand ladders (rows) of ranked jumps with their marks; the last jump of
+# each row is its resolution floor.  Every sum stays below 1, where the unit
+# log-power tail log(1/x) is positive.
+HAND_JUMPS = np.array([[0.4, 0.2, 0.1, 0.05, 0.025], [0.3, 0.1, 0.05, 0.04, 0.02]])
+HAND_MARKS = np.array([[0.9, 0.3, 0.6, 0.2, 0.5], [0.1, 0.8, 0.5, 0.7, 0.25]])
+# Tail and mean jump mass below eps: stable(0.5) has x**-0.5 and
+# a/(1-a) * eps**(1-a) = eps**0.5; the unit log-power tail has log(1/x) and
+# Gamma(2, w) - w e^-w = eps with w = log(1/eps).
+HAND_TAILS = {
+    "stable(0.5)": (lambda x: x**-0.5, math.sqrt),
+    "log": (lambda x: math.log(1.0 / x), lambda eps: eps),
+}
 
+
+class TestBatchedKernels:
     def _matrix(self, rows=8, depth=1500):
         arrivals = np.empty((rows, depth))
         marks = np.empty_like(arrivals)
@@ -191,46 +201,49 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("tail_spec", ["log", "stable(0.5)"])
     @pytest.mark.parametrize("lam, r", [(1.0, 0), (0.5, 1), (0.75, 2)])
     def test_z_matches_scalar_route(self, tail_spec, lam, r):
+        # z = 1/(t * tail(S)) with S the jumps of marks <= lam beyond the r
+        # largest, plus t * lam * (mean jump mass below the floor).
         tail = levy.parse_tail(tail_spec)
-        t = 1e-3
-        arrivals, marks = self._matrix()
-        batched = _batched_z_trimmed(tail, t, arrivals, marks, lam, r)
-        assert batched.shape == (arrivals.shape[0],)
-        for i in range(arrivals.shape[0]):
-            series = ArrivalSeries(
-                arrivals=arrivals[i].copy(), marks=marks[i].copy(), seed=0
+        tail_fn, mean_below = HAND_TAILS[tail_spec]
+        t = 0.5
+        log_j = np.log(HAND_JUMPS)
+        z = trimmed_z_rows(tail, t, log_j, HAND_MARKS, lam, r, log_j[:, -1])
+        assert z.shape == (2,)
+        for i in range(2):
+            kept = [j for j, m in zip(HAND_JUMPS[i], HAND_MARKS[i]) if m <= lam][r:]
+            s = math.fsum(kept) + t * lam * mean_below(HAND_JUMPS[i, -1])
+            assert z[i] == pytest.approx(1.0 / (t * tail_fn(s)), rel=1e-14)
+            ladder = JumpLadder(
+                horizon=t, log_jumps=log_j[i].copy(), marks=HAND_MARKS[i].copy(),
+                tail=tail, floor_log_jump=float(log_j[i, -1]),
             )
-            ladder = ordered_jumps(tail, t, series)
-            scalar = z_statistic_trimmed(ladder, lam, r)
-            assert batched[i] == pytest.approx(scalar, rel=1e-12)
+            assert z_statistic_trimmed(ladder, lam, r) == z[i]  # the one-row call
 
     def test_ratio_matches_scalar_route(self):
-        arrivals, marks = self._matrix(rows=6, depth=1200)
-        tail = levy.log_power_tail()
-        for r in (0, 1, 3):
-            log_j = np.empty_like(arrivals)
-            ladders = []
-            for i in range(arrivals.shape[0]):
-                series = ArrivalSeries(
-                    arrivals=arrivals[i].copy(), marks=marks[i].copy(), seed=0
-                )
-                ladder = ordered_jumps(tail, 1.0, series)
-                log_j[i] = ladder.log_jumps
-                ladders.append(ladder)
-            batched = _batched_ratio(log_j, r)
-            for i, ladder in enumerate(ladders):
-                assert batched[i] == pytest.approx(
-                    ratio_diagnostic(ladder, r), rel=1e-13
-                )
-                assert batched[i] >= 1.0
+        # (sum of jumps beyond r) / J_(r+1) on jumps 4, 2, 1, 0.5: exact
+        # whether or not the jumps underflow (second row: shifted by -800).
+        log_j = np.log([4.0, 2.0, 1.0, 0.5])
+        rows = np.stack([log_j, log_j - 800.0])
+        assert math.exp(rows[1, 0]) == 0.0
+        ladder = JumpLadder(
+            horizon=1.0, log_jumps=log_j.copy(), marks=np.full(4, 0.5),
+            tail=levy.stable_tail(0.5), floor_log_jump=float(log_j[-1]),
+        )
+        for r, expected in ((0, 1.875), (1, 1.75), (2, 1.5)):
+            ratios = trimmed_ratios(rows, r)
+            assert ratios == pytest.approx([expected, expected], rel=1e-12)
+            assert ratio_diagnostic(ladder, r) == ratios[0]  # the one-row call
+        with pytest.raises(ValueError):
+            trimmed_ratios(rows, 3)
 
     def test_z_respects_restriction(self):
         # lam = 1 keeps everything; a tiny lam thins the ladder, which can
         # only shrink the trimmed statistic on shared randomness.
         tail = levy.stable_tail(0.5)
         arrivals, marks = self._matrix(rows=5)
-        full = _batched_z_trimmed(tail, 1e-2, arrivals, marks, 1.0, 1)
-        thin = _batched_z_trimmed(tail, 1e-2, arrivals, marks, 0.05, 1)
+        log_j = np.asarray(levy.tail_inverse_log(tail, arrivals / 1e-2))
+        full = trimmed_z_rows(tail, 1e-2, log_j, marks, 1.0, 1, log_j[:, -1])
+        thin = trimmed_z_rows(tail, 1e-2, log_j, marks, 0.05, 1, log_j[:, -1])
         assert np.all(thin <= full + 1e-15)
 
 
@@ -285,6 +298,40 @@ class TestEdgeLeft:
     def test_wrong_edge_guard(self):
         with pytest.raises(ValueError, match="expected 'left'"):
             run_edge_left(_tiny("fidi"))
+
+    def test_self_similarity_fails_on_pathwise_drift(self, monkeypatch):
+        # A drift of 1e-11 per decade of t leaves the cross-horizon KS fit at
+        # p = 1 (every sample keeps its rank), so only the pathwise bound can
+        # catch it.
+        from subortrim import experiments
+
+        exact = experiments.trimmed_z_rows
+
+        def drifting(tail, t, *args):
+            return exact(tail, t, *args) * (1.0 + 1e-11 * abs(math.log10(t)))
+
+        cfg = ExperimentConfig(
+            edge="left", tail="stable", alpha_grid=(0.5,), t_grid=(1.0, 1e-3),
+            lambda_grid=(1.0,), r_grid=(0,), replicates=1000, seed_blocks=1,
+        )
+        name = "self_similarity a=0.5 r=0 lam=1"
+        (honest,) = [v for v in run_edge_left(cfg).verdicts if v.name == name]
+        assert honest.passed, honest.detail
+        monkeypatch.setattr(experiments, "trimmed_z_rows", drifting)
+        (drifted,) = [v for v in run_edge_left(cfg).verdicts if v.name == name]
+        assert not drifted.passed
+        assert " p=1," in drifted.detail
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    def test_rational_tail_at_overflowing_rate(self):
+        # Gamma / t overflows to inf at t = 1e-306; those jumps are 0.
+        cfg = ExperimentConfig(
+            edge="left", tail="rational", alpha_grid=(0.5,), t_grid=(1e-2, 1e-306),
+            lambda_grid=(1.0,), r_grid=(0,), replicates=1000, seed_blocks=1,
+        )
+        report = run_edge_left(cfg)
+        assert len(report.rows) == 2
+        assert all(0.0 <= row.p_value <= 1.0 for row in report.rows)
 
 
 @pytest.fixture(scope="module")
@@ -440,22 +487,44 @@ class TestDispatch:
 
 class TestRestrictConsistency:
     def test_batched_kernel_honours_mark_filter(self):
-        # The batched z at lam must match the scalar z on the explicitly
-        # restricted ladder; spot-checks the mark-filter semantics.
-        tail = levy.stable_tail(0.5)
-        series = sample_arrivals(4242, 1500)
-        lam = 0.3
-        ladder = ordered_jumps(tail, 1e-2, series)
-        kept = restrict_to(ladder, lam)
-        assert kept.log_jumps.size < ladder.log_jumps.size
-        batched = _batched_z_trimmed(
-            tail,
-            1e-2,
-            series.arrivals[None, :],
-            series.marks[None, :],
-            lam,
-            0,
-        )
-        assert batched[0] == pytest.approx(
-            z_statistic_trimmed(ladder, lam, 0), rel=1e-12
-        )
+        # Jumps 4, 2, 1, 0.5 with only 2 and 1 kept: trimming r of the kept
+        # jumps leaves 3 or 1, and the compensation term adds to the sum.
+        log_j = np.log([[4.0, 2.0, 1.0, 0.5]])
+        keep = np.array([[False, True, True, False]])
+        none, comp = np.array([-np.inf]), np.log([0.25])
+        for r, c, expected in ((0, none, 3.0), (1, none, 1.0), (0, comp, 3.25)):
+            got = trimmed_log_sums(log_j, keep, r, c)[0]
+            assert got == pytest.approx(math.log(expected), abs=1e-15)
+        with pytest.raises(ValueError, match="deepen"):
+            trimmed_log_sums(log_j, keep, 2, none)
+
+
+# sha256 of the CSV text of small edge runs, recorded before the trimmed-sum
+# kernels moved into pointproc and the edges began to invert once per horizon.
+PINNED_CSV_SHA256 = {
+    "left-stable": "388c568b27c7a6e51052367fec98d1704086bc5570a58768c51a22308b6fa50f",
+    "left-rational": "38af50d3aa3d8d0f8e8e80524975177b15dcdb12c5bc225c50b7958007cea4f8",
+    "right-log": "6915fa4269d3e8e87e0d22f42bc20c29fbdb5849f99a6a573e57b1b3fe7b58f7",
+}
+PINNED_CSV_CONFIGS = {
+    "left-stable": dict(
+        edge="left", tail="stable", alpha_grid=(0.5,), r_grid=(0, 1), t_grid=(1.0, 1e-3),
+        lambda_grid=(0.5, 1.0), replicates=1000, seed_blocks=1,
+    ),
+    "left-rational": dict(
+        edge="left", tail="rational", alpha_grid=(0.3,), r_grid=(0, 2), t_grid=(1e-2, 1e-5),
+        lambda_grid=(0.75,), replicates=1000, seed_blocks=2,
+    ),
+    "right-log": dict(
+        edge="right", tail="log", r_grid=(0, 1), t_grid=(1e-2, 1e-4), lambda_grid=(0.5, 1.0),
+        level_grid=(1.0, 2.0), replicates=1000, seed_blocks=1,
+    ),
+}
+
+
+class TestPinnedCsv:
+    @pytest.mark.parametrize("name", sorted(PINNED_CSV_SHA256))
+    def test_csv_digest(self, name):
+        report = run_experiment(ExperimentConfig(**PINNED_CSV_CONFIGS[name]))
+        digest = hashlib.sha256(report.csv_text().encode("utf-8")).hexdigest()
+        assert digest == PINNED_CSV_SHA256[name]

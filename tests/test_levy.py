@@ -197,10 +197,13 @@ class TestEval:
 class TestInverse:
     @pytest.mark.parametrize("tail", ALL_FAMILIES, ids=str)
     def test_sandwich_holds_everywhere(self, tail):
+        # u = inf (the tail is unbounded at 0+) has the inverse 0, log -inf.
         rng = np.random.default_rng(1820261)
-        u = 10.0 ** rng.uniform(-8.0, 8.0, 4000)
+        u = np.append(10.0 ** rng.uniform(-8.0, 8.0, 4000), math.inf)
         log_x = np.asarray(tail_inverse_log(tail, u))
         assert np.all(np.asarray(tail_eval_from_log(tail, log_x)) <= u)
+        assert np.all(np.isfinite(log_x[:-1])) and log_x[-1] == -math.inf
+        assert tail_inverse_log(tail, math.inf) == -math.inf
 
     @pytest.mark.parametrize("tail", ALL_FAMILIES, ids=str)
     def test_inverse_is_the_infimum(self, tail):
@@ -402,7 +405,10 @@ class TestInversePinnedBits:
 
 @st.composite
 def _inverse_queries(draw):
-    """A tail family, an index in [0.01, 0.99], a shape and log-uniform u."""
+    """A tail family, an index in [0.01, 0.99], a shape (maybe empty), log-uniform u.
+
+    Half the nonempty queries carry one u = inf.
+    """
     family = draw(st.sampled_from(["stable", "const", "rational", "logpow", "logpow-indexed"]))
     alpha = draw(st.floats(0.01, 0.99))
     p = draw(st.floats(0.25, 4.0))
@@ -421,8 +427,10 @@ def _inverse_queries(draw):
     elif family == "logpow-indexed":
         # The bisection bracket stops at 2**-80; deeper queries are rejected.
         top = math.log10(tail_eval_from_log(tail, -80.0 * math.log(2.0))) - 1e-9
-    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=6))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6))
     exponents = draw(hnp.arrays(np.float64, shape, elements=st.floats(-8.0, top), fill=st.nothing()))
+    if exponents.size and draw(st.booleans()):
+        exponents.flat[draw(st.integers(0, exponents.size - 1))] = math.inf
     u = np.asarray(10.0**exponents)
     return tail, (float(u) if draw(st.booleans()) and u.ndim == 0 else u)
 
@@ -435,7 +443,8 @@ class TestInverseProperties:
         log_x = tail_inverse_log(tail, u)
         assert np.shape(log_x) == np.shape(u)
         assert isinstance(log_x, float) == (np.ndim(u) == 0)
-        assert np.all(np.isfinite(log_x))
+        assert np.array_equal(np.isfinite(log_x), np.isfinite(u))
+        assert np.all(np.asarray(log_x)[np.isinf(u)] == -math.inf)
         assert np.all(np.asarray(tail_eval_from_log(tail, log_x)) <= u)
 
 

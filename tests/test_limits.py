@@ -7,28 +7,21 @@ That enumeration shares no code (and no algebra beyond the Poisson pmf)
 with the product/recursion implementations under test.
 """
 
-import json
 import math
 from itertools import product
 
 import numpy as np
 import pytest
-from scipy import stats as sps
 
 from subortrim.levy import parse_tail, stable_tail, tail_eval
 from subortrim.limits import (
     FIDI_QUERY_GRID,
-    CountCell,
     FidiQuery,
     cauchy_ordered_jump_sample,
     cauchy_rth_jump_cdf,
-    count_cell,
     extremal_fidi_cdf,
     fidi_probability,
-    parse_fidi_query,
-    poisson_count_prob,
     second_jump_fidi,
-    stable_marginal_laplace,
     trimmed_stable_power_sample,
 )
 from subortrim.pointproc import ArrivalSeries, derive_seed, sample_arrivals
@@ -204,49 +197,6 @@ class TestSecondJumpFidi:
             assert fidi_probability(q, 2) >= fidi_probability(q, 1)
 
 
-class TestPoissonCells:
-    @pytest.mark.parametrize("k", [0, 1, 2, 7])
-    def test_pmf_matches_scipy(self, k):
-        cell = CountCell(ell=1, j=2, time_mass=0.4, level_mass=1.25)
-        assert poisson_count_prob(cell, k) == pytest.approx(
-            float(sps.poisson.pmf(k, 0.4 * 1.25)), rel=1e-12
-        )
-
-    def test_zero_mass_cell(self):
-        cell = CountCell(ell=1, j=1, time_mass=0.0, level_mass=3.0)
-        assert poisson_count_prob(cell, 0) == 1.0
-        assert poisson_count_prob(cell, 1) == 0.0
-
-    def test_count_validation(self):
-        cell = CountCell(ell=1, j=1, time_mass=0.5, level_mass=1.0)
-        with pytest.raises(ValueError):
-            poisson_count_prob(cell, -1)
-
-    def test_count_cell_hand_masses(self):
-        q = FidiQuery(lambdas=(0.25, 0.5, 1.0), levels=(0.5, 1.0, 2.0))
-        c11 = count_cell(q, 1, 1)
-        assert c11.time_mass == pytest.approx(0.25)
-        assert c11.level_mass == pytest.approx(2.0 - 1.0)  # band (0.5, 1.0]
-        c23 = count_cell(q, 2, 3)
-        assert c23.time_mass == pytest.approx(0.25)
-        assert c23.level_mass == pytest.approx(0.5)  # band (2.0, inf)
-
-    def test_count_cell_index_validation(self):
-        q = FidiQuery(lambdas=(0.5, 1.0), levels=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            count_cell(q, 2, 1)
-        with pytest.raises(ValueError):
-            count_cell(q, 0, 1)
-        with pytest.raises(ValueError):
-            count_cell(q, 1, 3)
-
-    def test_cell_field_validation(self):
-        with pytest.raises(ValueError):
-            CountCell(ell=2, j=1, time_mass=0.1, level_mass=0.1)
-        with pytest.raises(ValueError):
-            CountCell(ell=1, j=1, time_mass=-0.1, level_mass=0.1)
-
-
 class TestFidiDispatchAndParse:
     def test_dispatch(self):
         q = FidiQuery(lambdas=(0.5, 1.0), levels=(1.0, 2.0))
@@ -254,36 +204,6 @@ class TestFidiDispatchAndParse:
         assert fidi_probability(q, 2) == second_jump_fidi("cauchy", q)
         with pytest.raises(ValueError):
             fidi_probability(q, 3)
-
-    def test_parse_round_trip(self):
-        src = json.dumps(
-            {"lambdas": [0.5, 1.0], "levels": [1.0, 2.0], "r": 2, "measure": "stable(0.5)"}
-        )
-        q, r, measure = parse_fidi_query(src)
-        assert q == FidiQuery(lambdas=(0.5, 1.0), levels=(1.0, 2.0))
-        assert r == 2
-        assert measure == "stable(0.5)"
-
-    def test_parse_defaults(self):
-        q, r, measure = parse_fidi_query({"lambdas": [1.0], "levels": [2.0]})
-        assert (r, measure) == (1, "cauchy")
-        assert len(q) == 1
-
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            {"lambdas": [1.0], "levels": [2.0], "extra": 1},
-            {"lambdas": [1.0], "levels": [2.0], "r": 3},
-            {"lambdas": [1.0], "levels": [2.0], "measure": 7},
-            {"lambdas": [1.0], "levels": [2.0], "measure": "gauss(1)"},
-            {"levels": [2.0]},
-            {"lambdas": "x", "levels": [2.0]},
-            [1, 2],
-        ],
-    )
-    def test_parse_rejects(self, obj):
-        with pytest.raises(ValueError):
-            parse_fidi_query(obj if not isinstance(obj, str) else obj)
 
     @pytest.mark.parametrize(
         "lams, ys",
@@ -361,25 +281,6 @@ class TestCoupledSamples:
         arr = sample_arrivals(9092, 64)
         val = trimmed_stable_power_sample(arr, 0.01, 0, 1.0)
         assert math.isfinite(val) and val > 0.0
-
-
-class TestStableMarginalLaplace:
-    def test_formula(self):
-        # alpha = 1/2: Gamma(1/2) = sqrt(pi).
-        assert stable_marginal_laplace(0.5, 1.0, 1.0) == pytest.approx(
-            math.exp(-math.sqrt(math.pi)), rel=1e-14
-        )
-        assert stable_marginal_laplace(0.5, 2.0, 4.0) == pytest.approx(
-            math.exp(-2.0 * math.sqrt(math.pi) * 2.0), rel=1e-14
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            stable_marginal_laplace(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            stable_marginal_laplace(0.5, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            stable_marginal_laplace(0.5, 1.0, math.nan)
 
 
 class TestQueryGrid:

@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from subortrim.levy import (
     log_power_tail,
@@ -30,6 +33,7 @@ from subortrim.pointproc import (
     ratio_diagnostic,
     restrict_to,
     sample_arrivals,
+    trimmed_log_sums,
     trimmed_value,
     z_statistic,
     z_statistic_trimmed,
@@ -228,6 +232,8 @@ class TestTrimmedValue:
         assert tv.log_value == pytest.approx(
             np.logaddexp(-1000.0, -1000.0 - math.log(2.0)), rel=1e-14
         )
+        # A jump of exactly zero (log -inf) sums to zero, not NaN.
+        assert trimmed_value(_hand_ladder([-math.inf]), 0) == (0.0, -math.inf)
 
     def test_trim_bounds(self):
         ladder = _hand_ladder(np.log([4.0, 2.0]))
@@ -242,6 +248,38 @@ class TestTrimmedValue:
             lj = np.sort(rng.normal(0.0, 2.0, 30))[::-1]
             tv = trimmed_value(_hand_ladder(lj), 3)
             assert math.log(tv.value) == pytest.approx(tv.log_value, rel=1e-12)
+
+
+@st.composite
+def _trim_queries(draw):
+    """Ranked log-jump rows, a keep mask, a trim count and per-row compensation."""
+    rows, terms = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    log_j = draw(hnp.arrays(np.float64, (rows, terms), elements=st.floats(-800.0, 50.0)))
+    keep = draw(hnp.arrays(np.bool_, (rows, terms)))
+    comp = st.floats(-800.0, 50.0) | st.just(-math.inf)
+    log_comp = draw(hnp.arrays(np.float64, rows, elements=comp))
+    return -np.sort(-log_j, axis=1), keep, draw(st.integers(0, 3)), log_comp
+
+
+class TestTrimmedLogSumsProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_trim_queries())
+    def test_matches_fsum_reference(self, query):
+        log_j, keep, r, log_comp = query
+        if np.any(keep.sum(axis=1) <= r):
+            with pytest.raises(ValueError, match="deepen"):
+                trimmed_log_sums(log_j, keep, r, log_comp)
+            return
+        got = trimmed_log_sums(log_j, keep, r, log_comp)
+        assert got.shape == (log_j.shape[0],)
+        for i, row in enumerate(log_j):
+            logs = [float(v) for v in row[keep[i]][r:]] + [float(log_comp[i])]
+            m = max(logs)
+            ref = m + math.log(math.fsum(math.exp(v - m) for v in logs))
+            # Pairwise summation of at most 41 terms: a few ulps of the sum,
+            # plus the rounding of the shift m.
+            eps = np.finfo(float).eps
+            assert abs(got[i] - ref) <= eps * (abs(ref) + 16.0)
 
 
 class TestZStatistic:
