@@ -16,12 +16,13 @@ Four families are provided:
 
 ``Constant``         ``c * x**-alpha`` (exact power law, ``c > 0``)
 ``StableExact``      ``x**-alpha`` (the ``c == 1`` power law)
-``LogPower``         ``x**-alpha * log(1/x)**p`` on ``(0, 1)``, zero beyond
+``LogPower``         ``log(1/x)**p`` on ``(0, 1)``, zero beyond (index 0 only)
 ``RationalPerturb``  ``x**-alpha / (1 + x)``
 
-``LogPower`` with ``alpha == 0`` is the only admissible zero-index family
-here: its slowly varying factor is nonincreasing and blows up at 0+, which
-a zero-index tail must do to keep infinitely many small jumps.
+``LogPower`` is the only admissible zero-index family here: its slowly
+varying factor is nonincreasing and blows up at 0+, which a zero-index
+tail must do to keep infinitely many small jumps.  Every operation on
+every admitted tail is in closed form or a safe-side Newton solve.
 
 Everything is vectorised: ``x`` / ``u`` arguments may be floats or numpy
 arrays, and scalar input yields scalar output.
@@ -29,6 +30,7 @@ arrays, and scalar input yields scalar output.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,10 +57,9 @@ __all__ = [
     "log_small_jump_mean",
 ]
 
-# Bisection contract: bracket floor, iteration cap, relative tolerance.
-_BRACKET_FLOOR = 2.0 ** -80
-_BISECT_ITERS = 200
-_BISECT_RTOL = 2.0 ** -40
+# Solver contract: iteration cap, relative tolerance.
+_SOLVE_ITERS = 200
+_SOLVE_RTOL = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -100,21 +101,18 @@ class TailFunction:
         small jumps are not summable.
     factor : Constant | StableExact | LogPower | RationalPerturb
         The slowly varying factor ``L``.
-    support_cap : float
-        Smallest ``x`` with ``tail(x) == 0``; ``inf`` for full support.
-        Forced to 1 for ``LogPower`` and ``inf`` otherwise.
 
     Notes
     -----
     Validation happens at construction: the index range, the zero-index
     admissibility rule (only ``LogPower`` has ``L`` nonincreasing with
-    ``L(0+) = inf``), and the factor-specific parameter constraints.
-    Every admitted combination has summable small jumps once ``alpha < 1``.
+    ``L(0+) = inf``, and it has index 0 only), and the factor-specific
+    parameter constraints.  Every admitted combination has summable small
+    jumps once ``alpha < 1``.
     """
 
     alpha: float
     factor: Constant | StableExact | LogPower | RationalPerturb
-    support_cap: float
 
     def __post_init__(self):
         a = self.alpha
@@ -124,6 +122,8 @@ class TailFunction:
             raise ValueError(f"tail index must lie in [0, 1) (or ==1 helper), got {a}")
         if a == 1.0 and not isinstance(self.factor, (Constant, StableExact)):
             raise ValueError("index-1 helper tails must be pure power laws")
+        if a != 0.0 and isinstance(self.factor, LogPower):
+            raise ValueError("log-power tails are zero-index only")
         if a == 0.0 and not isinstance(self.factor, LogPower):
             raise ValueError(
                 "zero-index tails need a nonincreasing factor with L(0+) = inf; "
@@ -131,13 +131,8 @@ class TailFunction:
             )
         if isinstance(self.factor, Constant) and not self.factor.c > 0.0:
             raise ValueError(f"constant factor must be positive, got {self.factor.c}")
-        if isinstance(self.factor, LogPower):
-            if not self.factor.p > 0.0:
-                raise ValueError(f"log-power exponent must be positive, got {self.factor.p}")
-            if self.support_cap != 1.0:
-                raise ValueError("log-power tails vanish at 1; support_cap must be 1")
-        elif self.support_cap != math.inf:
-            raise ValueError("full-support tails must have support_cap == inf")
+        if isinstance(self.factor, LogPower) and not self.factor.p > 0.0:
+            raise ValueError(f"log-power exponent must be positive, got {self.factor.p}")
         # Small jumps are summable for every admitted combination: each
         # factor is integrable against x**-alpha near 0 once alpha < 1, so
         # no runtime probe is needed (is_summable reads the index alone).
@@ -154,33 +149,33 @@ class TailFunction:
         if isinstance(f, Constant):
             return f"const({f.c:g},{self.alpha:g})"
         if isinstance(f, LogPower):
-            return "log" if (self.alpha == 0.0 and f.p == 1.0) else f"logpow({f.p:g})"
+            return "log" if f.p == 1.0 else f"logpow({f.p:g})"
         return f"rational({self.alpha:g})"
 
 
 def constant_tail(c: float, alpha: float) -> TailFunction:
     """Tail ``c * x**-alpha`` with positive constant ``c``."""
-    return TailFunction(alpha=float(alpha), factor=Constant(float(c)), support_cap=math.inf)
+    return TailFunction(alpha=float(alpha), factor=Constant(float(c)))
 
 
 def stable_tail(alpha: float) -> TailFunction:
     """Tail ``x**-alpha`` of the normalised stable subordinator."""
-    return TailFunction(alpha=float(alpha), factor=StableExact(), support_cap=math.inf)
+    return TailFunction(alpha=float(alpha), factor=StableExact())
 
 
-def log_power_tail(p: float = 1.0, alpha: float = 0.0) -> TailFunction:
-    """Tail ``x**-alpha * log(1/x)**p`` on (0, 1); the zero-index workhorse."""
-    return TailFunction(alpha=float(alpha), factor=LogPower(float(p)), support_cap=1.0)
+def log_power_tail(p: float = 1.0) -> TailFunction:
+    """Tail ``log(1/x)**p`` on (0, 1); the zero-index workhorse."""
+    return TailFunction(alpha=0.0, factor=LogPower(float(p)))
 
 
 def rational_tail(alpha: float) -> TailFunction:
     """Tail ``x**-alpha / (1 + x)``: slowly varying but not eventually constant."""
-    return TailFunction(alpha=float(alpha), factor=RationalPerturb(), support_cap=math.inf)
+    return TailFunction(alpha=float(alpha), factor=RationalPerturb())
 
 
 def cauchy_tail() -> TailFunction:
     """Reciprocal tail ``1/x``: the index-1 jump-law helper."""
-    return TailFunction(alpha=1.0, factor=StableExact(), support_cap=math.inf)
+    return TailFunction(alpha=1.0, factor=StableExact())
 
 
 def parse_tail(text: str) -> TailFunction:
@@ -230,8 +225,8 @@ def _maybe_scalar(arr, like):
 def tail_eval(tail: TailFunction, x) -> float | np.ndarray:
     """Evaluate ``tail(x) = x**-alpha * L(x)`` elementwise.
 
-    ``x`` must be positive (``inf`` allowed, giving 0); values at or beyond
-    ``support_cap`` give 0 exactly.
+    ``x`` must be positive (``inf`` allowed, giving 0); log-power tails
+    give 0 exactly at and beyond 1.
     """
     arr = _validated(x, "x")
     with np.errstate(divide="ignore", over="ignore"):
@@ -243,9 +238,9 @@ def tail_eval_from_log(tail: TailFunction, log_x) -> float | np.ndarray:
     """Evaluate the tail at ``x = exp(log_x)`` without forming ``x``.
 
     The log-domain entry point: ``log_x`` may lie far below the smallest
-    positive double.  For ``LogPower`` the value ``(-log_x)**p`` (times the
-    power factor) is computed directly from the exponent, which keeps the
-    deep small-jump regime exact.
+    positive double.  For ``LogPower`` the value ``(-log_x)**p`` is computed
+    directly from the exponent, which keeps the deep small-jump regime
+    exact.
     """
     arr = np.asarray(log_x, dtype=float)
     if arr.size and np.any(np.isnan(arr)):
@@ -256,14 +251,14 @@ def tail_eval_from_log(tail: TailFunction, log_x) -> float | np.ndarray:
 
 
 def _eval_from_log(tail: TailFunction, log_x: np.ndarray) -> np.ndarray:
-    a, f = tail.alpha, tail.factor
-    power = np.exp(-a * log_x) if a > 0.0 else np.ones_like(log_x)
+    f = tail.factor
+    if isinstance(f, LogPower):
+        vals = np.maximum(-log_x, 0.0) ** f.p
+        return np.where(log_x < 0.0, vals, 0.0)
+    power = np.exp(-tail.alpha * log_x)
     if isinstance(f, (Constant, StableExact)):
         c = f.c if isinstance(f, Constant) else 1.0
         return c * power
-    if isinstance(f, LogPower):
-        vals = power * np.maximum(-log_x, 0.0) ** f.p
-        return np.where(log_x < 0.0, vals, 0.0)
     # RationalPerturb
     return power / (1.0 + np.exp(log_x))
 
@@ -287,11 +282,11 @@ def tail_inverse_log(tail: TailFunction, u) -> float | np.ndarray:
     Exact in the exponent for the closed-form families; in particular the
     unit log-power tail gives ``-u`` exactly, so arbitrarily large rate
     arguments stay representable.  All branches guarantee
-    ``tail_eval_from_log(tail, result) <= u``: the bisection keeps the
-    safe bracket end, the rational family's Newton iteration starts on the
-    safe side of the root, and closed or iterated forms are nudged up when
-    the recomposition overshoots (never triggered where the round trip is
-    exact, so the unit log-power identity is untouched).
+    ``tail_eval_from_log(tail, result) <= u``: the rational family's
+    Newton iteration starts on the safe side of the root, and closed or
+    iterated forms are nudged up when the recomposition overshoots (never
+    triggered where the round trip is exact, so the unit log-power
+    identity is untouched).
 
     The solvers work on ``u`` flattened to 1-D and stop per element:
     Newton drops an element once its step is exactly zero and ends when
@@ -308,16 +303,14 @@ def tail_inverse_log(tail: TailFunction, u) -> float | np.ndarray:
     if isinstance(f, (Constant, StableExact)):
         c = f.c if isinstance(f, Constant) else 1.0
         out = _nudge_inverse_log(tail, (math.log(c) - np.log(flat)) / a, flat)
-    elif isinstance(f, LogPower) and a == 0.0:
+    elif isinstance(f, LogPower):
         # 0.0 - x, not -x: a root that underflows to zero stays +0.0.  One
         # that overflows to -inf is rejected by the nudge.
         with np.errstate(over="ignore"):
             root = 0.0 - flat ** (1.0 / f.p)
         out = _nudge_inverse_log(tail, root, flat)
-    elif isinstance(f, RationalPerturb) and a > 0.0:
-        out = _nudge_inverse_log(tail, _newton_inverse_log_rational(a, flat), flat)
     else:
-        out = _bisect_inverse_log(tail, flat)
+        out = _nudge_inverse_log(tail, _newton_inverse_log_rational(a, flat), flat)
     return _maybe_scalar(out.reshape(arr.shape), u)
 
 
@@ -328,8 +321,8 @@ def _newton_inverse_log_rational(a: float, u: np.ndarray) -> np.ndarray:
     from the pure-power anchor ``y0 = -log(u)/a`` (where the tail is already
     <= u, the perturbation only shrinking it) every Newton iterate stays on
     the safe side of the root, up to rounding, and the iteration converges
-    quadratically.  Unlike bisection this needs no finite bracket, so
-    arbitrarily deep queries stay exact in the exponent.
+    quadratically.  It needs no finite bracket, so arbitrarily deep
+    queries stay exact in the exponent.
 
     The first pass runs over every element; later passes run only over the
     elements whose last step was nonzero (a zero step is a fixed point, so
@@ -349,7 +342,7 @@ def _newton_inverse_log_rational(a: float, u: np.ndarray) -> np.ndarray:
     step = step[moving]
     tau = tau[moving]
     ya = y[moving]
-    for _ in range(_BISECT_ITERS - 1):
+    for _ in range(_SOLVE_ITERS - 1):
         if _newton_converged(ya, step):
             return y
         keep = step != 0.0
@@ -387,7 +380,7 @@ def _newton_converged(y: np.ndarray, step: np.ndarray) -> bool:
 
     A NaN step never counts as converged.
     """
-    limit = np.maximum(math.log1p(_BISECT_RTOL), np.spacing(np.abs(y)))
+    limit = np.maximum(math.log1p(_SOLVE_RTOL), np.spacing(np.abs(y)))
     return bool(np.all(np.abs(step) < limit))
 
 
@@ -415,7 +408,7 @@ def _nudge_inverse_log(tail: TailFunction, log_x: np.ndarray, u: np.ndarray) -> 
     floor = np.spacing(np.abs(base))
     np.maximum(floor, 2.0**-60, out=floor)
     delta = np.zeros_like(base)
-    for _ in range(_BISECT_ITERS - 1):
+    for _ in range(_SOLVE_ITERS - 1):
         delta *= 2.0
         np.maximum(delta, floor, out=delta)
         trial = base + delta
@@ -427,37 +420,6 @@ def _nudge_inverse_log(tail: TailFunction, log_x: np.ndarray, u: np.ndarray) -> 
     raise ArithmeticError("inverse rounding guard failed to converge")
 
 
-def _bisect_inverse_log(tail: TailFunction, u: np.ndarray) -> np.ndarray:
-    """Vectorised bisection for the generalised inverse, on log abscissa.
-
-    ``u = inf`` gives ``-inf``: every admitted tail is unbounded at 0+.
-    """
-    lo = np.full(u.shape, math.log(_BRACKET_FLOOR))
-    if np.any(_eval_from_log(tail, lo) < u, where=u < math.inf):
-        raise ValueError("inverse query below the supported bracket floor 2**-80")
-    if math.isfinite(tail.support_cap):
-        hi = np.full(u.shape, math.log(tail.support_cap))
-    else:
-        # Expand upward by doubling until the tail has dropped to <= u.
-        hi = np.zeros(u.shape)
-        for _ in range(64):
-            need = _eval_from_log(tail, hi) > u
-            if not np.any(need):
-                break
-            hi[need] += math.log(2.0)
-        else:
-            raise ValueError("failed to bracket inverse from above")
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        too_high = _eval_from_log(tail, mid) > u
-        lo = np.where(too_high, mid, lo)
-        hi = np.where(too_high, hi, mid)
-        if np.all(hi - lo < math.log1p(_BISECT_RTOL)):  # true at once for an empty query
-            break
-    hi[u == math.inf] = -math.inf
-    return hi
-
-
 def small_jump_mean(tail: TailFunction, eps) -> float:
     """Mean jump mass below ``eps``: ``integral_(0, eps] x Pi(dx)``.
 
@@ -465,26 +427,19 @@ def small_jump_mean(tail: TailFunction, eps) -> float:
 
         integral_0^eps tail(x) dx  -  eps * tail(eps),
 
-    closed-form where available, otherwise by adaptive Simpson quadrature
-    on a log abscissa.  Requires ``alpha < 1`` (summable small jumps).
+    in closed form for every family.  Requires ``alpha < 1`` (summable
+    small jumps).
     """
     e = float(eps)
     if not (e > 0.0) or math.isnan(e):
         raise ValueError(f"eps must be positive, got {eps}")
     if not tail.is_summable:
         raise ValueError("small jumps are not summable for tail index >= 1")
-    return _closed_small_jump_mean(tail, e)
-
-
-def _closed_small_jump_mean(tail: TailFunction, e: float) -> float:
     a, f = tail.alpha, tail.factor
-    e = min(e, tail.support_cap)
     if isinstance(f, (Constant, StableExact)):
         c = f.c if isinstance(f, Constant) else 1.0
-        if a == 0.0:
-            return 0.0  # unreachable: zero-index constants are rejected
         return c * a / (1.0 - a) * e ** (1.0 - a)
-    if isinstance(f, LogPower) and a == 0.0:
+    if isinstance(f, LogPower):
         # integral_0^e log(1/x)^p dx - e log(1/e)^p  ==  Gamma(p+1, log(1/e)),
         # upper incomplete, minus the boundary term.
         z = -math.log(e) if e < 1.0 else 0.0
@@ -492,75 +447,58 @@ def _closed_small_jump_mean(tail: TailFunction, e: float) -> float:
         upper = gam * float(special.gammaincc(f.p + 1.0, z)) if z > 0.0 else gam
         boundary = e * z ** f.p if z > 0.0 else 0.0
         return upper - boundary
-    if isinstance(f, RationalPerturb):
-        # integral_0^e x**-a/(1+x) dx = e**(1-a)/(1-a) * 2F1(1, 1-a; 2-a; -e),
-        # so the by-parts identity collapses to one hypergeometric call.
-        c1 = 1.0 - a
-        hyp = float(special.hyp2f1(1.0, c1, c1 + 1.0, -e))
-        return e**c1 * (hyp / c1 - 1.0 / (1.0 + e))
-    return _simpson_log_integral(tail, e) - e * float(tail_eval(tail, e))
+    # RationalPerturb: integral_0^e x**-a/(1+x) dx
+    # = e**(1-a)/(1-a) * 2F1(1, 1-a; 2-a; -e), so the by-parts identity
+    # collapses to one hypergeometric call.
+    c1 = 1.0 - a
+    hyp = float(special.hyp2f1(1.0, c1, c1 + 1.0, -e))
+    return e**c1 * (hyp / c1 - 1.0 / (1.0 + e))
 
 
 def log_small_jump_mean(tail: TailFunction, log_eps: float) -> float:
     """``log small_jump_mean(tail, exp(log_eps))`` for arbitrarily deep levels.
 
     Used for series compensation where the level itself underflows.  Below
-    ``log_eps < -40`` the slowly varying factor is frozen at its limit
-    (relative error ``O(exp(log_eps))`` for the rational family, an
-    incomplete-gamma tail expansion for log-powers — exact for ``p == 1``).
+    ``log_eps < -40`` the rational factor is frozen at its limit (relative
+    error ``O(exp(log_eps))``); below ``-50`` the log-power mean is summed
+    from the asymptotic series of ``p * Gamma(p, -log_eps)``, within a few
+    ulps at any depth.  ``log_eps = -inf`` gives ``-inf``.
     """
     z = float(log_eps)
     if math.isnan(z):
         raise ValueError("log_eps must not be NaN")
     if not tail.is_summable:
         raise ValueError("small jumps are not summable for tail index >= 1")
+    if z == -math.inf:
+        return -math.inf
     a, f = tail.alpha, tail.factor
     if isinstance(f, (Constant, StableExact)):
         c = f.c if isinstance(f, Constant) else 1.0
-        return math.log(c * a / (1.0 - a)) + (1.0 - a) * min(z, math.log(tail.support_cap))
-    if isinstance(f, LogPower) and a == 0.0:
-        if z >= -50.0:
-            return math.log(_closed_small_jump_mean(tail, math.exp(min(z, 0.0))))
+        return math.log(c * a / (1.0 - a)) + (1.0 - a) * z
+    if isinstance(f, LogPower):
         p, w = f.p, -z
-        # Gamma(p+1, w) - e^-w w^p  ~  e^-w w^(p-1) p (1 + (p-1)/w + (p-1)(p-2)/w^2)
-        series = 1.0 + (p - 1.0) / w + (p - 1.0) * (p - 2.0) / (w * w)
+        if w <= 50.0 or p >= w:  # beyond, the series grows from its first term
+            return math.log(small_jump_mean(tail, math.exp(min(z, 0.0))))
+        # Gamma(p+1, w) - e^-w w^p = p Gamma(p, w) ~ p e^-w w^(p-1) sum_k
+        # (p-1)...(p-k) / w^k (DLMF 8.11.2), summed until a term vanishes
+        # (integer p), stops shrinking (by k = p + w) or no longer counts.
+        # num / den keeps the bits of the exact sums of p in {1, 2, 3}.
+        series = num = den = 1.0
+        last = math.inf
+        for k in itertools.count(1):
+            num *= p - k
+            den *= w
+            term = num / den
+            if term == 0.0 or abs(term) >= last:
+                break
+            series += term
+            last = abs(term)
+            if last < 2.0**-60 * series:
+                break
+            if den > 2.0**500:
+                num, den = term, 1.0
         return z + (p - 1.0) * math.log(w) + math.log(p * series)
     if z >= -40.0:
-        return math.log(_closed_small_jump_mean(tail, math.exp(z)))
+        return math.log(small_jump_mean(tail, math.exp(z)))
     return math.log(a / (1.0 - a)) + (1.0 - a) * z
 
-
-def _simpson_log_integral(tail: TailFunction, e: float) -> float:
-    """``integral_0^e tail(x) dx`` by adaptive Simpson on ``x = exp(s)``.
-
-    The substitution gives ``integral exp(s) tail(exp(s)) ds`` with an
-    integrand decaying like ``exp((1-alpha) s)`` as ``s -> -inf``, so a
-    finite lower cut at relative depth ``120/(1-alpha)`` loses less than
-    ``exp(-120)`` of the mass.
-    """
-    hi = math.log(min(e, tail.support_cap))
-    lo = hi - 120.0 / (1.0 - tail.alpha)
-
-    def g(s: float) -> float:
-        return math.exp(s) * float(tail_eval_from_log(tail, s))
-
-    def simpson(a: float, b: float, fa: float, fm: float, fb: float) -> float:
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a: float, b: float, fa: float, fm: float, fb: float, whole: float, tol: float, depth: int) -> float:
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = g(lm), g(rm)
-        left = simpson(a, m, fa, flm, fm)
-        right = simpson(m, b, fm, frm, fb)
-        if depth <= 0 or abs(left + right - whole) <= tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, m, fa, flm, fm, left, tol / 2.0, depth - 1) + recurse(
-            m, b, fm, frm, fb, right, tol / 2.0, depth - 1
-        )
-
-    fa, fb = g(lo), g(hi)
-    fm = g(0.5 * (lo + hi))
-    whole = simpson(lo, hi, fa, fm, fb)
-    tol = 1e-12 * max(abs(whole), 1e-300)
-    return recurse(lo, hi, fa, fm, fb, whole, tol, 48)

@@ -21,7 +21,6 @@ unless values are representable.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,13 +48,7 @@ __all__ = [
     "trimmed_log_sums",
     "trimmed_ratios",
     "trimmed_z_rows",
-    "dump_ladder",
-    "load_ladder",
 ]
-
-_LADDER_MAGIC = b"SBTR"
-_LADDER_VERSION = 1
-_LADDER_HEADER = struct.Struct("<4sIQd")
 
 
 @dataclass(frozen=True)
@@ -359,45 +352,3 @@ def ratio_diagnostic(ladder: JumpLadder, r: int) -> float:
     """
     return float(trimmed_ratios(ladder.log_jumps[None, :], r)[0])
 
-
-def dump_ladder(ladder: JumpLadder, path) -> None:
-    """Write a ladder to a little-endian binary debug dump.
-
-    Layout: magic ``SBTR``, version u32, jump count u64, horizon f64,
-    then per jump a ``(log_jump f64, mark f64)`` pair.  The tail function
-    is not serialised; supply it again on load.
-    """
-    n = len(ladder)
-    body = np.empty((n, 2), dtype="<f8")
-    body[:, 0] = ladder.log_jumps
-    body[:, 1] = ladder.marks
-    with open(path, "wb") as fh:
-        fh.write(_LADDER_HEADER.pack(_LADDER_MAGIC, _LADDER_VERSION, n, ladder.horizon))
-        fh.write(body.tobytes())
-
-
-def load_ladder(path, tail: TailFunction) -> JumpLadder:
-    """Read a ladder dump written by :func:`dump_ladder`.
-
-    The compensation floor is not stored and defaults to the smallest
-    stored jump, which is what a fresh ladder of the same depth would use.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _LADDER_HEADER.size:
-        raise ValueError("truncated ladder dump")
-    magic, version, n, horizon = _LADDER_HEADER.unpack_from(raw)
-    if magic != _LADDER_MAGIC:
-        raise ValueError(f"not a ladder dump (magic {magic!r})")
-    if version != _LADDER_VERSION:
-        raise ValueError(f"unsupported ladder dump version {version}")
-    body = np.frombuffer(raw, dtype="<f8", offset=_LADDER_HEADER.size)
-    if body.size != 2 * n:
-        raise ValueError("ladder dump length does not match its header")
-    pairs = body.reshape(n, 2)
-    log_jumps = np.ascontiguousarray(pairs[:, 0])
-    marks = np.ascontiguousarray(pairs[:, 1])
-    floor = float(log_jumps[-1]) if n else -math.inf
-    return JumpLadder(
-        horizon=horizon, log_jumps=log_jumps, marks=marks, tail=tail, floor_log_jump=floor
-    )

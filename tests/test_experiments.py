@@ -322,9 +322,10 @@ class TestEdgeLeft:
         assert not drifted.passed
         assert " p=1," in drifted.detail
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rational_tail_at_overflowing_rate(self):
-        # Gamma / t overflows to inf at t = 1e-306; those jumps are 0.
+        # Gamma / t overflows to inf at t = 1e-306; those jumps are 0, and
+        # a zero floor jump has zero compensation.  Both edges run silently.
         cfg = ExperimentConfig(
             edge="left", tail="rational", alpha_grid=(0.5,), t_grid=(1e-2, 1e-306),
             lambda_grid=(1.0,), r_grid=(0,), replicates=1000, seed_blocks=1,
@@ -332,6 +333,14 @@ class TestEdgeLeft:
         report = run_edge_left(cfg)
         assert len(report.rows) == 2
         assert all(0.0 <= row.p_value <= 1.0 for row in report.rows)
+        cfg = ExperimentConfig(
+            edge="right", t_grid=(1e-2, 1e-306), lambda_grid=(1.0,), level_grid=(1.0,),
+            r_grid=(0,), replicates=1000, seed_blocks=1,
+        )
+        report = run_edge_right(cfg)
+        assert [row.t for row in report.rows if row.edge == "right"] == [1e-2, 1e-306]
+        assert all(0.0 <= row.p_value <= 1.0 for row in report.rows if row.edge == "right")
+        assert report.all_pass
 
 
 @pytest.fixture(scope="module")
@@ -412,6 +421,23 @@ class TestEdgeBottom:
         for sl in report.plots:
             assert sl.curve_x == () and sl.curve_y == ()
             assert len(sl.samples) > 0
+
+    @pytest.mark.parametrize("sample", ["trimmed_stable_power_sample", "cauchy_ordered_jump_sample"])
+    def test_pathwise_verdict_fails_when_samples_grow_with_r(self, monkeypatch, sample):
+        from subortrim import limits
+
+        cfg = ExperimentConfig(
+            edge="bottom", alpha_grid=(0.4, 0.2), lambda_grid=(0.5, 1.0), r_grid=(0, 2, 1),
+            replicates=2, n_terms=1000, seed_blocks=1,
+        )
+        name = "pathwise_r_decreasing"
+        (honest,) = [v for v in run_edge_bottom(cfg).verdicts if v.name == name]
+        assert honest.passed
+        real = getattr(limits, sample)
+        # r is the second-to-last argument of both samples.
+        monkeypatch.setattr(limits, sample, lambda arr, *rest: real(arr, *rest) * 10.0 ** rest[-2])
+        (grown,) = [v for v in run_edge_bottom(cfg).verdicts if v.name == name]
+        assert not grown.passed
 
     def test_needs_decreasing_alpha(self):
         cfg = ExperimentConfig(

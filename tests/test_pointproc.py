@@ -27,8 +27,6 @@ from subortrim.pointproc import (
     ArrivalSeries,
     JumpLadder,
     derive_seed,
-    dump_ladder,
-    load_ladder,
     ordered_jumps,
     ratio_diagnostic,
     restrict_to,
@@ -362,40 +360,3 @@ class TestRatioDiagnostic:
         with pytest.raises(ValueError):
             ratio_diagnostic(ladder, -1)
 
-
-class TestLadderIO:
-    def test_round_trip_bitwise(self, tmp_path):
-        tail = rational_tail(0.4)
-        ladder = ordered_jumps(tail, 0.25, sample_arrivals(91, 128))
-        path = tmp_path / "ladder.bin"
-        dump_ladder(ladder, path)
-        back = load_ladder(path, tail)
-        assert np.array_equal(back.log_jumps, ladder.log_jumps)
-        assert np.array_equal(back.marks, ladder.marks)
-        assert back.horizon == ladder.horizon
-        assert back.floor_log_jump == ladder.floor_log_jump
-        assert back.tail == tail
-
-    def test_truncated_dump_rejected(self, tmp_path):
-        path = tmp_path / "short.bin"
-        path.write_bytes(b"SB")
-        with pytest.raises(ValueError, match="truncated"):
-            load_ladder(path, stable_tail(0.5))
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        ladder = _hand_ladder(np.log([2.0, 1.0]))
-        path = tmp_path / "ladder.bin"
-        dump_ladder(ladder, path)
-        raw = bytearray(path.read_bytes())
-        raw[:4] = b"XXXX"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="magic"):
-            load_ladder(path, stable_tail(0.5))
-
-    def test_length_mismatch_rejected(self, tmp_path):
-        ladder = _hand_ladder(np.log([2.0, 1.0]))
-        path = tmp_path / "ladder.bin"
-        dump_ladder(ladder, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="length"):
-            load_ladder(path, stable_tail(0.5))
