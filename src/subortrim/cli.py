@@ -16,7 +16,7 @@ Configuration file (INI syntax, all sections optional)::
     levels = 1.0, 2.0       ; edge-right joint levels (pairs with lambda)
 
     [tail]
-    family = log            ; const(c,a) | stable(a) | cauchy | log | logpow(p) | rational(a)
+    family = log            ; const(c,a) | stable(a) | cauchy | log | logpow(p<=100) | rational(a)
 
     [grids]
     t = 1e-2, 1e-4, 1e-6, 1e-8

@@ -16,7 +16,7 @@ Four families are provided:
 
 ``Constant``         ``c * x**-alpha`` (exact power law, ``c > 0``)
 ``StableExact``      ``x**-alpha`` (the ``c == 1`` power law)
-``LogPower``         ``log(1/x)**p`` on ``(0, 1)``, zero beyond (index 0 only)
+``LogPower``         ``log(1/x)**p`` on ``(0, 1)``, zero beyond (index 0, ``p <= 100``)
 ``RationalPerturb``  ``x**-alpha / (1 + x)``
 
 ``LogPower`` is the only admissible zero-index family here: its slowly
@@ -60,6 +60,11 @@ __all__ = [
 # Solver contract: iteration cap, relative tolerance.
 _SOLVE_ITERS = 200
 _SOLVE_RTOL = 2.0 ** -40
+#: Largest admitted log-power exponent.  The closed-form small-jump mean
+#: builds Gamma(p + 1) and log(1/eps)**p, which overflow a double past
+#: p = 171 and, at the smallest positive eps, past p = 107; up to 100 both
+#: stay finite at every level.
+_LOG_POWER_MAX_P = 100.0
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ class StableExact:
 
 @dataclass(frozen=True)
 class LogPower:
-    """Factor ``log(1/x)**p`` on (0, 1), ``p > 0``; tail vanishes at 1."""
+    """Factor ``log(1/x)**p`` on (0, 1), ``0 < p <= 100``; tail vanishes at 1."""
 
     p: float
 
@@ -131,8 +136,10 @@ class TailFunction:
             )
         if isinstance(self.factor, Constant) and not self.factor.c > 0.0:
             raise ValueError(f"constant factor must be positive, got {self.factor.c}")
-        if isinstance(self.factor, LogPower) and not self.factor.p > 0.0:
-            raise ValueError(f"log-power exponent must be positive, got {self.factor.p}")
+        if isinstance(self.factor, LogPower) and not 0.0 < self.factor.p <= _LOG_POWER_MAX_P:
+            raise ValueError(
+                f"log-power exponent must lie in (0, {_LOG_POWER_MAX_P:g}], got {self.factor.p}"
+            )
         # Small jumps are summable for every admitted combination: each
         # factor is integrable against x**-alpha near 0 once alpha < 1, so
         # no runtime probe is needed (is_summable reads the index alone).

@@ -171,7 +171,9 @@ def fidi_probability(q: FidiQuery, r: int, measure="cauchy") -> float:
     raise ValueError(f"fidi rank must be 1 or 2, got {r}")
 
 
-def trimmed_stable_power_sample(arr: ArrivalSeries, alpha: float, r: int, lam: float) -> float:
+def trimmed_stable_power_sample(
+    arr: ArrivalSeries, alpha, r: int, lam: float
+) -> float | np.ndarray:
     """One draw of the ``alpha``-power of an ``r``-trimmed stable value.
 
     Built on the reciprocal-tail ladder of ``arr`` restricted by marks to
@@ -184,19 +186,29 @@ def trimmed_stable_power_sample(arr: ArrivalSeries, alpha: float, r: int, lam: f
     :func:`cauchy_ordered_jump_sample` couples the two statistics on the
     same randomness: as ``alpha`` drops, this value sinks to that ranked
     jump realisation by realisation.
+
+    A scalar ``alpha`` gives a float.  A sequence of indices gives an
+    array of one draw per index, all from one restricted ladder; each
+    entry has the bits of the scalar call at that index.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"index must lie in (0, 1), got {alpha}")
+    alphas = [float(a) for a in np.atleast_1d(alpha)]
+    for a in alphas:
+        if not 0.0 < a < 1.0:
+            raise ValueError(f"index must lie in (0, 1), got {a}")
     log_jumps = _restricted_log_jumps(arr, lam)
     if log_jumps.size <= r:
         raise ValueError(
             f"only {log_jumps.size} restricted jumps, cannot trim {r}: deepen the series"
         )
-    scaled = log_jumps[r:] / alpha
-    m = float(scaled[0])  # ranked: first is the largest
-    with np.errstate(under="ignore"):
-        lse = m + math.log(float(np.sum(np.exp(scaled - m))))
-    return math.exp(alpha * lse)
+    kept = log_jumps[r:]
+    out = []
+    for a in alphas:
+        scaled = kept / a
+        m = float(scaled[0])  # ranked: first is the largest
+        with np.errstate(under="ignore"):
+            lse = m + math.log(float(np.sum(np.exp(scaled - m))))
+        out.append(math.exp(a * lse))
+    return out[0] if np.ndim(alpha) == 0 else np.array(out)
 
 
 def cauchy_ordered_jump_sample(arr: ArrivalSeries, r: int, lam: float) -> float:

@@ -22,8 +22,11 @@ from subortrim.experiments import (
     ExperimentReport,
     ReportRow,
     Verdict,
+    _FIDI_DEPTH,
     _downsample,
+    _edge_root,
     _family_tail,
+    _fidi_task,
     _weakly_nonincreasing,
     run_edge_bottom,
     run_edge_left,
@@ -31,8 +34,10 @@ from subortrim.experiments import (
     run_experiment,
     run_fidi_validation,
 )
+from subortrim.limits import FIDI_QUERY_GRID
 from subortrim.pointproc import (
     JumpLadder,
+    derive_seed,
     ratio_diagnostic,
     sample_arrivals,
     trimmed_log_sums,
@@ -467,6 +472,33 @@ class TestFidiEdge:
         n1 = next(v for v in report.verdicts if v.name == "n1_reduction_exact")
         assert n1.passed
 
+    def test_block_counts_match_per_replicate_loop(self):
+        # Replicates 100..700: four full counting blocks and a partial one.
+        cfg = ExperimentConfig(edge="fidi", replicates=700, n_terms=1000)
+        root = _edge_root(cfg)
+        want = np.zeros((len(FIDI_QUERY_GRID), 2), dtype=np.int64)
+        for rep in range(100, 700):
+            arr = sample_arrivals(derive_seed(root, rep), _FIDI_DEPTH)
+            for qi, q in enumerate(FIDI_QUERY_GRID):
+                counts = [
+                    int(np.sum((arr.marks <= lam) & (arr.arrivals < 1.0 / y)))
+                    for lam, y in zip(q.lambdas, q.levels)
+                ]
+                want[qi, 0] += max(counts) == 0
+                want[qi, 1] += max(counts) <= 1
+        hits, depth_ok = _fidi_task((cfg, 100, 700))
+        assert depth_ok
+        np.testing.assert_array_equal(hits, want)
+
+    def test_shallow_ladder_violates_depth_bound(self, monkeypatch):
+        from subortrim import experiments
+
+        # A 4-arrival ladder ends below 8 in about 96% of replicates.
+        monkeypatch.setattr(experiments, "_FIDI_DEPTH", 4)
+        cfg = ExperimentConfig(edge="fidi", replicates=50, n_terms=1000)
+        with pytest.raises(RuntimeError, match="fidi ladder depth bound violated"):
+            run_fidi_validation(cfg)
+
 
 class TestDeterminismAndParallel:
     def test_rerun_is_bitwise_identical(self):
@@ -488,6 +520,14 @@ class TestDeterminismAndParallel:
         )
         serial = run_edge_bottom(ExperimentConfig(**base, jobs=1))
         parallel = run_edge_bottom(ExperimentConfig(**base, jobs=2))
+        assert serial.csv_text() == parallel.csv_text()
+
+    def test_fidi_jobs_do_not_change_bytes(self):
+        # 600 replicates: chunks of 150 (jobs=1: a full counting block and a
+        # partial one) and 75 (jobs=2: one partial block).
+        base = dict(edge="fidi", replicates=600, n_terms=1000)
+        serial = run_fidi_validation(ExperimentConfig(**base, jobs=1))
+        parallel = run_fidi_validation(ExperimentConfig(**base, jobs=2))
         assert serial.csv_text() == parallel.csv_text()
 
     def test_csv_parses_back(self):
@@ -525,12 +565,17 @@ class TestRestrictConsistency:
             trimmed_log_sums(log_j, keep, 2, none)
 
 
-# sha256 of the CSV text of small edge runs, recorded before the trimmed-sum
-# kernels moved into pointproc and the edges began to invert once per horizon.
+# sha256 of the CSV text of small edge runs.  The left and right digests were
+# recorded before the trimmed-sum kernels moved into pointproc and the edges
+# began to invert once per horizon; the fidi and bottom digests before fidi
+# counted over blocks of replicates and edge-bottom took the alpha grid in
+# one coupled call.
 PINNED_CSV_SHA256 = {
     "left-stable": "388c568b27c7a6e51052367fec98d1704086bc5570a58768c51a22308b6fa50f",
     "left-rational": "38af50d3aa3d8d0f8e8e80524975177b15dcdb12c5bc225c50b7958007cea4f8",
     "right-log": "6915fa4269d3e8e87e0d22f42bc20c29fbdb5849f99a6a573e57b1b3fe7b58f7",
+    "fidi-partial-block": "32cfa0b2579967f9da8daf877651ae701a0c166521f50530ab49304a455e9c31",
+    "bottom-mixed-r": "c349a55757de97a1be54bd5699d86b12f4e0b0b0afd52e529ce09df146edc5f0",
 }
 PINNED_CSV_CONFIGS = {
     "left-stable": dict(
@@ -544,6 +589,12 @@ PINNED_CSV_CONFIGS = {
     "right-log": dict(
         edge="right", tail="log", r_grid=(0, 1), t_grid=(1e-2, 1e-4), lambda_grid=(0.5, 1.0),
         level_grid=(1.0, 2.0), replicates=1000, seed_blocks=1,
+    ),
+    # 1100 replicates: four chunks of 275, each two full counting blocks and a partial one.
+    "fidi-partial-block": dict(edge="fidi", replicates=1100),
+    "bottom-mixed-r": dict(
+        edge="bottom", alpha_grid=(0.4, 0.2, 0.1), r_grid=(0, 2, 1), lambda_grid=(0.5, 1.0),
+        replicates=3, n_terms=20_000,
     ),
 }
 

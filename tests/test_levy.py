@@ -120,6 +120,16 @@ class TestConstruction:
             with pytest.raises(ValueError, match="zero-index only"):
                 TailFunction(alpha=a, factor=LogPower(2.0))
 
+    @pytest.mark.parametrize("p", [150.0, 172.0])
+    def test_log_power_exponent_capped(self, p):
+        # Gamma(p + 1) overflows past p = 171 and log(1/eps)**p at p = 150,
+        # eps = 1e-60, so such tails are rejected rather than built.
+        assert log_power_tail(100.0).factor.p == 100.0
+        with pytest.raises(ValueError, match="exponent"):
+            log_power_tail(p)
+        with pytest.raises(ValueError, match="exponent"):
+            parse_tail(f"logpow({p:g})")
+
     def test_unknown_factor_rejected(self):
         with pytest.raises(TypeError):
             TailFunction(alpha=0.5, factor="bogus")
@@ -509,6 +519,15 @@ class TestLogSmallJumpMean:
         # is the oracle while it does not underflow (w up to about 700).
         oracle = math.log(p) + math.lgamma(p) + math.log(float(special.gammaincc(p, w)))
         assert log_small_jump_mean(log_power_tail(p), -w) == pytest.approx(oracle, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [60.0, 100.0])
+    def test_large_exponent_matches_incomplete_gamma_at_every_depth(self, p):
+        # Both sides of the w = 50 and p = w seams, from shallow to the
+        # depth where the regularised oracle underflows.
+        tail = log_power_tail(p)
+        for w in np.geomspace(0.01, 700.0, 200):
+            oracle = math.log(p) + math.lgamma(p) + math.log(float(special.gammaincc(p, w)))
+            assert log_small_jump_mean(tail, -w) == pytest.approx(oracle, rel=3e-14, abs=3e-14)
 
     @pytest.mark.parametrize(
         "tail", [stable_tail(0.5), rational_tail(0.5), log_power_tail(), log_power_tail(2.5)], ids=str

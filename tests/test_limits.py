@@ -266,6 +266,20 @@ class TestCoupledSamples:
             assert all(v >= ranked * (1.0 - 1e-12) for v in vals)
             assert vals[-1] == pytest.approx(ranked, rel=1e-2)
 
+    def test_index_sequence_matches_scalar_calls_bitwise(self):
+        alphas = (0.4, 0.2, 0.1, 0.05, 0.02, 0.01)
+        for i in range(6):
+            arr = sample_arrivals(derive_seed(9093, i), 2000)
+            for r in (0, 1, 2):
+                for lam in (0.5, 1.0):
+                    got = trimmed_stable_power_sample(arr, alphas, r, lam)
+                    assert isinstance(got, np.ndarray) and got.shape == (len(alphas),)
+                    want = [trimmed_stable_power_sample(arr, a, r, lam) for a in alphas]
+                    assert all(type(w) is float for w in want)
+                    assert [float(v).hex() for v in got] == [w.hex() for w in want]
+        with pytest.raises(ValueError, match="index"):
+            trimmed_stable_power_sample(self._hand_arr(), (0.5, 1.0), 0, 0.5)
+
     def test_depth_and_level_validation(self):
         arr = self._hand_arr()
         with pytest.raises(ValueError):
