@@ -29,7 +29,7 @@ import numpy as np
 from scipy import special
 
 from .levy import TailFunction, parse_tail, tail_eval
-from .pointproc import ArrivalSeries
+from .pointproc import ArrivalSeries, log_sum_exp_rows
 
 __all__ = [
     "FidiQuery",
@@ -171,9 +171,7 @@ def fidi_probability(q: FidiQuery, r: int, measure="cauchy") -> float:
     raise ValueError(f"fidi rank must be 1 or 2, got {r}")
 
 
-def trimmed_stable_power_sample(
-    arr: ArrivalSeries, alpha, r: int, lam: float
-) -> float | np.ndarray:
+def trimmed_stable_power_sample(arr: ArrivalSeries, alpha, r, lam: float) -> float | np.ndarray:
     """One draw of the ``alpha``-power of an ``r``-trimmed stable value.
 
     Built on the reciprocal-tail ladder of ``arr`` restricted by marks to
@@ -181,56 +179,53 @@ def trimmed_stable_power_sample(
 
         ( sum_{i > r} d_i**(1/alpha) )**alpha
 
-    evaluated as ``alpha * logsumexp((1/alpha) * log d_i)`` so extreme
-    powers never overflow.  Sharing ``arr`` with
+    evaluated as ``exp(alpha * log_sum_exp_rows(log d_i / alpha))`` so
+    extreme powers never overflow.  Sharing ``arr`` with
     :func:`cauchy_ordered_jump_sample` couples the two statistics on the
     same randomness: as ``alpha`` drops, this value sinks to that ranked
     jump realisation by realisation.
 
-    A scalar ``alpha`` gives a float.  A sequence of indices gives an
-    array of one draw per index, all from one restricted ladder; each
-    entry has the bits of the scalar call at that index.
+    ``alpha`` and ``r`` may each be a sequence; the result has shape
+    ``np.shape(r) + np.shape(alpha)``, all from one restricted ladder, and
+    each entry has the bits of the scalar call.  Scalars give a float.
     """
-    alphas = [float(a) for a in np.atleast_1d(alpha)]
-    for a in alphas:
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"index must lie in (0, 1), got {a}")
-    log_jumps = _restricted_log_jumps(arr, lam)
-    if log_jumps.size <= r:
-        raise ValueError(
-            f"only {log_jumps.size} restricted jumps, cannot trim {r}: deepen the series"
-        )
-    kept = log_jumps[r:]
-    out = []
-    for a in alphas:
-        scaled = kept / a
-        m = float(scaled[0])  # ranked: first is the largest
-        with np.errstate(under="ignore"):
-            lse = m + math.log(float(np.sum(np.exp(scaled - m))))
-        out.append(math.exp(a * lse))
-    return out[0] if np.ndim(alpha) == 0 else np.array(out)
+    alphas, ranks = np.asarray(alpha, dtype=float), np.asarray(r)
+    if not ((alphas > 0.0) & (alphas < 1.0)).all():
+        raise ValueError(f"index must lie in (0, 1), got {alpha}")
+    log_jumps = _restricted_log_jumps(arr, lam, ranks)
+    row = np.empty((1, log_jumps.size))  # the scratch every (r, alpha) is reduced in
+    out = np.empty(ranks.shape + alphas.shape)
+    for idx in np.ndindex(out.shape):
+        k, a = ranks[idx[: ranks.ndim]], alphas[idx[ranks.ndim :]]
+        terms = np.divide(log_jumps[None, k:], a, out=row[:, : row.shape[1] - k])
+        out[idx] = math.exp(a * log_sum_exp_rows(terms, -np.inf)[0])
+    return float(out) if out.ndim == 0 else out
 
 
-def cauchy_ordered_jump_sample(arr: ArrivalSeries, r: int, lam: float) -> float:
+def cauchy_ordered_jump_sample(arr: ArrivalSeries, r, lam: float) -> float | np.ndarray:
     """The ``(r+1)``-th largest reciprocal-tail jump restricted to ``lam``.
 
     Marginally distributed as ``cauchy_rth_jump_cdf(r + 1, lam, .)``;
-    pathwise dominated by lower ranks on the same series.
+    pathwise dominated by lower ranks on the same series.  A sequence of
+    ``r`` gives an array of that shape from one restricted ladder.
     """
-    if r < 0:
-        raise ValueError(f"rank offset must be >= 0, got {r}")
-    log_jumps = _restricted_log_jumps(arr, lam)
-    if log_jumps.size < r + 1:
-        raise ValueError(
-            f"only {log_jumps.size} restricted jumps, need rank {r + 1}: deepen the series"
-        )
-    return math.exp(float(log_jumps[r]))
+    ranks = np.asarray(r)
+    log_jumps = _restricted_log_jumps(arr, lam, ranks)
+    out = np.array([math.exp(v) for v in log_jumps[ranks.ravel()]]).reshape(ranks.shape)
+    return float(out) if out.ndim == 0 else out
 
 
-def _restricted_log_jumps(arr: ArrivalSeries, lam: float) -> np.ndarray:
+def _restricted_log_jumps(arr: ArrivalSeries, lam: float, ranks: np.ndarray) -> np.ndarray:
+    """Ranked log-jumps with marks ``<= lam``, checked to reach rank ``r + 1`` for every ``r``."""
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"restriction level must lie in (0, 1], got {lam}")
-    return -np.log(arr.arrivals[arr.marks <= lam])
+    if ranks.min() < 0:
+        raise ValueError(f"trim count must be >= 0, got {ranks}")
+    log_jumps = arr.arrivals[arr.marks <= lam]
+    np.negative(np.log(log_jumps, out=log_jumps), out=log_jumps)
+    if log_jumps.size <= ranks.max():
+        raise ValueError(f"only {log_jumps.size} restricted jumps, trim {ranks}: deepen the series")
+    return log_jumps
 
 
 #: Fixed validation grid: 12 queries spanning n = 1..4, mixed widths and levels,

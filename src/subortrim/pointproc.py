@@ -45,10 +45,14 @@ __all__ = [
     "z_statistic",
     "z_statistic_trimmed",
     "ratio_diagnostic",
+    "log_sum_exp_rows",
     "trimmed_log_sums",
     "trimmed_ratios",
     "trimmed_z_rows",
 ]
+
+#: ``exp`` rounds to exactly +0.0 below ``log(2**-1075) = -745.13...``.
+_EXP_ZERO_BELOW = -746.0
 
 
 @dataclass(frozen=True)
@@ -207,10 +211,37 @@ def restrict_to(ladder: JumpLadder, lam: float) -> JumpLadder:
     )
 
 
-def _log_compensation(tail: TailFunction, horizon: float, floor_log_jumps) -> np.ndarray:
-    """Per row, the log mean mass below the floor: ``log(horizon * small_jump_mean)``."""
+def _log_compensation(tail: TailFunction, horizon: float, floor_log_jumps, on: bool):
+    """Per row, ``log(horizon * small_jump_mean)`` below the floor if ``on``, else ``-inf``."""
+    if not on:
+        return np.full(len(floor_log_jumps), -np.inf)
     log_h = math.log(horizon)
     return np.array([log_h + log_small_jump_mean(tail, float(v)) for v in floor_log_jumps])
+
+
+def log_sum_exp_rows(terms: np.ndarray, log_comp) -> np.ndarray:
+    """Row-wise ``log(sum(exp(terms)) + exp(log_comp))`` of a ``(rows, n >= 1)`` matrix.
+
+    The one log-sum-exp: max-shifted, with numpy's pairwise sum, so its
+    rounding error is ``O(eps log n)`` and it stays exact in the exponent
+    when every term underflows; ``-inf`` terms are zeros.  Columns past the
+    last one holding a shifted term ``>= _EXP_ZERO_BELOW`` are set to the
+    zeros ``exp`` would give, not exponentiated: the summed array, and so
+    every bit, is that of a full ``exp`` (a shorter row would regroup it).
+    It works in place: ``terms``, a float matrix, is overwritten.
+    """
+    m = np.maximum(terms.max(axis=1), log_comp)
+    m[m == -np.inf] = 0.0  # a row of zero terms sums to log 0 = -inf, not NaN
+    shifted = np.subtract(terms, m[:, None], out=terms)
+    width = shifted.shape[1]
+    if shifted[:, -1].max() < _EXP_ZERO_BELOW:
+        live = (shifted >= _EXP_ZERO_BELOW).any(axis=0)
+        width = width - int(np.argmax(live[::-1])) if live.any() else 0
+        shifted[:, width:] = 0.0
+    with np.errstate(under="ignore", divide="ignore"):
+        np.exp(shifted[:, :width], out=shifted[:, :width])
+        total = shifted.sum(axis=1) + np.exp(log_comp - m)
+        return m + np.log(total)
 
 
 def trimmed_log_sums(log_j: np.ndarray, keep: np.ndarray, r: int, log_comp) -> np.ndarray:
@@ -219,10 +250,8 @@ def trimmed_log_sums(log_j: np.ndarray, keep: np.ndarray, r: int, log_comp) -> n
     ``log_j`` is a ``(rows, terms)`` matrix of ranked log-jumps, ``keep`` a
     mask of the same shape (the jumps a restriction retains), and
     ``log_comp`` a per-row log term added to each sum (``-inf`` for none).
-    The sum is a max-shifted log-sum-exp with numpy's pairwise summation,
-    so its rounding error is ``O(eps log terms)`` and it stays exact in the
-    exponent when every jump underflows.  Raises when a row keeps no more
-    than ``r`` jumps.
+    The sum is :func:`log_sum_exp_rows` over the used jumps, the others
+    masked to ``-inf``.  Raises when a row keeps no more than ``r`` jumps.
     """
     if r < 0:
         raise ValueError(f"trim count must be >= 0, got {r}")
@@ -230,12 +259,7 @@ def trimmed_log_sums(log_j: np.ndarray, keep: np.ndarray, r: int, log_comp) -> n
     if rank.shape[1] == 0 or np.any(rank[:, -1] < r + 1):
         raise ValueError(f"a row keeps no more than {r} jumps: deepen the series")
     use = keep & (rank > r)
-    terms = np.where(use, log_j, -np.inf)
-    m = np.maximum(np.max(terms, axis=1), log_comp)
-    m[m == -np.inf] = 0.0  # a row of zero jumps sums to log 0 = -inf, not NaN
-    with np.errstate(under="ignore", divide="ignore"):
-        total = np.sum(np.exp(terms - m[:, None]), axis=1) + np.exp(log_comp - m)
-        return m + np.log(total)
+    return log_sum_exp_rows(np.where(use, log_j, -np.inf), log_comp)
 
 
 def trimmed_ratios(log_j: np.ndarray, r: int) -> np.ndarray:
@@ -263,10 +287,7 @@ def trimmed_z_rows(
     ``<= lam`` and is compensated over ``t * lam`` when the tail is
     summable.
     """
-    if tail.is_summable:
-        comp = _log_compensation(tail, t * lam, floor_log_jumps)
-    else:
-        comp = np.full(len(log_j), -np.inf)
+    comp = _log_compensation(tail, t * lam, floor_log_jumps, tail.is_summable)
     log_x = trimmed_log_sums(log_j, marks <= lam, r, comp)
     rate = np.asarray(tail_eval_from_log(tail, log_x))
     with np.errstate(divide="ignore"):
@@ -294,10 +315,7 @@ def trimmed_value(ladder: JumpLadder, r: int, compensate: bool = False) -> Trimm
         The log of the sum from :func:`trimmed_log_sums` on the one-row
         ladder, and its exponential.
     """
-    if compensate:
-        comp = _log_compensation(ladder.tail, ladder.horizon, [ladder.floor_log_jump])
-    else:
-        comp = np.full(1, -np.inf)
+    comp = _log_compensation(ladder.tail, ladder.horizon, [ladder.floor_log_jump], compensate)
     log_j = ladder.log_jumps[None, :]
     log_value = float(trimmed_log_sums(log_j, np.ones(log_j.shape, dtype=bool), r, comp)[0])
     with np.errstate(over="ignore", under="ignore"):

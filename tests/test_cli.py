@@ -71,11 +71,11 @@ class TestUsageErrors:
 
 
 class TestConfigErrors:
-    def _run(self, tmp_path, capsys, text, argv_extra=()):
+    def _run(self, tmp_path, capsys, text, argv_extra=(), command="fidi"):
         path = tmp_path / "cfg.ini"
         path.write_text(text)
         rc = cli.parse_and_dispatch(
-            ["fidi", "--config", str(path), *argv_extra], environ={}
+            [command, "--config", str(path), *argv_extra], environ={}
         )
         return rc, _first_json(capsys.readouterr().err)
 
@@ -137,6 +137,16 @@ class TestConfigErrors:
         rc, payload = self._run(tmp_path, capsys, "[grids]\nalpha = 1.5\n")
         assert rc == 1
         assert payload["error"] == "config"
+
+    def test_bottom_alpha_grid_must_decrease(self, tmp_path, capsys):
+        rc, payload = self._run(
+            tmp_path, capsys, "[grids]\nalpha = 0.1, 0.2\n", ("--output", str(tmp_path)),
+            command="edge-bottom",
+        )
+        assert rc == 1
+        assert payload["error"] == "config"
+        assert "decreasing" in payload["message"]
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = cli.parse_and_dispatch(

@@ -398,6 +398,15 @@ class TestEdgeRight:
         with pytest.raises(ValueError, match="expected 'right'"):
             run_edge_right(_tiny("fidi"))
 
+    def test_every_row_prints_the_canonical_tail(self):
+        # The spelled-out unit log-power tail prints as "log" on every row kind.
+        cfg = _tiny(
+            "right", tail="logpow(1)", t_grid=(1e-2,), lambda_grid=(1.0,), level_grid=(1.0,),
+            r_grid=(0,),
+        )
+        tails = {row.edge: row.tail for row in run_edge_right(cfg).rows}
+        assert tails == {"right": "log", "right:ratio": "log", "right:fidi": "log"}
+
 
 class TestEdgeBottom:
     def test_small_run(self):
@@ -439,20 +448,26 @@ class TestEdgeBottom:
         (honest,) = [v for v in run_edge_bottom(cfg).verdicts if v.name == name]
         assert honest.passed
         real = getattr(limits, sample)
-        # r is the second-to-last argument of both samples.
-        monkeypatch.setattr(limits, sample, lambda arr, *rest: real(arr, *rest) * 10.0 ** rest[-2])
+
+        def scaled(arr, *rest):
+            # Scale by 10**r along the r axis; r is the second-to-last argument of both.
+            out, r = real(arr, *rest), np.asarray(rest[-2], dtype=float)
+            return out * (10.0 ** r).reshape(r.shape + (1,) * (np.ndim(out) - r.ndim))
+
+        monkeypatch.setattr(limits, sample, scaled)
         (grown,) = [v for v in run_edge_bottom(cfg).verdicts if v.name == name]
         assert not grown.passed
 
     def test_needs_decreasing_alpha(self):
-        cfg = ExperimentConfig(
-            edge="bottom",
-            alpha_grid=(0.1, 0.2, 0.4),
-            replicates=3,
-            n_terms=1000,
-        )
         with pytest.raises(ValueError, match="decreasing"):
-            run_edge_bottom(cfg)
+            ExperimentConfig(
+                edge="bottom",
+                alpha_grid=(0.1, 0.2, 0.4),
+                replicates=3,
+                n_terms=1000,
+            )
+        # Only edge-bottom reads the grid as a path toward alpha = 0.
+        assert _tiny("left", alpha_grid=(0.1, 0.2, 0.4)).alpha_grid == (0.1, 0.2, 0.4)
 
 
 class TestFidiEdge:

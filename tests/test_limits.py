@@ -268,17 +268,62 @@ class TestCoupledSamples:
 
     def test_index_sequence_matches_scalar_calls_bitwise(self):
         alphas = (0.4, 0.2, 0.1, 0.05, 0.02, 0.01)
+        ranks = (0, 2, 1)
         for i in range(6):
             arr = sample_arrivals(derive_seed(9093, i), 2000)
-            for r in (0, 1, 2):
-                for lam in (0.5, 1.0):
+            for lam in (0.5, 1.0):
+                grid = trimmed_stable_power_sample(arr, alphas, ranks, lam)
+                assert isinstance(grid, np.ndarray) and grid.shape == (len(ranks), len(alphas))
+                ranked = cauchy_ordered_jump_sample(arr, ranks, lam)
+                assert isinstance(ranked, np.ndarray) and ranked.shape == (len(ranks),)
+                by_r = trimmed_stable_power_sample(arr, alphas[-1], ranks, lam)
+                assert by_r.shape == (len(ranks),)
+                for ri, r in enumerate(ranks):
                     got = trimmed_stable_power_sample(arr, alphas, r, lam)
                     assert isinstance(got, np.ndarray) and got.shape == (len(alphas),)
                     want = [trimmed_stable_power_sample(arr, a, r, lam) for a in alphas]
                     assert all(type(w) is float for w in want)
                     assert [float(v).hex() for v in got] == [w.hex() for w in want]
+                    assert [float(v).hex() for v in grid[ri]] == [w.hex() for w in want]
+                    assert float(by_r[ri]).hex() == want[-1].hex()
+                    one = cauchy_ordered_jump_sample(arr, r, lam)
+                    assert type(one) is float and float(ranked[ri]).hex() == one.hex()
         with pytest.raises(ValueError, match="index"):
             trimmed_stable_power_sample(self._hand_arr(), (0.5, 1.0), 0, 0.5)
+
+    #: ``float.hex`` of ``trimmed_stable_power_sample(arr, (0.05, 0.02, 0.01), r, lam)``
+    #: keyed by (series, lam, r), on 2e5-term series ``derive_seed(9094, series)``.
+    #: Recorded when every term was exponentiated; at alpha 0.01 only the first
+    #: 494 to 9 936 restricted terms lie above exp's underflow cut.
+    _PINNED_POWERS = {
+        (0, 0.5, 0): ("0x1.fb0d3e9764c5fp-2", "0x1.fb0d3e39e1e33p-2", "0x1.fb0d3e39e1e33p-2"),
+        (0, 0.5, 1): ("0x1.d72e7fca3e91fp-3", "0x1.d728f184f2c65p-3", "0x1.d728f1839820ep-3"),
+        (0, 0.5, 2): ("0x1.4c32841a5cc34p-3", "0x1.44f46b391b00ep-3", "0x1.440b47cd6d714p-3"),
+        (0, 1.0, 0): ("0x1.f427512589a77p-1", "0x1.f4274f173113ep-1", "0x1.f4274f173113dp-1"),
+        (0, 1.0, 1): ("0x1.fb0ebcb96ec4dp-2", "0x1.fb0d3e39ee967p-2", "0x1.fb0d3e39e1e33p-2"),
+        (0, 1.0, 2): ("0x1.4d8ccfdf6b982p-2", "0x1.46d96a01c7415p-2", "0x1.44def3f55c786p-2"),
+        (1, 0.5, 0): ("0x1.bad054e27dfcdp+0", "0x1.bad054e27dfb8p+0", "0x1.bad054e27dfb8p+0"),
+        (1, 0.5, 1): ("0x1.80febbb81e9dep-2", "0x1.80febbb81e932p-2", "0x1.80febbb81e932p-2"),
+        (1, 0.5, 2): ("0x1.75d59cd38bfabp-4", "0x1.6e4f7a7b4074dp-4", "0x1.6c0e191009bdbp-4"),
+        (1, 1.0, 0): ("0x1.bad0551bc80e9p+0", "0x1.bad054e27dfb8p+0", "0x1.bad054e27dfb8p+0"),
+        (1, 1.0, 1): ("0x1.944234959900ep-1", "0x1.944233dc21af0p-1", "0x1.944233dc21af0p-1"),
+        (1, 1.0, 2): ("0x1.892c9a14c3bb5p-2", "0x1.826281c0ae777p-2", "0x1.81246bc683cabp-2"),
+        (2, 0.5, 0): ("0x1.19691d7bdd6a3p-1", "0x1.19691c0511f78p-1", "0x1.19691c0511f77p-1"),
+        (2, 0.5, 1): ("0x1.20acb399820e9p-2", "0x1.20acb158ab23bp-2", "0x1.20acb158ab23bp-2"),
+        (2, 0.5, 2): ("0x1.2e31c34f4f0bcp-3", "0x1.2dd55ecbf571ep-3", "0x1.2dd5500074cd3p-3"),
+        (2, 1.0, 0): ("0x1.196940f5cdcd0p-1", "0x1.19691c0512304p-1", "0x1.19691c0511f77p-1"),
+        (2, 1.0, 1): ("0x1.533d4dfd68ddbp-2", "0x1.528e7c8f7e8f4p-2", "0x1.528de318fde13p-2"),
+        (2, 1.0, 2): ("0x1.20acb3a7c825dp-2", "0x1.20acb158ab23bp-2", "0x1.20acb158ab23bp-2"),
+    }
+
+    def test_deep_index_values_are_pinned(self):
+        for i in range(3):
+            arr = sample_arrivals(derive_seed(9094, i), 200_000)
+            for lam in (0.5, 1.0):
+                got = trimmed_stable_power_sample(arr, (0.05, 0.02, 0.01), (0, 1, 2), lam)
+                for r in (0, 1, 2):
+                    want = self._PINNED_POWERS[(i, lam, r)]
+                    assert tuple(float(v).hex() for v in got[r]) == want, (i, lam, r)
 
     def test_depth_and_level_validation(self):
         arr = self._hand_arr()
@@ -292,6 +337,18 @@ class TestCoupledSamples:
             cauchy_ordered_jump_sample(arr, -1, 0.5)
         with pytest.raises(ValueError):
             cauchy_ordered_jump_sample(arr, 0, 0.0)
+        # A negative trim count is rejected, not read as an index from the end.
+        deep = sample_arrivals(1, 1000)
+        for r in (-1, (0, -1), (2, -3, 1)):
+            with pytest.raises(ValueError, match="trim count"):
+                trimmed_stable_power_sample(deep, 0.5, r, 1.0)
+            with pytest.raises(ValueError, match="trim count"):
+                cauchy_ordered_jump_sample(deep, r, 1.0)
+        # Every entry of an r sequence must fit the restricted ladder.
+        with pytest.raises(ValueError, match="deepen"):
+            trimmed_stable_power_sample(arr, 0.5, (0, 3), 0.5)
+        with pytest.raises(ValueError, match="deepen"):
+            cauchy_ordered_jump_sample(arr, (3, 0), 0.5)
 
     def test_extreme_index_does_not_overflow(self):
         arr = sample_arrivals(9092, 64)

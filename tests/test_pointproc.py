@@ -27,6 +27,7 @@ from subortrim.pointproc import (
     ArrivalSeries,
     JumpLadder,
     derive_seed,
+    log_sum_exp_rows,
     ordered_jumps,
     ratio_diagnostic,
     restrict_to,
@@ -278,6 +279,71 @@ class TestTrimmedLogSumsProperties:
             # plus the rounding of the shift m.
             eps = np.finfo(float).eps
             assert abs(got[i] - ref) <= eps * (abs(ref) + 16.0)
+
+
+def _full_exp_log_sums(log_j, keep, r, log_comp):
+    """The trimmed log-sum with ``exp`` over every column: the reference for the cut."""
+    rank = np.cumsum(keep, axis=1)
+    terms = np.where(keep & (rank > r), log_j, -np.inf)
+    m = np.maximum(np.max(terms, axis=1), log_comp)
+    m[m == -np.inf] = 0.0
+    with np.errstate(under="ignore", divide="ignore"):
+        total = np.sum(np.exp(terms - m[:, None]), axis=1) + np.exp(log_comp - m)
+        return m + np.log(total)
+
+
+@st.composite
+def _cut_queries(draw):
+    """Ranked rows spanning far more than exp's range, many terms just above its cut.
+
+    Each row starts at three equal top terms; the drops below them come in
+    one of three mixes.  Wide: anything up to 2000, clustered at 0-5, 36-42
+    and 744-747 (just above and below the underflow cut).  Band: 200-600
+    drops in 36-42, terms below eps of the top that move the last bits only
+    together, so that a cut inside the band shows.  Gapped: 0-5, then
+    straight past the cut, so that a row sliced at its live prefix would
+    regroup large terms.  A few entries sit one ulp above their
+    predecessor, ``keep`` punches ``-inf`` holes, and the compensation is
+    off (``-inf``) or a level that may dominate every term.
+    """
+    mixes = {
+        "wide": st.floats(0.0, 2000.0) | st.floats(0.0, 5.0) | st.floats(36.0, 42.0)
+        | st.floats(744.0, 747.0),
+        "band": st.floats(36.0, 42.0),
+        "gapped": st.floats(0.0, 5.0) | st.floats(1000.0, 2000.0),
+    }
+    mix = draw(st.sampled_from(sorted(mixes)))
+    rows = draw(st.integers(1, 4))
+    terms = draw(st.integers(200, 600) if mix == "band" else st.integers(1, 300))
+    drops = mixes[mix]
+    offsets = np.sort(draw(hnp.arrays(np.float64, (rows, terms), elements=drops)), axis=1)
+    offsets[:, :3] = 0.0  # a kept top term still leads after trimming up to two
+    top = draw(hnp.arrays(np.float64, (rows, 1), elements=st.floats(-50.0, 50.0)))
+    log_j = top - offsets
+    bumps = st.tuples(st.integers(0, rows - 1), st.integers(1, max(terms - 1, 1)))
+    for i, j in draw(st.lists(bumps, max_size=8)):
+        if j < terms:
+            log_j[i, j] = np.nextafter(log_j[i, j - 1], np.inf)
+    keep = draw(st.just(np.ones((rows, terms), bool)) | hnp.arrays(np.bool_, (rows, terms)))
+    keep[:, :3] = True
+    r = min(draw(st.integers(0, 2)), int(keep.sum(axis=1).min()) - 1)
+    comp = st.just(-math.inf) | st.floats(-800.0, 800.0)
+    return log_j, keep, r, draw(hnp.arrays(np.float64, rows, elements=comp))
+
+
+class TestLogSumExpCut:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_cut_queries())
+    def test_matches_full_exp_bitwise(self, query):
+        got = trimmed_log_sums(*query)
+        want = _full_exp_log_sums(*query)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    def test_all_dead_row_keeps_compensation(self):
+        # Every term is past the cut relative to the compensation: no column is live.
+        log_j = np.array([[0.0, -1.0, -2.0], [-np.inf, -np.inf, -np.inf]])
+        got = log_sum_exp_rows(log_j, np.array([800.0, -np.inf]))
+        assert got[0] == 800.0 and got[1] == -np.inf
 
 
 class TestZStatistic:
