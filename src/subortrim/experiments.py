@@ -6,11 +6,13 @@ Five runners share one reporting shape:
     Small-horizon limit at positive tail index: trimmed reciprocal-rate
     statistics against trimmed-stable power references drawn on
     independent arrivals, plus an exact self-similarity regression for
-    the pure power-law family.
+    the pure power-law families.  One task per (alpha, block) shares its
+    arrivals, and each horizon's inversion, across every (r, lambda).
 ``edge-right``
     Small-horizon limit at zero index: one-sample KS against the ranked
     reciprocal-tail jump laws, a joint fidi check along the restriction
-    grid, and the trimmed-ratio trend.
+    grid, and the trimmed-ratio trend.  One task per (r, block) shares
+    its arrivals across every lambda.
 ``edge-bottom``
     Index-to-zero coupling: per-seed relative error between the trimmed
     stable power and the ranked jump on shared randomness.
@@ -21,7 +23,8 @@ Five runners share one reporting shape:
     slowly-varying bounds) and the trimmed-ratio trend study.
 
 Randomness discipline: each report row carries a root seed derived from
-``(master_seed, edge tag, block, grid-point index)``; replicate streams
+``(master_seed, edge tag, block, combo index)``, where the combo index is
+edge-left's alpha index and edge-right's r index; replicate streams
 derive from that root as ``derive_seed(root, stream, replicate)``, so a
 row can be regenerated in isolation and results are independent of
 scheduling.  Rows are merged in grid order and the CSV is byte-identical
@@ -42,6 +45,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import product
 from time import perf_counter
 
 import numpy as np
@@ -49,7 +53,7 @@ import numpy as np
 from . import levy, limits, stats
 from .levy import TailFunction
 from .limits import FIDI_QUERY_GRID, FidiQuery
-from .pointproc import ArrivalSeries, derive_seed, sample_arrivals, trimmed_ratios, trimmed_z_rows
+from .pointproc import derive_seed, sample_arrivals, trimmed_ratios, trimmed_z_rows
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -81,8 +85,9 @@ _FIDI_DEPTH = 128
 #: Replicate rows per fidi count; fixed, so memory does not grow with the chunk.
 _FIDI_BLOCK = 128
 _PLOT_POINTS = 512
-#: Replicate count at which ``pilot_ks_threshold`` was calibrated; for other
-#: counts the terminal-floor verdict rescales it by the 1/sqrt(n) KS rate.
+#: Edge-right's terminal KS-median floor, pilot-calibrated at ``_PILOT_ANCHOR_N``
+#: replicates; for other counts the verdict rescales it by the 1/sqrt(n) KS rate.
+_PILOT_KS_THRESHOLD = 0.015
 _PILOT_ANCHOR_N = 10_000
 #: Pathwise self-similarity tolerance per unit of 1 + |log t0| + |log t1|:
 #: log J = -(log Gamma - log t) / alpha rounds to about eps * |log J| and z
@@ -114,7 +119,6 @@ class ExperimentConfig:
     n_terms: int = 1000
     seed_blocks: int = 5
     master_seed: int = DEFAULT_MASTER_SEED
-    pilot_ks_threshold: float = 0.015
     output: str | None = None
     jobs: int = 1
     plot: bool = False
@@ -150,8 +154,11 @@ class ExperimentConfig:
         if self.edge == "right":
             if len(self.level_grid) != len(self.lambda_grid):
                 raise ValueError("level_grid must match lambda_grid in length")
-            if any(y <= 0.0 for y in self.level_grid):
+            ys = self.level_grid
+            if any(y <= 0.0 for y in ys):
                 raise ValueError("level_grid values must be positive")
+            if 1 in self.r_grid and any(b <= a for a, b in zip(ys, ys[1:])):
+                raise ValueError("r = 1 needs a strictly increasing level_grid (second-jump fidi)")
             _family_tail(self.tail, 0.0)  # edge-right needs a zero-index family
         alphas = self.alpha_grid
         if self.edge == "bottom" and any(b >= a for a, b in zip(alphas, alphas[1:])):
@@ -303,6 +310,14 @@ def _replicate_seeds(root: int, stream: int, count: int) -> list[int]:
     return [derive_seed(root, stream, i) for i in range(count)]
 
 
+def _replicate_chunks(cfg: ExperimentConfig) -> list[tuple]:
+    """Pool tasks ``(cfg, lo, hi)`` over replicate ranges in order, about four per worker."""
+    chunk = math.ceil(cfg.replicates / (4 * cfg.jobs))
+    return [
+        (cfg, lo, min(lo + chunk, cfg.replicates)) for lo in range(0, cfg.replicates, chunk)
+    ]
+
+
 def _median(values) -> float:
     return float(np.median(np.asarray(values, dtype=float)))
 
@@ -333,66 +348,82 @@ def _weakly_nonincreasing(seq, tol: float = 0.0) -> bool:
     return all(b <= a + tol for a, b in zip(seq, seq[1:]))
 
 
+def _ks_trend(cfg: ExperimentConfig, label: str, rows: list) -> tuple[Verdict, list[float]]:
+    """The KS-median trend verdict of one grid point, and its medians by decreasing t."""
+    medians = [
+        _median([row.ks_stat for row in rows if row.t == t])
+        for t in sorted(cfg.t_grid, reverse=True)
+    ]
+    verdict = Verdict(
+        name=f"ks_trend_nonincreasing {label}",
+        passed=_weakly_nonincreasing(medians, tol=1.0 / cfg.replicates),
+        detail="medians " + " ".join(f"{m:.6g}" for m in medians),
+    )
+    return verdict, medians
+
+
 # --------------------------------------------------------------------------
 # edge-left
 
 
 def _left_task(args):
-    cfg, combo, block, alpha, r, lam = args
-    tail = _family_tail(cfg.tail, alpha)
-    root = _combo_root(cfg, block, combo)
+    """One (alpha, block) slice: shared arrivals across every (r, lambda)."""
+    cfg, alpha_idx, block = args
+    tail = _family_tail(cfg.tail, cfg.alpha_grid[alpha_idx])
+    root = _combo_root(cfg, block, alpha_idx)
     arrivals, marks = _stream_matrix(
         _replicate_seeds(root, _SAMPLE_STREAM, cfg.replicates), cfg.n_terms
     )
-    ref_arr, ref_marks = _stream_matrix(
-        _replicate_seeds(root, _REFERENCE_STREAM, cfg.replicates), cfg.n_terms
-    )
-    reference = np.array(
-        [
-            limits.trimmed_stable_power_sample(
-                ArrivalSeries(arrivals=ref_arr[i], marks=ref_marks[i], seed=0),
-                tail.alpha,
-                r,
-                lam,
+    # The reference is reduced series by series: one coupled call per
+    # (replicate, lambda) serves every r.
+    reference = np.empty((len(cfg.r_grid), len(cfg.lambda_grid), cfg.replicates))
+    for i, seed in enumerate(_replicate_seeds(root, _REFERENCE_STREAM, cfg.replicates)):
+        series = sample_arrivals(seed, cfg.n_terms)
+        for lam_idx, lam in enumerate(cfg.lambda_grid):
+            reference[:, lam_idx, i] = limits.trimmed_stable_power_sample(
+                series, tail.alpha, cfg.r_grid, lam
             )
-            for i in range(cfg.replicates)
-        ]
-    )
-    rows, endpoints = [], {}
+    combos = list(product(enumerate(cfg.r_grid), enumerate(cfg.lambda_grid)))
+    rows = {(r_idx, lam_idx): [] for (r_idx, _), (lam_idx, _) in combos}
+    endpoints = {key: {} for key in rows}
+    # One inversion per horizon serves every (r, lambda).
     for t in cfg.t_grid:
         with np.errstate(over="ignore"):  # Gamma / t = inf is a zero jump
             log_j = np.asarray(levy.tail_inverse_log(tail, arrivals / t))
-        z = trimmed_z_rows(tail, t, log_j, marks, lam, r, log_j[:, -1])
-        del log_j  # freed before the next horizon's inversion
-        ks = stats.ks_two_sample(z, reference)
-        rows.append(
-            ReportRow(
-                edge="left",
-                tail=str(tail),
-                alpha=tail.alpha,
-                t=t,
-                lam=lam,
-                r=r,
-                n=cfg.replicates,
-                ks_stat=ks.statistic,
-                p_value=ks.p_value,
-                aux1=_median(z),
-                aux2=_median(reference),
-                seed=root,
+        for (r_idx, r), (lam_idx, lam) in combos:
+            z = trimmed_z_rows(tail, t, log_j, marks, lam, r, log_j[:, -1])
+            ref = reference[r_idx, lam_idx]
+            ks = stats.ks_two_sample(z, ref)
+            rows[r_idx, lam_idx].append(
+                ReportRow(
+                    edge="left",
+                    tail=str(tail),
+                    alpha=tail.alpha,
+                    t=t,
+                    lam=lam,
+                    r=r,
+                    n=cfg.replicates,
+                    ks_stat=ks.statistic,
+                    p_value=ks.p_value,
+                    aux1=_median(z),
+                    aux2=_median(ref),
+                    seed=root,
+                )
             )
-        )
-        if block == 0 and t in (cfg.t_grid[0], cfg.t_grid[-1]):
-            endpoints[t] = z
-    plot = None
+            if block == 0 and t in (cfg.t_grid[0], cfg.t_grid[-1]):
+                endpoints[r_idx, lam_idx][t] = z
+        del log_j  # freed before the next horizon's inversion
+    plots = {}
     if cfg.plot and block == 0:
-        ref_sorted = _downsample(reference)
-        plot = PlotSlice(
-            name=f"left_a{tail.alpha:g}_r{r}_lam{lam:g}",
-            samples=_downsample(endpoints[cfg.t_grid[-1]]),
-            curve_x=ref_sorted,
-            curve_y=tuple((i + 1) / len(ref_sorted) for i in range(len(ref_sorted))),
-        )
-    return rows, endpoints, plot
+        for (r_idx, r), (lam_idx, lam) in combos:
+            ref_sorted = _downsample(reference[r_idx, lam_idx])
+            plots[r_idx, lam_idx] = PlotSlice(
+                name=f"left_a{tail.alpha:g}_r{r}_lam{lam:g}",
+                samples=_downsample(endpoints[r_idx, lam_idx][cfg.t_grid[-1]]),
+                curve_x=ref_sorted,
+                curve_y=tuple((i + 1) / len(ref_sorted) for i in range(len(ref_sorted))),
+            )
+    return rows, endpoints, plots
 
 
 def run_edge_left(cfg: ExperimentConfig) -> ExperimentReport:
@@ -400,38 +431,36 @@ def run_edge_left(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.edge != "left":
         raise ValueError(f"config edge is {cfg.edge!r}, expected 'left'")
     start = perf_counter()
-    combos = [
-        (alpha, r, lam)
-        for alpha in cfg.alpha_grid
-        for r in cfg.r_grid
-        for lam in cfg.lambda_grid
-    ]
     tasks = [
-        (cfg, combo, block, alpha, r, lam)
-        for combo, (alpha, r, lam) in enumerate(combos)
+        (cfg, alpha_idx, block)
+        for alpha_idx in range(len(cfg.alpha_grid))
         for block in range(cfg.seed_blocks)
     ]
     results = _run_pool(cfg, _left_task, tasks)
+    by_key = {(task[1], task[2]): res for task, res in zip(tasks, results)}
 
     report = ExperimentReport(edge="left", config=cfg)
-    pure_power = _family_tail(cfg.tail, cfg.alpha_grid[0]).factor == levy.StableExact()
-    per_combo: dict[int, list] = {}
-    for res, task in zip(results, tasks):
-        per_combo.setdefault(task[1], []).append((task[2], res))
-    for combo, (alpha, r, lam) in enumerate(combos):
-        blocks = sorted(per_combo[combo])
+    factor = _family_tail(cfg.tail, cfg.alpha_grid[0]).factor
+    pure_power = isinstance(factor, (levy.Constant, levy.StableExact))
+    grid = product(
+        enumerate(cfg.alpha_grid), enumerate(cfg.r_grid), enumerate(cfg.lambda_grid)
+    )
+    for (alpha_idx, alpha), (r_idx, r), (lam_idx, lam) in grid:
+        key = (r_idx, lam_idx)
         combo_rows = []
-        for _, (rows, _, plot) in blocks:
+        for block in range(cfg.seed_blocks):
+            rows = by_key[(alpha_idx, block)][0][key]
             report.rows.extend(rows)
             combo_rows.extend(rows)
-            if plot is not None:
-                report.plots.append(plot)
+        _, endpoints, plots = by_key[(alpha_idx, 0)]
+        if key in plots:
+            report.plots.append(plots[key])
         label = f"a={alpha:g} r={r} lam={lam:g}"
         if pure_power and len(cfg.t_grid) >= 2:
             # z is invariant in t on shared arrivals, so the KS fit cannot
             # fail; the pathwise drift bound can.
             t0, t1 = cfg.t_grid[0], cfg.t_grid[-1]
-            z0, z1 = blocks[0][1][1][t0], blocks[0][1][1][t1]
+            z0, z1 = endpoints[key][t0], endpoints[key][t1]
             ks = stats.ks_two_sample(z0, z1)
             drift = float(np.max(np.abs(z0 / z1 - 1.0)))
             bound = _DRIFT_TOL * (1.0 + abs(math.log(t0)) + abs(math.log(t1)))
@@ -443,17 +472,7 @@ def run_edge_left(cfg: ExperimentConfig) -> ExperimentReport:
                     f"pathwise drift {drift:.3g} (bound {bound:.3g})",
                 )
             )
-        medians = [
-            _median([row.ks_stat for row in combo_rows if row.t == t])
-            for t in cfg.t_grid
-        ]
-        report.verdicts.append(
-            Verdict(
-                name=f"ks_trend_nonincreasing {label}",
-                passed=_weakly_nonincreasing(medians, tol=1.0 / cfg.replicates),
-                detail="medians " + " ".join(f"{m:.6g}" for m in medians),
-            )
-        )
+        report.verdicts.append(_ks_trend(cfg, label, combo_rows)[0])
     report.total_ms = int((perf_counter() - start) * 1000)
     return report
 
@@ -567,19 +586,10 @@ def run_edge_right(cfg: ExperimentConfig) -> ExperimentReport:
                 rows = by_key[(r_idx, block)][0][lam_idx]
                 report.rows.extend(rows)
                 combo_rows.extend(rows)
-            medians = [
-                _median([row.ks_stat for row in combo_rows if row.t == t])
-                for t in t_desc
-            ]
             label = f"r={r} lam={lam:g}"
-            report.verdicts.append(
-                Verdict(
-                    name=f"ks_trend_nonincreasing {label}",
-                    passed=_weakly_nonincreasing(medians, tol=1.0 / cfg.replicates),
-                    detail="medians " + " ".join(f"{m:.6g}" for m in medians),
-                )
-            )
-            floor = cfg.pilot_ks_threshold * math.sqrt(_PILOT_ANCHOR_N / cfg.replicates)
+            trend, medians = _ks_trend(cfg, label, combo_rows)
+            report.verdicts.append(trend)
+            floor = _PILOT_KS_THRESHOLD * math.sqrt(_PILOT_ANCHOR_N / cfg.replicates)
             report.verdicts.append(
                 Verdict(
                     name=f"ks_terminal_floor {label}",
@@ -671,11 +681,7 @@ def run_edge_bottom(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError(f"config edge is {cfg.edge!r}, expected 'bottom'")
     start = perf_counter()
     alphas = cfg.alpha_grid
-    chunk = max(1, math.ceil(cfg.replicates / max(cfg.jobs * 4, 1)))
-    bounds = [
-        (lo, min(lo + chunk, cfg.replicates)) for lo in range(0, cfg.replicates, chunk)
-    ]
-    results = _run_pool(cfg, _bottom_task, [(cfg, lo, hi) for lo, hi in bounds])
+    results = _run_pool(cfg, _bottom_task, _replicate_chunks(cfg))
     errors = np.concatenate([res[0] for res in results], axis=0)
     path_ok = all(res[1] for res in results)
 
@@ -773,11 +779,7 @@ def run_fidi_validation(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.edge != "fidi":
         raise ValueError(f"config edge is {cfg.edge!r}, expected 'fidi'")
     start = perf_counter()
-    chunk = max(1, math.ceil(cfg.replicates / max(cfg.jobs * 4, 1)))
-    bounds = [
-        (lo, min(lo + chunk, cfg.replicates)) for lo in range(0, cfg.replicates, chunk)
-    ]
-    results = _run_pool(cfg, _fidi_task, [(cfg, lo, hi) for lo, hi in bounds])
+    results = _run_pool(cfg, _fidi_task, _replicate_chunks(cfg))
     hits = np.sum([res[0] for res in results], axis=0)
     if not all(res[1] for res in results):
         raise RuntimeError("fidi ladder depth bound violated; increase the fixed depth")
@@ -902,10 +904,7 @@ def _diag_task(args):
             out.append((x, dev))
         return name, out
     if name == "ratio_trend":
-        n_seeds = 100
-        arrivals = np.empty((n_seeds, cfg.n_terms))
-        for i in range(n_seeds):
-            arrivals[i] = sample_arrivals(derive_seed(root, 3, i), cfg.n_terms).arrivals
+        arrivals, _ = _stream_matrix(_replicate_seeds(root, 3, 100), cfg.n_terms)
         meds = []
         for t in (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
             log_j = -arrivals / t  # zero-index family, unit log-power

@@ -367,7 +367,7 @@ def test_criterion_10_parallel_determinism(capsys, right_report):
         **{**{f: getattr(RIGHT_CFG, f) for f in (
             "edge", "tail", "alpha_grid", "t_grid", "lambda_grid", "r_grid",
             "level_grid", "replicates", "n_terms", "seed_blocks", "master_seed",
-            "pilot_ks_threshold", "output", "plot",
+            "output", "plot",
         )}, "jobs": 4}
     )
     parallel_report = run_edge_right(parallel_cfg)

@@ -102,11 +102,22 @@ class TestConfig:
             dict(edge="right", replicates=1000, tail="stable"),
             dict(edge="left", replicates=1000, tail="log"),
             dict(edge="left", replicates=1000, tail="fancy(3)"),
+            dict(
+                edge="right",
+                replicates=1000,
+                r_grid=(0, 1),
+                lambda_grid=(0.5, 1.0),
+                level_grid=(2.0, 1.0),
+            ),
         ],
     )
     def test_rejected_configs(self, kw):
         with pytest.raises(ValueError):
             ExperimentConfig(**kw)
+
+    def test_unordered_levels_fine_without_the_second_jump(self):
+        cfg = _tiny("right", r_grid=(0, 2), lambda_grid=(0.5, 1.0), level_grid=(2.0, 1.0))
+        assert cfg.level_grid == (2.0, 1.0)
 
     def test_low_replicates_fine_off_the_ks_edges(self):
         for edge in ("bottom", "fidi", "diagnostics"):
@@ -327,6 +338,36 @@ class TestEdgeLeft:
         assert not drifted.passed
         assert " p=1," in drifted.detail
 
+    def test_constant_family_gets_the_self_similarity_check(self):
+        # c * x**-alpha is an exact power law like the stable tail.
+        cfg = ExperimentConfig(
+            edge="left", tail="const(2,0.5)", alpha_grid=(0.5,), t_grid=(1.0, 1e-3),
+            lambda_grid=(1.0,), r_grid=(0,), replicates=1000, seed_blocks=1,
+        )
+        (selfsim,) = [
+            v for v in run_edge_left(cfg).verdicts if v.name.startswith("self_similarity")
+        ]
+        assert selfsim.name == "self_similarity a=0.5 r=0 lam=1"
+        assert selfsim.passed, selfsim.detail
+
+    def test_each_r_lambda_slice_matches_its_own_run(self):
+        # One (alpha, block) task serves every (r, lambda) from the same
+        # streams, so a slice of the full grid is the run of that slice.
+        base = dict(
+            edge="left", tail="rational", alpha_grid=(0.5, 0.3), t_grid=(1e-2, 1e-4),
+            replicates=1000, seed_blocks=2,
+        )
+        full = run_edge_left(ExperimentConfig(**base, r_grid=(0, 2), lambda_grid=(0.5, 1.0)))
+        full_lines = full.csv_text().splitlines()[1:]
+        for r in (0, 2):
+            for lam in (0.5, 1.0):
+                alone = run_edge_left(ExperimentConfig(**base, r_grid=(r,), lambda_grid=(lam,)))
+                lam_r = [repr(lam), str(r)]
+                sliced = [line for line in full_lines if line.split(",")[4:6] == lam_r]
+                assert sliced == alone.csv_text().splitlines()[1:]
+                suffix = f" r={r} lam={lam:g}"
+                assert [v for v in full.verdicts if v.name.endswith(suffix)] == alone.verdicts
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rational_tail_at_overflowing_rate(self):
         # Gamma / t overflows to inf at t = 1e-306; those jumps are 0, and
@@ -537,6 +578,16 @@ class TestDeterminismAndParallel:
         parallel = run_edge_bottom(ExperimentConfig(**base, jobs=2))
         assert serial.csv_text() == parallel.csv_text()
 
+    def test_left_jobs_do_not_change_bytes(self):
+        base = dict(
+            edge="left", alpha_grid=(0.5, 0.3), r_grid=(0, 1), t_grid=(1.0, 1e-3),
+            lambda_grid=(1.0,), replicates=1000, seed_blocks=1,
+        )
+        serial = run_edge_left(ExperimentConfig(**base, jobs=1))
+        parallel = run_edge_left(ExperimentConfig(**base, jobs=2))
+        assert serial.csv_text() == parallel.csv_text()
+        assert serial.verdicts == parallel.verdicts
+
     def test_fidi_jobs_do_not_change_bytes(self):
         # 600 replicates: chunks of 150 (jobs=1: a full counting block and a
         # partial one) and 75 (jobs=2: one partial block).
@@ -580,14 +631,16 @@ class TestRestrictConsistency:
             trimmed_log_sums(log_j, keep, 2, none)
 
 
-# sha256 of the CSV text of small edge runs.  The left and right digests were
-# recorded before the trimmed-sum kernels moved into pointproc and the edges
-# began to invert once per horizon; the fidi and bottom digests before fidi
-# counted over blocks of replicates and edge-bottom took the alpha grid in
-# one coupled call.
+# sha256 of the CSV text of small edge runs.  The right digest was recorded
+# before the trimmed-sum kernels moved into pointproc and the edges began to
+# invert once per horizon; the fidi and bottom digests before fidi counted
+# over blocks of replicates and edge-bottom took the alpha grid in one coupled
+# call.  The left digests were re-recorded when edge-left moved to one task
+# per (alpha, block) whose streams serve every (r, lambda): both configs hold
+# several (r, lambda) slices, and only the first slice kept its seeds.
 PINNED_CSV_SHA256 = {
-    "left-stable": "388c568b27c7a6e51052367fec98d1704086bc5570a58768c51a22308b6fa50f",
-    "left-rational": "38af50d3aa3d8d0f8e8e80524975177b15dcdb12c5bc225c50b7958007cea4f8",
+    "left-stable": "006d20b691b6f368a62099d20e5c2991b16199d3ca73cbb7b4257030676ead52",
+    "left-rational": "45648938e5bd8b5bccbf26271631f651792665ad454f6f178f8a0135215ed9f3",
     "right-log": "6915fa4269d3e8e87e0d22f42bc20c29fbdb5849f99a6a573e57b1b3fe7b58f7",
     "fidi-partial-block": "32cfa0b2579967f9da8daf877651ae701a0c166521f50530ab49304a455e9c31",
     "bottom-mixed-r": "c349a55757de97a1be54bd5699d86b12f4e0b0b0afd52e529ce09df146edc5f0",
