@@ -220,7 +220,7 @@ def parse_tail(text: str) -> TailFunction:
 
 def _validated(x, name: str):
     arr = np.asarray(x, dtype=float)
-    if arr.size and (np.any(np.isnan(arr)) or np.any(arr <= 0.0)):
+    if not np.all(arr > 0.0):  # NaN fails the comparison too
         raise ValueError(f"{name} must be positive and not NaN")
     return arr
 
@@ -237,8 +237,8 @@ def tail_eval(tail: TailFunction, x) -> float | np.ndarray:
     """
     arr = _validated(x, "x")
     with np.errstate(divide="ignore", over="ignore"):
-        out = _eval_from_log(tail, np.log(arr))
-    return _maybe_scalar(out, x)
+        out = _eval_from_log(tail, np.log(arr.reshape(-1)))
+    return _maybe_scalar(out.reshape(arr.shape), x)
 
 
 def tail_eval_from_log(tail: TailFunction, log_x) -> float | np.ndarray:
@@ -250,24 +250,36 @@ def tail_eval_from_log(tail: TailFunction, log_x) -> float | np.ndarray:
     exact.
     """
     arr = np.asarray(log_x, dtype=float)
-    if arr.size and np.any(np.isnan(arr)):
+    if np.isnan(arr).any():
         raise ValueError("log_x must not be NaN")
     with np.errstate(over="ignore"):
-        out = _eval_from_log(tail, arr)
-    return _maybe_scalar(out, log_x)
+        out = _eval_from_log(tail, arr.reshape(-1))
+    return _maybe_scalar(out.reshape(arr.shape), log_x)
 
 
 def _eval_from_log(tail: TailFunction, log_x: np.ndarray) -> np.ndarray:
+    """The tail at ``exp(log_x)`` for 1-D ``log_x``.
+
+    Every evaluation runs on a 1-D array, so a scalar is a one-element call
+    of the same ufunc loops: numpy computes ``**`` and ``exp`` on a 0-d
+    array with libm and on a 1-D array with its SIMD loops, which can
+    differ in the last bit, and the nudge's bound must hold for the value
+    the caller recomputes.
+    """
     f = tail.factor
     if isinstance(f, LogPower):
         vals = np.maximum(-log_x, 0.0) ** f.p
         return np.where(log_x < 0.0, vals, 0.0)
-    power = np.exp(-tail.alpha * log_x)
+    power = np.multiply(log_x, -tail.alpha)
+    np.exp(power, out=power)
     if isinstance(f, (Constant, StableExact)):
         c = f.c if isinstance(f, Constant) else 1.0
         return c * power
     # RationalPerturb
-    return power / (1.0 + np.exp(log_x))
+    scale = np.exp(log_x)
+    scale += 1.0
+    power /= scale
+    return power
 
 
 def tail_inverse(tail: TailFunction, u) -> float | np.ndarray:
@@ -288,21 +300,19 @@ def tail_inverse_log(tail: TailFunction, u) -> float | np.ndarray:
 
     Exact in the exponent for the closed-form families; in particular the
     unit log-power tail gives ``-u`` exactly, so arbitrarily large rate
-    arguments stay representable.  All branches guarantee
-    ``tail_eval_from_log(tail, result) <= u``: the rational family's
-    Newton iteration starts on the safe side of the root, and closed or
-    iterated forms are nudged up when the recomposition overshoots (never
-    triggered where the round trip is exact, so the unit log-power
-    identity is untouched).
+    arguments stay representable.  The rational family is solved by
+    Newton's method (see :func:`_newton_inverse_log_rational`), each
+    element to within ``max(log1p(2**-40), spacing(|y|))`` of its last
+    step.  Every branch guarantees ``tail_eval_from_log(tail, result) <=
+    u``, for array and scalar queries alike: a computed inverse is nudged
+    up when its recomposition overshoots (never triggered where the round
+    trip is exact, so the unit log-power identity is untouched).
 
-    The solvers work on ``u`` flattened to 1-D and stop per element:
-    Newton drops an element once its step is exactly zero and ends when
-    every step is below ``max(log1p(2**-40), spacing(|y|))``; the nudge
-    drops an element once its recomposed tail is ``<= u``.  Dropping
-    changes no bit against iterating every element to the end.  A query
-    whose exact log inverse overflows a double (log-power tails with
-    ``p < 1`` and huge ``u``) raises ``ValueError``.  ``u = inf`` gives
-    ``-inf`` for every family.
+    The solvers work on ``u`` flattened to 1-D, and the nudge drops an
+    element once its recomposed tail is ``<= u``.  A query whose exact log
+    inverse overflows a double (log-power tails with ``p < 1`` and huge
+    ``u``) raises ``ValueError``.  ``u = inf`` gives ``-inf`` for every
+    family.
     """
     arr = _validated(u, "u")
     flat = arr.reshape(-1)
@@ -321,46 +331,60 @@ def tail_inverse_log(tail: TailFunction, u) -> float | np.ndarray:
     return _maybe_scalar(out.reshape(arr.shape), u)
 
 
+#: Newton's absolute step tolerance on the log abscissa.
+_NEWTON_ATOL = math.log1p(_SOLVE_RTOL)
+
+
 def _newton_inverse_log_rational(a: float, u: np.ndarray) -> np.ndarray:
     """Newton solve of ``-a*y - log1p(exp(y)) = log(u)`` for ``y``, 1-D ``u``.
 
-    The left side is strictly decreasing and concave in ``y``, so starting
-    from the pure-power anchor ``y0 = -log(u)/a`` (where the tail is already
-    <= u, the perturbation only shrinking it) every Newton iterate stays on
-    the safe side of the root, up to rounding, and the iteration converges
-    quadratically.  It needs no finite bracket, so arbitrarily deep
+    The left side is strictly decreasing and concave in ``y``, and
+    ``tail(x) <= x**-a`` and ``tail(x) <= x**(-a-1)``, so both power
+    anchors ``-log(u)/a`` and ``-log(u)/(1+a)`` lie on the safe side of the
+    root; the start is the closer one.  Where ``exp(y) < a/4`` the
+    fixed-point map ``y -> -log(u)/a - log1p(exp(y))/a`` contracts (its
+    slope is ``sigmoid(y)/a < 1/4``), and one application of it from the
+    anchor ``-log(u)/a`` leaves deep elements within rounding of the root.
+    That step may cross the root, but a Newton step on a concave decreasing
+    function lands on the safe side from either side, so the iteration
+    converges quadratically without a finite bracket, and arbitrarily deep
     queries stay exact in the exponent.
 
-    The first pass runs over every element; later passes run only over the
-    elements whose last step was nonzero (a zero step is a fixed point, so
-    dropping the element changes no bit).  The solve ends once every step
-    is below ``max(log1p(2**-40), spacing(|y|))``: from ``|y| >= 4096`` on,
-    one ulp of ``y`` exceeds the absolute tolerance and the rounded
-    iteration can cycle between adjacent floats.  A cycle may end on the
-    unsafe side of the root; the caller's nudge restores the sandwich.
+    The first Newton pass runs over every element; an element leaves the
+    active set once its own step is below ``max(log1p(2**-40),
+    spacing(|y|))`` (the ``spacing`` is formed only for steps above the
+    absolute tolerance).  From ``|y| >= 4096`` on, one ulp of ``y`` exceeds
+    the absolute tolerance and the rounded iteration could otherwise cycle
+    between adjacent floats.  A final step may end on the unsafe side of
+    the root; the caller's nudge restores the sandwich.
     """
     tau = np.log(u)
     y = np.divide(tau, -a)
+    np.divide(tau, -1.0 - a, out=y, where=tau < 0.0)  # the closer anchor where u < 1
+    with np.errstate(over="ignore"):
+        fixed = np.exp(y)
+    contracts = fixed < 0.25 * a
+    np.log1p(fixed, out=fixed)
+    fixed /= a
+    np.subtract(y, fixed, out=y, where=contracts)
+    del fixed, contracts
     with np.errstate(invalid="ignore"):
         step = _newton_step(a, y, tau)
     step[np.isinf(tau)] = 0.0  # u = inf: y = -inf is exact, and its step inf - inf is NaN
     y += step
-    moving = np.flatnonzero(step)
-    step = step[moving]
+    moving = _unsettled(y, step)
+    del step
     tau = tau[moving]
     ya = y[moving]
     for _ in range(_SOLVE_ITERS - 1):
-        if _newton_converged(ya, step):
+        if moving.size == 0:
             return y
-        keep = step != 0.0
-        del step
-        moving = moving[keep]
-        ya = ya[keep]
-        tau = tau[keep]
         step = _newton_step(a, ya, tau)
         ya += step
         y[moving] = ya
-    if not _newton_converged(ya, step):
+        keep = _unsettled(ya, step)
+        moving, ya, tau = moving[keep], ya[keep], tau[keep]
+    if moving.size:
         raise ArithmeticError("rational inverse iteration failed to converge")
     return y
 
@@ -382,13 +406,15 @@ def _newton_step(a: float, y: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return resid
 
 
-def _newton_converged(y: np.ndarray, step: np.ndarray) -> bool:
-    """True when every step is below ``max(log1p(2**-40), spacing(|y|))``.
+def _unsettled(y: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Indices whose step is not below ``max(log1p(2**-40), spacing(|y|))``.
 
-    A NaN step never counts as converged.
+    ``step`` is overwritten with its absolute value.  A NaN step never
+    settles.
     """
-    limit = np.maximum(math.log1p(_SOLVE_RTOL), np.spacing(np.abs(y)))
-    return bool(np.all(np.abs(step) < limit))
+    np.abs(step, out=step)
+    over = np.flatnonzero(~(step < _NEWTON_ATOL))
+    return over[~(step[over] < np.spacing(np.abs(y[over])))]
 
 
 def _nudge_inverse_log(tail: TailFunction, log_x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -427,85 +453,117 @@ def _nudge_inverse_log(tail: TailFunction, log_x: np.ndarray, u: np.ndarray) -> 
     raise ArithmeticError("inverse rounding guard failed to converge")
 
 
-def small_jump_mean(tail: TailFunction, eps) -> float:
-    """Mean jump mass below ``eps``: ``integral_(0, eps] x Pi(dx)``.
+def small_jump_mean(tail: TailFunction, eps) -> float | np.ndarray:
+    """Mean jump mass below ``eps``: ``integral_(0, eps] x Pi(dx)``, elementwise.
 
     Computed through the integration-by-parts identity
 
         integral_0^eps tail(x) dx  -  eps * tail(eps),
 
     in closed form for every family.  Requires ``alpha < 1`` (summable
-    small jumps).
+    small jumps).  Scalar input yields a float, from a one-element call.
     """
-    e = float(eps)
-    if not (e > 0.0) or math.isnan(e):
+    arr = np.asarray(eps, dtype=float)
+    if not np.all(arr > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
     if not tail.is_summable:
         raise ValueError("small jumps are not summable for tail index >= 1")
+    return _maybe_scalar(_small_jump_mean(tail, arr.reshape(-1)).reshape(arr.shape), eps)
+
+
+def _small_jump_mean(tail: TailFunction, e: np.ndarray) -> np.ndarray:
+    """:func:`small_jump_mean` of a summable tail at 1-D positive levels."""
     a, f = tail.alpha, tail.factor
     if isinstance(f, (Constant, StableExact)):
         c = f.c if isinstance(f, Constant) else 1.0
         return c * a / (1.0 - a) * e ** (1.0 - a)
     if isinstance(f, LogPower):
         # integral_0^e log(1/x)^p dx - e log(1/e)^p  ==  Gamma(p+1, log(1/e)),
-        # upper incomplete, minus the boundary term.
-        z = -math.log(e) if e < 1.0 else 0.0
-        gam = math.gamma(f.p + 1.0)
-        upper = gam * float(special.gammaincc(f.p + 1.0, z)) if z > 0.0 else gam
-        boundary = e * z ** f.p if z > 0.0 else 0.0
-        return upper - boundary
+        # upper incomplete, minus the boundary term; both vanish into
+        # Gamma(p+1) at and beyond e = 1 (gammaincc(p+1, 0) is 1).
+        z = np.where(e < 1.0, -np.log(e), 0.0)
+        upper = math.gamma(f.p + 1.0) * special.gammaincc(f.p + 1.0, z)
+        with np.errstate(invalid="ignore"):  # e = inf gives inf * 0 in the unused branch
+            return upper - np.where(z > 0.0, e * z**f.p, 0.0)
     # RationalPerturb: integral_0^e x**-a/(1+x) dx
     # = e**(1-a)/(1-a) * 2F1(1, 1-a; 2-a; -e), so the by-parts identity
     # collapses to one hypergeometric call.
     c1 = 1.0 - a
-    hyp = float(special.hyp2f1(1.0, c1, c1 + 1.0, -e))
+    hyp = special.hyp2f1(1.0, c1, c1 + 1.0, -e)
     return e**c1 * (hyp / c1 - 1.0 / (1.0 + e))
 
 
-def log_small_jump_mean(tail: TailFunction, log_eps: float) -> float:
+def log_small_jump_mean(tail: TailFunction, log_eps) -> float | np.ndarray:
     """``log small_jump_mean(tail, exp(log_eps))`` for arbitrarily deep levels.
 
     Used for series compensation where the level itself underflows.  Below
     ``log_eps < -40`` the rational factor is frozen at its limit (relative
     error ``O(exp(log_eps))``); below ``-50`` the log-power mean is summed
     from the asymptotic series of ``p * Gamma(p, -log_eps)``, within a few
-    ulps at any depth.  ``log_eps = -inf`` gives ``-inf``.
+    ulps at any depth.  ``log_eps = -inf`` gives ``-inf``.  Elementwise:
+    an array gives an array, a scalar a float (a one-element call).
     """
-    z = float(log_eps)
-    if math.isnan(z):
+    arr = np.asarray(log_eps, dtype=float)
+    if np.isnan(arr).any():
         raise ValueError("log_eps must not be NaN")
     if not tail.is_summable:
         raise ValueError("small jumps are not summable for tail index >= 1")
-    if z == -math.inf:
-        return -math.inf
+    out = _log_small_jump_mean(tail, arr.reshape(-1))
+    return _maybe_scalar(out.reshape(arr.shape), log_eps)
+
+
+def _log_small_jump_mean(tail: TailFunction, z: np.ndarray) -> np.ndarray:
+    """:func:`log_small_jump_mean` of a summable tail at 1-D levels without NaN."""
     a, f = tail.alpha, tail.factor
     if isinstance(f, (Constant, StableExact)):
         c = f.c if isinstance(f, Constant) else 1.0
         return math.log(c * a / (1.0 - a)) + (1.0 - a) * z
-    if isinstance(f, LogPower):
-        p, w = f.p, -z
-        if w <= 50.0 or p >= w:  # beyond, the series grows from its first term
-            return math.log(small_jump_mean(tail, math.exp(min(z, 0.0))))
-        # Gamma(p+1, w) - e^-w w^p = p Gamma(p, w) ~ p e^-w w^(p-1) sum_k
-        # (p-1)...(p-k) / w^k (DLMF 8.11.2), summed until a term vanishes
-        # (integer p), stops shrinking (by k = p + w) or no longer counts.
-        # num / den keeps the bits of the exact sums of p in {1, 2, 3}.
-        series = num = den = 1.0
-        last = math.inf
-        for k in itertools.count(1):
-            num *= p - k
-            den *= w
-            term = num / den
-            if term == 0.0 or abs(term) >= last:
-                break
-            series += term
-            last = abs(term)
-            if last < 2.0**-60 * series:
-                break
-            if den > 2.0**500:
-                num, den = term, 1.0
-        return z + (p - 1.0) * math.log(w) + math.log(p * series)
-    if z >= -40.0:
-        return math.log(small_jump_mean(tail, math.exp(z)))
-    return math.log(a / (1.0 - a)) + (1.0 - a) * z
+    if isinstance(f, RationalPerturb):
+        out = math.log(a / (1.0 - a)) + (1.0 - a) * z
+        shallow = z >= -40.0
+        if shallow.any():
+            out[shallow] = np.log(_small_jump_mean(tail, np.exp(z[shallow])))
+        return out
+    p, w = f.p, -z
+    out = np.full(z.shape, -np.inf)
+    shallow = (w <= 50.0) | (p >= w)  # beyond, the series grows from its first term
+    if shallow.any():
+        out[shallow] = np.log(_small_jump_mean(tail, np.exp(np.minimum(z[shallow], 0.0))))
+    deep = np.flatnonzero(~shallow & (w < np.inf))
+    if deep.size:
+        wd = w[deep]
+        series = _log_power_series(p, wd)
+        out[deep] = z[deep] + (p - 1.0) * np.log(wd) + np.log(p * series)
+    return out
 
+
+def _log_power_series(p: float, w: np.ndarray) -> np.ndarray:
+    """The sum in ``p Gamma(p, w) ~ p e^-w w^(p-1) sum_k (p-1)...(p-k) / w^k``.
+
+    DLMF 8.11.2, for 1-D ``w > 50`` with ``p < w``: each element is summed
+    until a term vanishes (integer ``p``), stops shrinking (by ``k = p +
+    w``) or no longer counts, and leaves the active set then.  ``num /
+    den`` keeps the bits of the exact sums of ``p`` in ``{1, 2, 3}``.
+    """
+    out = np.empty(w.shape)
+    active = np.arange(w.size)
+    series, num, den = np.ones(w.size), np.ones(w.size), np.ones(w.size)
+    last = np.full(w.size, np.inf)
+    for k in itertools.count(1):
+        num *= p - k
+        den *= w
+        term = num / den
+        size = np.abs(term)
+        adds = (term != 0.0) & (size < last)
+        series[adds] += term[adds]
+        last = size
+        done = ~adds | (last < 2.0**-60 * series)
+        out[active[done]] = series[done]
+        go = ~done
+        if not go.any():
+            return out
+        active, series, num, den, w, term, last = (
+            v[go] for v in (active, series, num, den, w, term, last)
+        )
+        rescale = den > 2.0**500
+        num[rescale], den[rescale] = term[rescale], 1.0

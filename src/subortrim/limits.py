@@ -190,16 +190,19 @@ def trimmed_stable_power_sample(arr: ArrivalSeries, alpha, r, lam: float) -> flo
     each entry has the bits of the scalar call.  Scalars give a float.
     """
     alphas, ranks = np.asarray(alpha, dtype=float), np.asarray(r)
-    if not ((alphas > 0.0) & (alphas < 1.0)).all():
+    alpha_list, rank_list = alphas.ravel().tolist(), ranks.ravel().tolist()
+    if not all(0.0 < a < 1.0 for a in alpha_list):
         raise ValueError(f"index must lie in (0, 1), got {alpha}")
-    log_jumps = _restricted_log_jumps(arr, lam, ranks)
+    log_jumps = _restricted_log_jumps(arr, lam, rank_list)
     row = np.empty((1, log_jumps.size))  # the scratch every (r, alpha) is reduced in
-    out = np.empty(ranks.shape + alphas.shape)
-    for idx in np.ndindex(out.shape):
-        k, a = ranks[idx[: ranks.ndim]], alphas[idx[ranks.ndim :]]
-        terms = np.divide(log_jumps[None, k:], a, out=row[:, : row.shape[1] - k])
-        out[idx] = math.exp(a * log_sum_exp_rows(terms, -np.inf)[0])
-    return float(out) if out.ndim == 0 else out
+    out = []
+    for k in rank_list:
+        for a in alpha_list:
+            terms = np.divide(log_jumps[None, k:], a, out=row[:, : row.shape[1] - k])
+            out.append(math.exp(a * log_sum_exp_rows(terms, -np.inf)[0]))
+    if ranks.ndim == alphas.ndim == 0:
+        return out[0]
+    return np.reshape(out, ranks.shape + alphas.shape)
 
 
 def cauchy_ordered_jump_sample(arr: ArrivalSeries, r, lam: float) -> float | np.ndarray:
@@ -210,20 +213,20 @@ def cauchy_ordered_jump_sample(arr: ArrivalSeries, r, lam: float) -> float | np.
     ``r`` gives an array of that shape from one restricted ladder.
     """
     ranks = np.asarray(r)
-    log_jumps = _restricted_log_jumps(arr, lam, ranks)
+    log_jumps = _restricted_log_jumps(arr, lam, ranks.ravel().tolist())
     out = np.array([math.exp(v) for v in log_jumps[ranks.ravel()]]).reshape(ranks.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def _restricted_log_jumps(arr: ArrivalSeries, lam: float, ranks: np.ndarray) -> np.ndarray:
+def _restricted_log_jumps(arr: ArrivalSeries, lam: float, ranks: list[int]) -> np.ndarray:
     """Ranked log-jumps with marks ``<= lam``, checked to reach rank ``r + 1`` for every ``r``."""
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"restriction level must lie in (0, 1], got {lam}")
-    if ranks.min() < 0:
+    if min(ranks) < 0:
         raise ValueError(f"trim count must be >= 0, got {ranks}")
     log_jumps = arr.arrivals[arr.marks <= lam]
     np.negative(np.log(log_jumps, out=log_jumps), out=log_jumps)
-    if log_jumps.size <= ranks.max():
+    if log_jumps.size <= max(ranks):
         raise ValueError(f"only {log_jumps.size} restricted jumps, trim {ranks}: deepen the series")
     return log_jumps
 

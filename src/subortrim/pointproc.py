@@ -215,8 +215,7 @@ def _log_compensation(tail: TailFunction, horizon: float, floor_log_jumps, on: b
     """Per row, ``log(horizon * small_jump_mean)`` below the floor if ``on``, else ``-inf``."""
     if not on:
         return np.full(len(floor_log_jumps), -np.inf)
-    log_h = math.log(horizon)
-    return np.array([log_h + log_small_jump_mean(tail, float(v)) for v in floor_log_jumps])
+    return math.log(horizon) + log_small_jump_mean(tail, np.asarray(floor_log_jumps, dtype=float))
 
 
 def log_sum_exp_rows(terms: np.ndarray, log_comp) -> np.ndarray:
@@ -255,11 +254,30 @@ def trimmed_log_sums(log_j: np.ndarray, keep: np.ndarray, r: int, log_comp) -> n
     """
     if r < 0:
         raise ValueError(f"trim count must be >= 0, got {r}")
-    rank = np.cumsum(keep, axis=1)
-    if rank.shape[1] == 0 or np.any(rank[:, -1] < r + 1):
-        raise ValueError(f"a row keeps no more than {r} jumps: deepen the series")
-    use = keep & (rank > r)
-    return log_sum_exp_rows(np.where(use, log_j, -np.inf), log_comp)
+    width = _kept_prefix(keep, r + 1)
+    terms = np.where(keep, log_j, -np.inf)
+    if r > 0:
+        # Past the prefix every kept jump ranks beyond r in its row.
+        rank = np.cumsum(keep[:, :width], axis=1)
+        np.copyto(terms[:, :width], -np.inf, where=rank <= r)
+    return log_sum_exp_rows(terms, log_comp)
+
+
+def _kept_prefix(keep: np.ndarray, count: int) -> int:
+    """Width of a column prefix in which every row of ``keep`` holds ``count`` kept jumps.
+
+    The prefix doubles from ``2 * count`` columns until it holds them, so
+    its cost follows the sparsest row, not the matrix width.  Raises when
+    even the whole matrix does not.
+    """
+    total = keep.shape[1]
+    width = min(total, 2 * count)
+    while True:
+        if total and (np.count_nonzero(keep[:, :width], axis=1) >= count).all():
+            return width
+        if width == total:
+            raise ValueError(f"a row keeps no more than {count - 1} jumps: deepen the series")
+        width = min(total, 2 * width)
 
 
 def trimmed_ratios(log_j: np.ndarray, r: int) -> np.ndarray:

@@ -346,6 +346,43 @@ class TestLogSumExpCut:
         assert got[0] == 800.0 and got[1] == -np.inf
 
 
+@st.composite
+def _sparse_keep_queries(draw):
+    """Ranked rows whose keep masks are sparse or start late, and a trim count r >= 1.
+
+    Each row keeps a column with its own probability, down to 2%, and may
+    keep nothing before some column, so that the first r + 1 kept jumps of
+    the sparsest row lie far beyond the first 2(r + 1) columns and the
+    ranked prefix has to grow, up to the whole width.
+    """
+    rows, terms, r = draw(st.integers(1, 6)), draw(st.integers(2, 400)), draw(st.integers(1, 4))
+    log_j = -np.sort(-draw(hnp.arrays(np.float64, (rows, terms), elements=st.floats(-60.0, 10.0))))
+    keep = np.zeros((rows, terms), bool)
+    for i in range(rows):
+        start = draw(st.integers(0, terms - 1))
+        density = draw(st.floats(0.02, 1.0))
+        flags = draw(hnp.arrays(np.float64, terms - start, elements=st.floats(0.0, 1.0)))
+        keep[i, start:] = flags < density
+    comp = st.just(-math.inf) | st.floats(-80.0, 20.0)
+    log_comp = draw(hnp.arrays(np.float64, rows, elements=comp))
+    return log_j, keep, r, log_comp
+
+
+class TestTrimmedPrefixMask:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_sparse_keep_queries())
+    def test_matches_full_cumsum_mask_bitwise(self, query):
+        log_j, keep, r, log_comp = query
+        if np.any(keep.sum(axis=1) <= r):
+            with pytest.raises(ValueError, match="deepen"):
+                trimmed_log_sums(log_j, keep, r, log_comp)
+            return
+        rank = np.cumsum(keep, axis=1)
+        want = log_sum_exp_rows(np.where(keep & (rank > r), log_j, -np.inf), log_comp)
+        got = trimmed_log_sums(log_j, keep, r, log_comp)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
 class TestZStatistic:
     def test_unit_log_power_closed_form(self):
         # z = 1/(t * tail(J_r)) and tail(J) = Gamma_r / t exactly, so z is
