@@ -27,9 +27,11 @@ Randomness discipline: each report row carries a root seed derived from
 edge-left's alpha index and edge-right's r index; replicate streams
 derive from that root as ``derive_seed(root, stream, replicate)``, so a
 row can be regenerated in isolation and results are independent of
-scheduling.  Rows are merged in grid order and the CSV is byte-identical
-for any ``jobs`` value.  The ``ms_elapsed`` column is fixed at 0 to keep
-that guarantee; wall time lives in the JSON summary.
+scheduling.  A task takes its replicate range's seeds in one block call
+(``derive_seed`` with an index array), and each replicate draws its own
+series through ``sample_arrivals``.  Rows are merged in grid order and the
+CSV is byte-identical for any ``jobs`` value.  The ``ms_elapsed`` column
+is fixed at 0 to keep that guarantee; wall time lives in the JSON summary.
 
 Trend runs share one arrival matrix across the whole horizon grid
 (coupled comparison): the sampled vectors then converge pathwise as the
@@ -151,6 +153,9 @@ class ExperimentConfig:
             raise ValueError("seed_blocks must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        seed = self.master_seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"master_seed must be a nonnegative integer, got {seed!r}")
         if self.edge == "right":
             if len(self.level_grid) != len(self.lambda_grid):
                 raise ValueError("level_grid must match lambda_grid in length")
@@ -307,7 +312,7 @@ def _stream_matrix(seeds: list[int], n_terms: int):
 
 
 def _replicate_seeds(root: int, stream: int, count: int) -> list[int]:
-    return [derive_seed(root, stream, i) for i in range(count)]
+    return derive_seed(root, stream, np.arange(count))
 
 
 def _replicate_chunks(cfg: ExperimentConfig) -> list[tuple]:
@@ -662,8 +667,8 @@ def _bottom_task(args):
     grids = (cfg.lambda_grid, cfg.r_grid, cfg.alpha_grid)
     errors = np.empty((rep_hi - rep_lo,) + tuple(len(g) for g in grids))
     path_ok = True
-    for k, rep in enumerate(range(rep_lo, rep_hi)):
-        arr = sample_arrivals(derive_seed(root, rep), cfg.n_terms)
+    for k, seed in enumerate(derive_seed(root, np.arange(rep_lo, rep_hi))):
+        arr = sample_arrivals(seed, cfg.n_terms)
         for li, lam in enumerate(cfg.lambda_grid):
             ranked = limits.cauchy_ordered_jump_sample(arr, cfg.r_grid, lam)
             powers = limits.trimmed_stable_power_sample(arr, cfg.alpha_grid, cfg.r_grid, lam)
@@ -761,8 +766,9 @@ def _fidi_task(args):
     root = _edge_root(cfg)
     hits = np.zeros((len(FIDI_QUERY_GRID), 2), dtype=np.int64)
     depth_ok = True
-    for lo in range(rep_lo, rep_hi, _FIDI_BLOCK):
-        seeds = [derive_seed(root, rep) for rep in range(lo, min(lo + _FIDI_BLOCK, rep_hi))]
+    task_seeds = derive_seed(root, np.arange(rep_lo, rep_hi))
+    for lo in range(0, len(task_seeds), _FIDI_BLOCK):
+        seeds = task_seeds[lo : lo + _FIDI_BLOCK]
         arrivals, marks = _stream_matrix(seeds, _FIDI_DEPTH)
         depth_ok &= bool(np.all(arrivals[:, -1] >= 8.0))
         for qi, q in enumerate(FIDI_QUERY_GRID):

@@ -430,26 +430,31 @@ def _nudge_inverse_log(tail: TailFunction, log_x: np.ndarray, u: np.ndarray) -> 
     place.  The first check runs over every element; each later pass grows
     and rechecks only the elements that still overshoot, and an element
     leaves that set once its recomposed tail is ``<= u``, after which its
-    offset would never change again.
+    offset would never change again.  As in ``tail_eval_from_log``, an
+    evaluation that overflows (``exp(log_x)`` of the rational factor above
+    ``log_x = 709.78``) is the limit value, not an error.
     """
-    over = np.flatnonzero(_eval_from_log(tail, log_x) > u)
-    if over.size == 0:
-        return log_x
-    base, ua = log_x[over], u[over]
-    if np.any(np.isneginf(base)):
-        raise ValueError("inverse query too deep: its log abscissa overflows")
-    floor = np.spacing(np.abs(base))
-    np.maximum(floor, 2.0**-60, out=floor)
-    delta = np.zeros_like(base)
-    for _ in range(_SOLVE_ITERS - 1):
-        delta *= 2.0
-        np.maximum(delta, floor, out=delta)
-        trial = base + delta
-        log_x[over] = trial
-        still = _eval_from_log(tail, trial) > ua
-        if not np.any(still):
+    with np.errstate(over="ignore"):
+        over = np.flatnonzero(_eval_from_log(tail, log_x) > u)
+        if over.size == 0:
             return log_x
-        over, base, ua, floor, delta = over[still], base[still], ua[still], floor[still], delta[still]
+        base, ua = log_x[over], u[over]
+        if np.any(np.isneginf(base)):
+            raise ValueError("inverse query too deep: its log abscissa overflows")
+        floor = np.spacing(np.abs(base))
+        np.maximum(floor, 2.0**-60, out=floor)
+        delta = np.zeros_like(base)
+        for _ in range(_SOLVE_ITERS - 1):
+            delta *= 2.0
+            np.maximum(delta, floor, out=delta)
+            trial = base + delta
+            log_x[over] = trial
+            still = _eval_from_log(tail, trial) > ua
+            if not np.any(still):
+                return log_x
+            over, base, ua, floor, delta = (
+                over[still], base[still], ua[still], floor[still], delta[still]
+            )
     raise ArithmeticError("inverse rounding guard failed to converge")
 
 

@@ -67,6 +67,9 @@ class ArrivalSeries:
         Independent uniforms in ``(0, 1]``, one per arrival.
     seed : int
         The 64-bit seed that generated the series.
+
+    Construction checks both arrays (NaN fails every test) and makes them
+    read-only; the arrays are taken as they are, not copied.
     """
 
     arrivals: np.ndarray
@@ -79,9 +82,9 @@ class ArrivalSeries:
             raise ValueError("arrival series needs at least one arrival")
         if mk.shape != arr.shape:
             raise ValueError("marks and arrivals must align")
-        if not (arr[0] > 0.0 and np.all(np.diff(arr) > 0.0)):
+        if not (arr[0] > 0.0 and (arr[1:] > arr[:-1]).all()):
             raise ValueError("arrivals must be strictly increasing and positive")
-        if np.any(mk <= 0.0) or np.any(mk > 1.0):
+        if not (mk.min() > 0.0 and mk.max() <= 1.0):
             raise ValueError("marks must lie in (0, 1]")
         arr.flags.writeable = False
         mk.flags.writeable = False
@@ -143,31 +146,120 @@ class TrimmedValue(NamedTuple):
     log_value: float
 
 
-def derive_seed(master_seed: int, *indices: int) -> int:
+#: SeedSequence's hash constants and pool size (numpy ``bit_generator``).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def derive_seed(master_seed: int, *indices: int | np.ndarray) -> int | list[int]:
     """Derive a 64-bit stream seed from a master seed and index path.
 
     Counter-based: any (master, indices) pair maps to a fixed seed
     independent of call order or worker layout, so parallel and serial
-    runs agree bit-for-bit.
+    runs agree bit-for-bit.  The seed is the first uint64 word of
+    ``np.random.SeedSequence(master_seed, spawn_key=indices)``, and a call
+    with integer indices goes through SeedSequence itself.
+
+    Block form: when the last index is a 1-d integer array, the result is a
+    list of Python ints, one per element, each equal to the call with that
+    element as the last index.  The pool is mixed from the master and the
+    leading indices once; only the last word's hash and the output words
+    run per element, as uint32 array arithmetic (a test pins this against
+    SeedSequence bit for bit).  An element of 2**32 or more spans two
+    words and takes the scalar route; a negative one raises ``ValueError``
+    as SeedSequence does, and an empty block gives ``[]``.
     """
+    if indices and isinstance(indices[-1], np.ndarray):
+        return _derive_seed_block(master_seed, indices[:-1], indices[-1])
     ss = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(i) for i in indices))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def _words(n: int) -> list[int]:
+    """SeedSequence's uint32 words of a nonnegative int, least significant first."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` on Python ints or uint32 arrays."""
+    out = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    return out ^ (out >> 16)
+
+
+def _derive_seed_block(master_seed: int, prefix: tuple, last: np.ndarray) -> list[int]:
+    if last.ndim != 1 or last.dtype.kind not in "iu":
+        raise TypeError("a block index must be a 1-d integer array")
+    if last.size and last.min() < 0:
+        raise ValueError("expected non-negative integer")
+    prefix = tuple(int(i) for i in prefix)
+    # SeedSequence pads the run entropy to the pool size when a spawn key is
+    # given, so the block's word always comes after the pool is full and is
+    # mixed into each pool word in turn, like every word after the first
+    # four.  Its hash constants do not depend on the data.
+    entropy = _words(int(master_seed))
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    for i in prefix:
+        entropy += _words(i)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL_SIZE:] + [last.astype(np.uint32)]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+
+    # generate_state(1, uint64): one uint32 word from each of pool words 0
+    # and 1, low word first.
+    out_const, halves = _INIT_B, []
+    for value in pool[:2]:
+        value = value ^ out_const
+        out_const = out_const * _MULT_B & _MASK32
+        value = value * out_const & _MASK32
+        halves.append((value ^ (value >> 16)).astype(np.uint64))
+    seeds = (halves[0] | halves[1] << np.uint64(32)).tolist()
+    for k in np.flatnonzero(last > _MASK32).tolist():
+        seeds[k] = derive_seed(master_seed, *prefix, int(last[k]))
+    return seeds
 
 
 def sample_arrivals(seed: int, n_terms: int) -> ArrivalSeries:
     """Sample ``n_terms`` Poisson arrival times plus uniform marks.
 
-    Deterministic given ``seed``.  Draw order is fixed (exponential gaps
-    first, then marks) so the stream layout is part of the contract.
-    ``Gamma_k`` has a Gamma(k, 1) law; marks are independent of arrivals
-    and lie in ``(0, 1]``.
+    Deterministic given ``seed``: the generator is PCG64 seeded through
+    ``SeedSequence(seed)`` (what ``np.random.default_rng(seed)`` builds).
+    Draw order is fixed (``n_terms`` standard exponential gaps first, then
+    ``n_terms`` marks as ``1 - random()``) so the stream layout is part of
+    the contract.  ``Gamma_k`` has a Gamma(k, 1) law; marks are independent
+    of arrivals and lie in ``(0, 1]``.  The cumulative sum and the marks are
+    formed in place on the drawn arrays.
     """
     n = int(n_terms)
     if n < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    arrivals = np.cumsum(rng.exponential(1.0, n))
-    marks = 1.0 - rng.random(n)
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    arrivals = rng.standard_exponential(n)
+    np.add.accumulate(arrivals, out=arrivals)  # np.cumsum's loop, without its wrapper
+    marks = rng.random(n)
+    np.subtract(1.0, marks, out=marks)
     return ArrivalSeries(arrivals=arrivals, marks=marks, seed=int(seed))
 
 

@@ -158,8 +158,8 @@ def test_criterion_03_compensated_series_laplace(capsys):
     n = 100_000
     tail = stable_tail(0.5)
     values = np.empty(n)
-    for i in range(n):
-        arr = sample_arrivals(derive_seed(MASTER, 13, i), 1000)
+    for i, seed in enumerate(derive_seed(MASTER, 13, np.arange(n))):
+        arr = sample_arrivals(seed, 1000)
         ladder = ordered_jumps(tail, 1.0, arr)
         values[i] = trimmed_value(ladder, 0, compensate=True).value
     rel_errors = {}
@@ -184,8 +184,8 @@ def test_criterion_04_largest_jump_marginal(capsys):
     start = perf_counter()
     n = 100_000
     samples = np.empty(n)
-    for i in range(n):
-        arr = sample_arrivals(derive_seed(MASTER, 14, i), 8)
+    for i, seed in enumerate(derive_seed(MASTER, 14, np.arange(n))):
+        arr = sample_arrivals(seed, 8)
         samples[i] = cauchy_ordered_jump_sample(arr, 0, 1.0)
     res = ks_one_sample(samples, lambda x: np.exp(-1.0 / np.asarray(x, dtype=float)))
     detail = f"KS D = {res.statistic:.5f}, p = {res.p_value:.4f} (threshold 0.01)"

@@ -214,6 +214,24 @@ class TestSeedPriority:
         assert self._master_seed(tmp_path) == 789
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "extra, config, env",
+        [
+            (("--seed", "-3"), None, {}),
+            ((), "[run]\nseed = -3\n", {}),
+            ((), None, {"SUBORTRIM_SEED": "-3"}),
+        ],
+    )
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, extra, config, env):
+        if config is not None:
+            path = tmp_path / "cfg.ini"
+            path.write_text(config)
+            extra = ("--config", str(path), *extra)
+        assert cli.parse_and_dispatch(_fidi_argv(tmp_path, *extra), environ=env) == 1
+        payload = _first_json(capsys.readouterr().err)
+        assert payload["error"] == "config"
+        assert "master_seed" in payload["message"]
+
     def test_invalid_env_seed(self, tmp_path, capsys):
         rc = cli.parse_and_dispatch(
             _fidi_argv(tmp_path), environ={"SUBORTRIM_SEED": "not-a-number"}

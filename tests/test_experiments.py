@@ -92,6 +92,9 @@ class TestConfig:
             dict(edge="left", replicates=1000, n_terms=999),
             dict(edge="left", replicates=1000, seed_blocks=0),
             dict(edge="left", replicates=1000, jobs=0),
+            dict(edge="fidi", master_seed=-1),
+            dict(edge="fidi", master_seed=1.5),
+            dict(edge="fidi", master_seed="7"),
             dict(edge="right", replicates=1000, level_grid=(1.0,)),
             dict(
                 edge="right",

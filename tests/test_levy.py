@@ -317,6 +317,15 @@ class TestInverse:
         assert vec[0] == log_x
         assert np.all(np.asarray(tail_eval_from_log(tail, vec)) <= [u, 2.0, u * 3.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_rational_root_above_exp_range_is_quiet(self):
+        # The root lies above log x = 709.78, where exp(log_x) in the
+        # nudge's recomposition overflows to inf: the limit, not an error.
+        tail = rational_tail(0.01)
+        log_x = tail_inverse_log(tail, 5e-324)
+        assert log_x == pytest.approx(737.0693781399814, rel=1e-15)
+        assert tail_eval_from_log(tail, log_x) <= 5e-324
+
     @pytest.mark.parametrize("u", [1e155, np.array([2.0, 1e300])])
     def test_overflowing_log_abscissa_raises(self, u):
         # log(1/x)**0.5 = u needs log x = -u**2, below -1.8e308.

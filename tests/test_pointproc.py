@@ -79,6 +79,49 @@ class TestDeriveSeed:
         s = derive_seed(2**63, 5)
         assert 0 <= s < 2**64
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
+            st.integers(0, 2**160),
+        ),
+        st.lists(
+            st.one_of(st.sampled_from([0, 2**32, 2**64 - 1]), st.integers(0, 2**64)),
+            max_size=3,
+        ),
+        st.lists(
+            st.one_of(
+                st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1]),
+                st.integers(0, 2**33),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_block_matches_seed_sequence(self, master, prefix, block):
+        # The block form re-implements SeedSequence's last-word hash; pin it
+        # bit for bit against numpy on one- and two-word indices.
+        got = derive_seed(master, *prefix, np.array(block, dtype=np.int64))
+        want = [
+            int(
+                np.random.SeedSequence(master, spawn_key=tuple(prefix) + (i,))
+                .generate_state(1, np.uint64)[0]
+            )
+            for i in block
+        ]
+        assert got == want
+        assert all(type(s) is int for s in got)
+
+    def test_block_edge_cases(self):
+        assert derive_seed(42, 3, np.arange(0)) == []
+        assert derive_seed(42, np.arange(5, 8, dtype=np.uint64)) == [
+            derive_seed(42, i) for i in (5, 6, 7)
+        ]
+        with pytest.raises(ValueError):
+            derive_seed(42, 3, np.array([1, -1]))
+        with pytest.raises(ValueError):
+            derive_seed(-1, 3, np.array([1]))
+
 
 class TestSampleArrivals:
     def test_reproducible_bitwise(self):
@@ -123,6 +166,10 @@ class TestSampleArrivals:
             _hand_series([1.0, 2.0], [0.5, 0.0])
         with pytest.raises(ValueError):
             _hand_series([1.0, 2.0], [0.5])
+        with pytest.raises(ValueError):
+            _hand_series([1.0, 2.0, 3.0], [0.5, math.nan, 1.0])
+        with pytest.raises(ValueError):
+            _hand_series([1.0, math.nan, 3.0], [0.5, 0.5, 1.0])
 
     def test_arrays_are_frozen(self):
         arr = sample_arrivals(3, 10)
