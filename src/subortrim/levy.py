@@ -22,7 +22,12 @@ Four families are provided:
 ``LogPower`` is the only admissible zero-index family here: its slowly
 varying factor is nonincreasing and blows up at 0+, which a zero-index
 tail must do to keep infinitely many small jumps.  Every operation on
-every admitted tail is in closed form or a safe-side Newton solve.
+every admitted tail is in closed form, a safe-side Newton solve or a
+series of positive terms.  The small-jump means are elementary on every
+path a run takes: a finite Poisson sum for integer log-power exponents and
+a positive hypergeometric series for rational levels up to 10
+(``_RATIONAL_SERIES_CAP``); ``scipy.special`` is imported only for a
+non-integer exponent or a rational level above that cap.
 
 Everything is vectorised: ``x`` / ``u`` arguments may be floats or numpy
 arrays, and scalar input yields scalar output.
@@ -35,7 +40,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+
+from .stats import poisson_below
 
 __all__ = [
     "TailFunction",
@@ -65,6 +71,12 @@ _SOLVE_RTOL = 2.0 ** -40
 #: p = 171 and, at the smallest positive eps, past p = 107; up to 100 both
 #: stay finite at every level.
 _LOG_POWER_MAX_P = 100.0
+#: Largest level at which the rational small-jump mean is summed as a
+#: positive series.  Its terms decay like ``(e / (1 + e))**k``: about 410
+#: terms at 10, past 1800 at 50 and 30 000 at 1000.  Up to 10 the mean stays
+#: within 9 ulps of 50-digit values; the hypergeometric closed form used
+#: beyond cancels only near and below the cap.
+_RATIONAL_SERIES_CAP = 10.0
 
 
 @dataclass(frozen=True)
@@ -465,8 +477,10 @@ def small_jump_mean(tail: TailFunction, eps) -> float | np.ndarray:
 
         integral_0^eps tail(x) dx  -  eps * tail(eps),
 
-    in closed form for every family.  Requires ``alpha < 1`` (summable
-    small jumps).  Scalar input yields a float, from a one-element call.
+    in closed form for every family but the rational one, which sums a
+    series of positive terms up to level 10 (``_RATIONAL_SERIES_CAP``).
+    Requires ``alpha < 1`` (summable small jumps).  Scalar input yields a
+    float, from a one-element call.
     """
     arr = np.asarray(eps, dtype=float)
     if not np.all(arr > 0.0):
@@ -483,19 +497,69 @@ def _small_jump_mean(tail: TailFunction, e: np.ndarray) -> np.ndarray:
         c = f.c if isinstance(f, Constant) else 1.0
         return c * a / (1.0 - a) * e ** (1.0 - a)
     if isinstance(f, LogPower):
-        # integral_0^e log(1/x)^p dx - e log(1/e)^p  ==  Gamma(p+1, log(1/e)),
-        # upper incomplete, minus the boundary term; both vanish into
-        # Gamma(p+1) at and beyond e = 1 (gammaincc(p+1, 0) is 1).
+        # integral_0^e log(1/x)^p dx - e log(1/e)^p  ==  Gamma(p+1, z), upper
+        # incomplete at z = log(1/e), minus the boundary term; both vanish
+        # into Gamma(p+1) at and beyond e = 1.  For integer p the regularised
+        # Gamma(p+1, z) / p! is the finite Poisson sum (DLMF 8.4.8).
+        p = f.p
         z = np.where(e < 1.0, -np.log(e), 0.0)
-        upper = math.gamma(f.p + 1.0) * special.gammaincc(f.p + 1.0, z)
+        if float(p).is_integer():
+            regularised = poisson_below(int(p) + 1, z)
+        else:
+            from scipy.special import gammaincc  # non-integer p only
+
+            regularised = gammaincc(p + 1.0, z)
         with np.errstate(invalid="ignore"):  # e = inf gives inf * 0 in the unused branch
-            return upper - np.where(z > 0.0, e * z**f.p, 0.0)
-    # RationalPerturb: integral_0^e x**-a/(1+x) dx
-    # = e**(1-a)/(1-a) * 2F1(1, 1-a; 2-a; -e), so the by-parts identity
-    # collapses to one hypergeometric call.
-    c1 = 1.0 - a
-    hyp = special.hyp2f1(1.0, c1, c1 + 1.0, -e)
-    return e**c1 * (hyp / c1 - 1.0 / (1.0 + e))
+            return math.gamma(p + 1.0) * regularised - np.where(z > 0.0, e * z**p, 0.0)
+    # RationalPerturb: integral_0^e x**-a/(1+x) dx = e**c/c * 2F1(1, c; c+1; -e)
+    # at c = 1 - a.  The Pfaff transformation (DLMF 15.8.1) makes that
+    # 2F1 = (1+e)**-1 * sum_k k!/(c+1)_k w**k at w = e/(1+e), whose terms are
+    # all positive; its k = 0 term, less c, absorbs the boundary term
+    # e * tail(e) = e**c/(1+e), so nothing cancels.
+    c = 1.0 - a
+    out = np.empty(e.shape)
+    series = e <= _RATIONAL_SERIES_CAP
+    if series.any():
+        es = e[series]
+        scale = 1.0 + es
+        out[series] = es**c / scale * (_rational_series(c, es / scale) / c)
+    if not series.all():
+        # Past the cap the series needs thousands of terms; the closed form
+        # cancels only near and below it.
+        from scipy.special import hyp2f1
+
+        eh = e[~series]
+        out[~series] = eh**c * (hyp2f1(1.0, c, c + 1.0, -eh) / c - 1.0 / (1.0 + eh))
+    return out
+
+
+def _rational_series(c: float, w: np.ndarray) -> np.ndarray:
+    """``a + sum_{k>=1} t_k`` with ``t_1 = w/(c+1)``, ``t_{k+1} = t_k (k+1) w/(k+1+c)``.
+
+    For 1-D ``w`` in ``[0, 1)`` and ``a = 1 - c``.  The terms are positive
+    and decreasing, and an element leaves the active set once its term
+    falls below ``2**-60`` of its total.  The total carries its rounding
+    error separately (Neumaier's compensated sum): on scans of levels up to
+    10 the mean stayed within 9 ulps of 50-digit values with it and reached
+    16 with a plain running sum.
+    """
+    out = np.empty(w.shape)
+    active = np.arange(w.size)
+    term = w / (c + 1.0)
+    total = term + (1.0 - c)
+    carry = np.zeros(w.shape)
+    for k in itertools.count(2):
+        done = term < 2.0**-60 * total
+        if done.any():
+            out[active[done]] = total[done] + carry[done]
+            go = ~done
+            if not go.any():
+                return out
+            active, term, total, carry, w = active[go], term[go], total[go], carry[go], w[go]
+        term *= k * w / (k + c)
+        grown = total + term
+        carry += (total - grown) + term  # exact while total >= term
+        total = grown
 
 
 def log_small_jump_mean(tail: TailFunction, log_eps) -> float | np.ndarray:

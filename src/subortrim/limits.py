@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .levy import TailFunction, parse_tail, tail_eval
 from .pointproc import ArrivalSeries, log_sum_exp_rows
+from .stats import poisson_below
 
 __all__ = [
     "FidiQuery",
@@ -88,8 +88,9 @@ def cauchy_rth_jump_cdf(r: int, lam: float, x) -> float | np.ndarray:
 
     ``P = exp(-lam/x) * sum_{j=0}^{r-1} (lam/x)^j / j!``: the probability
     that a Poisson(lam/x) count of jumps above ``x`` stays below ``r``.
-    Evaluated through the regularised upper incomplete gamma function,
-    which is that Poisson tail; vectorised over ``x``.
+    Evaluated as that finite sum (:func:`stats.poisson_below`, the
+    integer-order regularised upper incomplete gamma function); vectorised
+    over ``x``.
     """
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
@@ -98,8 +99,8 @@ def cauchy_rth_jump_cdf(r: int, lam: float, x) -> float | np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.size and (np.any(np.isnan(arr)) or np.any(arr <= 0.0)):
         raise ValueError("jump level must be positive")
-    out = special.gammaincc(r, lam / arr)
-    return float(out) if np.ndim(x) == 0 else out
+    out = poisson_below(r, lam / arr.reshape(-1))
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(arr.shape)
 
 
 def extremal_fidi_cdf(q: FidiQuery, measure="cauchy") -> float:

@@ -21,6 +21,7 @@ unless values are representable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -171,10 +172,16 @@ def derive_seed(master_seed: int, *indices: int | np.ndarray) -> int | list[int]
     SeedSequence bit for bit).  An element of 2**32 or more spans two
     words and takes the scalar route; a negative one raises ``ValueError``
     as SeedSequence does, and an empty block gives ``[]``.
+
+    The master and every scalar index must be integers (Python or numpy):
+    a float raises ``TypeError`` rather than being truncated onto another
+    stream.
     """
     if indices and isinstance(indices[-1], np.ndarray):
         return _derive_seed_block(master_seed, indices[:-1], indices[-1])
-    ss = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(i) for i in indices))
+    ss = np.random.SeedSequence(
+        operator.index(master_seed), spawn_key=tuple(operator.index(i) for i in indices)
+    )
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -200,12 +207,12 @@ def _derive_seed_block(master_seed: int, prefix: tuple, last: np.ndarray) -> lis
         raise TypeError("a block index must be a 1-d integer array")
     if last.size and last.min() < 0:
         raise ValueError("expected non-negative integer")
-    prefix = tuple(int(i) for i in prefix)
+    prefix = tuple(operator.index(i) for i in prefix)
     # SeedSequence pads the run entropy to the pool size when a spawn key is
     # given, so the block's word always comes after the pool is full and is
     # mixed into each pool word in turn, like every word after the first
     # four.  Its hash constants do not depend on the data.
-    entropy = _words(int(master_seed))
+    entropy = _words(operator.index(master_seed))
     entropy += [0] * (_POOL_SIZE - len(entropy))
     for i in prefix:
         entropy += _words(i)
@@ -250,17 +257,19 @@ def sample_arrivals(seed: int, n_terms: int) -> ArrivalSeries:
     ``n_terms`` marks as ``1 - random()``) so the stream layout is part of
     the contract.  ``Gamma_k`` has a Gamma(k, 1) law; marks are independent
     of arrivals and lie in ``(0, 1]``.  The cumulative sum and the marks are
-    formed in place on the drawn arrays.
+    formed in place on the drawn arrays.  ``seed`` and ``n_terms`` must be
+    integers (Python or numpy); a float raises ``TypeError``.
     """
-    n = int(n_terms)
+    n = operator.index(n_terms)
+    seed = operator.index(seed)
     if n < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(seed))
     arrivals = rng.standard_exponential(n)
     np.add.accumulate(arrivals, out=arrivals)  # np.cumsum's loop, without its wrapper
     marks = rng.random(n)
     np.subtract(1.0, marks, out=marks)
-    return ArrivalSeries(arrivals=arrivals, marks=marks, seed=int(seed))
+    return ArrivalSeries(arrivals=arrivals, marks=marks, seed=seed)
 
 
 def ordered_jumps(tail: TailFunction, t: float, arr: ArrivalSeries) -> JumpLadder:

@@ -48,6 +48,8 @@ RATIONAL_ROOTS = {
     (0.3, 2.0): 0.077385979290805346,
 }
 
+EPS = np.finfo(float).eps
+
 ALL_FAMILIES = [
     constant_tail(2.0, 0.5),
     stable_tail(0.5),
@@ -499,6 +501,63 @@ class TestSmallJumpMean:
         expected = integral - eps * float(tail_eval(tail, eps))
         rel = max(1e-9, 20.0 * err / integral)
         assert small_jump_mean(tail, eps) == pytest.approx(expected, rel=rel)
+
+    # The rational mean to 25 digits, from a 50-digit mpmath evaluation of
+    # e**c/c * 2F1(1, c; c+1; -e) - e**c/(1+e) at c = 1 - a.  The indices
+    # other than 0.05 are dyadic, so 1 - a is exact in double and the value
+    # is that of the double arguments.  Levels up to 10 take the positive
+    # series, the last two the hypergeometric closed form past the cap.
+    RATIONAL_MP_VALUES = [
+        (0.0625, 1e-06, "0.0000001580927278147694179065745"),
+        (0.0625, 0.5, "0.1066520498760155388406856"),
+        (0.0625, 1.0, "0.2483200668069544771325051"),
+        (0.0625, 3.9749016274947477, "0.8855471449563717969971307"),
+        (0.0625, 10.0, "1.5381701535168625667115"),
+        (0.05, 3.9749016274947477, "0.8691425336836578997431487"),  # log eps = 1.38
+        (0.3125, 1e-06, "0.00003408613097540101561461665"),
+        (0.3125, 0.5, "0.3478302396698505430406959"),
+        (0.3125, 1.0, "0.5806650330903132536355726"),
+        (0.3125, 10.0, "1.812500572260277335950441"),
+        (0.875, 1e-06, "1.244795606785811921277074"),
+        (0.875, 1.0, "6.897213646204304189285749"),
+        (0.875, 7.125950633568425, "7.859387629874968587616088"),
+        (0.875, 10.0, "7.94242572125256161240775"),
+        (0.3125, 50.0, "2.551711167340787382793255"),
+        (0.3125, 1000.0, "3.293556220891533060061522"),
+    ]
+
+    @pytest.mark.parametrize("a, eps, value", RATIONAL_MP_VALUES)
+    def test_rational_within_ten_ulps_of_fifty_digit_values(self, a, eps, value):
+        # A 300-level scan of (1e-10, 10] per index reached 8.6 ulps (a =
+        # 0.875, eps = 7.13); the closed form cancelled by 134 ulps of its
+        # log at a = 0.05, log eps = 1.38.
+        got = small_jump_mean(rational_tail(a), eps)
+        assert abs(got - float(value)) <= 10.0 * np.spacing(float(value))
+
+    def test_rational_series_meets_the_closed_form_at_the_cap(self):
+        # The series serves levels up to 10, the closed form the next double.
+        levels = np.array([10.0, np.nextafter(10.0, 11.0)])
+        below, above = small_jump_mean(rational_tail(0.3), levels)
+        assert above == pytest.approx(below, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 10, 100])
+    def test_integer_log_power_matches_incomplete_gamma(self, p):
+        # The finite sum Gamma(p+1, z) / p! = Q(p+1, z) against scipy: they
+        # agree within 3 eps * max(1, z) of Gamma(p+1, z) for z up to
+        # max(50, p), the shallow branch's range; the boundary term is the
+        # same arithmetic on both sides.
+        z = np.geomspace(1e-3, max(50.0, p), 500)
+        e = np.exp(-z)
+        z = -np.log(e)
+        upper = math.gamma(p + 1.0) * special.gammaincc(p + 1.0, z)
+        got = small_jump_mean(log_power_tail(p), e)
+        assert np.all(np.abs(got - (upper - e * z**p)) <= 4.0 * EPS * np.maximum(1.0, z) * upper)
+
+    def test_non_integer_log_power_takes_scipy(self):
+        # gammaincc is imported inside the branch; the mean is unchanged.
+        z = math.log(1.0 / 0.3)
+        want = math.gamma(3.5) * special.gammaincc(3.5, z) - 0.3 * z**2.5
+        assert small_jump_mean(log_power_tail(2.5), 0.3) == pytest.approx(want, rel=4.0 * EPS)
 
     def test_index_one_rejected(self):
         with pytest.raises(ValueError):

@@ -122,6 +122,23 @@ class TestDeriveSeed:
         with pytest.raises(ValueError):
             derive_seed(-1, 3, np.array([1]))
 
+    @pytest.mark.parametrize(
+        "args",
+        [(42, 1.5), (42.9, 1), (42, 1.0), (42, 2, 1.5), (42, np.float64(1.0)),
+         (42.0, np.arange(3)), (42, 1.5, np.arange(3)), (42, np.array([1.0, 2.0]))],
+        ids=repr,
+    )
+    def test_non_integers_are_rejected(self, args):
+        # int() would truncate a float onto another stream: derive_seed(42, 1.5)
+        # used to equal derive_seed(42, 1).
+        with pytest.raises(TypeError):
+            derive_seed(*args)
+
+    def test_numpy_integers_are_accepted(self):
+        want = derive_seed(42, 7, 3)
+        assert derive_seed(np.int64(42), np.uint32(7), np.int8(3)) == want
+        assert derive_seed(np.uint64(42), np.int64(7), np.array([3])) == [want]
+
 
 class TestSampleArrivals:
     def test_reproducible_bitwise(self):
@@ -158,6 +175,17 @@ class TestSampleArrivals:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sample_arrivals(1, 0)
+
+    @pytest.mark.parametrize("seed, n_terms", [(7.9, 5), (7.0, 5), (7, 5.0), (np.float64(7.0), 5)])
+    def test_rejects_non_integers(self, seed, n_terms):
+        # sample_arrivals(7.9, 5) used to draw the series of seed 7.
+        with pytest.raises(TypeError):
+            sample_arrivals(seed, n_terms)
+
+    def test_numpy_integers_are_accepted(self):
+        arr = sample_arrivals(np.uint64(7), np.int32(5))
+        assert type(arr.seed) is int and arr.seed == 7
+        assert np.array_equal(arr.arrivals, sample_arrivals(7, 5).arrivals)
 
     def test_series_validation(self):
         with pytest.raises(ValueError):

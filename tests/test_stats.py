@@ -21,7 +21,10 @@ from subortrim.stats import (
     ks_one_sample,
     ks_two_sample,
     mc_standard_error,
+    poisson_below,
 )
+
+EPS = np.finfo(float).eps
 
 
 class TestEmpiricalCdf:
@@ -240,3 +243,38 @@ class TestMcStandardError:
             mc_standard_error(1.1, 100)
         with pytest.raises(ValueError):
             mc_standard_error(0.5, 0)
+
+
+class TestPoissonBelow:
+    # Q(n, m) to 25 digits, from a 50-digit mpmath evaluation.
+    MP_VALUES = [
+        (1, 0.5, "0.6065306597126334236037995"),
+        (2, 0.001, "0.9999995003332083666597026"),
+        (3, 20.0, "0.0000004555149505589212799804728"),
+        (5, 300.0, "1.760917694683184199791263e-122"),
+        (10, 700.0, "1.110692465019363619682252e-284"),
+        (10, 5.0, "0.9681719426937951882628134"),
+    ]
+
+    @pytest.mark.parametrize("n, m, value", MP_VALUES)
+    def test_within_four_ulps_of_fifty_digit_values(self, n, m, value):
+        got = poisson_below(n, np.array([m]))[0]
+        assert abs(got - float(value)) <= 4.0 * np.spacing(float(value))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_scipy_incomplete_gamma(self, n):
+        # scipy's gammaincc loses about m/2.5 ulps at large m (255 ulps at
+        # n = 1, m = 654 against mpmath, where the finite sum is within 0.2);
+        # the two agree within 3.1 eps * max(1, m) on this grid.
+        m = np.geomspace(1e-3, 700.0, 3000)
+        ref = sc.gammaincc(n, m)
+        got = poisson_below(n, m)
+        assert np.all(np.abs(got - ref) <= 4.0 * EPS * np.maximum(1.0, m) * ref)
+
+    @pytest.mark.filterwarnings("error")
+    def test_limits_and_overflow(self):
+        m = np.array([0.0, 745.0, 1e6, 1e300, math.inf])
+        for n in (1, 3, 100):
+            got = poisson_below(n, m)
+            assert got[0] == 1.0
+            assert np.all(got[1:] >= 0.0) and np.all(got[2:] == 0.0)
