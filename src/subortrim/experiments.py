@@ -7,12 +7,13 @@ Five runners share one reporting shape:
     statistics against trimmed-stable power references drawn on
     independent arrivals, plus an exact self-similarity regression for
     the pure power-law families.  One task per (alpha, block) shares its
-    arrivals, and each horizon's inversion, across every (r, lambda).
+    arrivals, and each horizon's inversion, across every (r, lambda); a
+    horizon is inverted and reduced ``_ROW_BLOCK`` replicate rows at a time.
 ``edge-right``
     Small-horizon limit at zero index: one-sample KS against the ranked
     reciprocal-tail jump laws, a joint fidi check along the restriction
     grid, and the trimmed-ratio trend.  One task per (r, block) shares
-    its arrivals across every lambda.
+    its arrivals, and each horizon's row blocks, across every lambda.
 ``edge-bottom``
     Index-to-zero coupling: per-seed relative error between the trimmed
     stable power and the ranked jump on shared randomness.
@@ -86,6 +87,10 @@ _KS_EDGES = ("left", "right")
 _FIDI_DEPTH = 128
 #: Replicate rows per fidi count; fixed, so memory does not grow with the chunk.
 _FIDI_BLOCK = 128
+#: Replicate rows per block of a horizon's inversion and reduction in
+#: edge-left and edge-right: 256 rows of a 1000-term ladder are 2 MB per
+#: temporary, and the CSV does not depend on the block.
+_ROW_BLOCK = 256
 _PLOT_POINTS = 512
 #: Edge-right's terminal KS-median floor, pilot-calibrated at ``_PILOT_ANCHOR_N``
 #: replicates; for other counts the verdict rescales it by the 1/sqrt(n) KS rate.
@@ -311,6 +316,21 @@ def _stream_matrix(seeds: list[int], n_terms: int):
     return arrivals, marks
 
 
+def _horizon_blocks(tail: TailFunction, arrivals: np.ndarray, t: float):
+    """Yield ``(rows, log_j)``: the log-jump ladders at horizon ``t``, in row blocks.
+
+    ``rows`` is the slice of ``_ROW_BLOCK`` rows of ``arrivals`` (fewer in
+    the last block) that a block covers.  Inversion and the row reductions
+    that follow are per row, so blocks give the bits of one pass over the
+    whole matrix while their temporaries stay in cache.
+    """
+    for lo in range(0, len(arrivals), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        with np.errstate(over="ignore"):  # Gamma / t = inf is a zero jump
+            log_j = np.asarray(levy.tail_inverse_log(tail, arrivals[rows] / t))
+        yield rows, log_j
+
+
 def _replicate_seeds(root: int, stream: int, count: int) -> list[int]:
     return derive_seed(root, stream, np.arange(count))
 
@@ -391,12 +411,16 @@ def _left_task(args):
     combos = list(product(enumerate(cfg.r_grid), enumerate(cfg.lambda_grid)))
     rows = {(r_idx, lam_idx): [] for (r_idx, _), (lam_idx, _) in combos}
     endpoints = {key: {} for key in rows}
-    # One inversion per horizon serves every (r, lambda).
+    # Each horizon's inversion, block by block, serves every (r, lambda).
     for t in cfg.t_grid:
-        with np.errstate(over="ignore"):  # Gamma / t = inf is a zero jump
-            log_j = np.asarray(levy.tail_inverse_log(tail, arrivals / t))
+        z_by_key = {key: np.empty(cfg.replicates) for key in rows}
+        for block_rows, log_j in _horizon_blocks(tail, arrivals, t):
+            for (r_idx, r), (lam_idx, lam) in combos:
+                z_by_key[r_idx, lam_idx][block_rows] = trimmed_z_rows(
+                    tail, t, log_j, marks[block_rows], lam, r, log_j[:, -1]
+                )
         for (r_idx, r), (lam_idx, lam) in combos:
-            z = trimmed_z_rows(tail, t, log_j, marks, lam, r, log_j[:, -1])
+            z = z_by_key[r_idx, lam_idx]
             ref = reference[r_idx, lam_idx]
             ks = stats.ks_two_sample(z, ref)
             rows[r_idx, lam_idx].append(
@@ -417,7 +441,6 @@ def _left_task(args):
             )
             if block == 0 and t in (cfg.t_grid[0], cfg.t_grid[-1]):
                 endpoints[r_idx, lam_idx][t] = z
-        del log_j  # freed before the next horizon's inversion
     plots = {}
     if cfg.plot and block == 0:
         for (r_idx, r), (lam_idx, lam) in combos:
@@ -499,12 +522,20 @@ def _right_task(args):
     rows_by_lam = {i: [] for i in range(len(cfg.lambda_grid))}
     z_at_tmin = {}
     ratio_rows = []
-    # One inversion per horizon serves every restriction level and the ratio.
+    with_ratio = r == min(cfg.r_grid)
+    # Each horizon's inversion, block by block, serves every restriction
+    # level and the ratio.
     for t in cfg.t_grid:
-        with np.errstate(over="ignore"):  # Gamma / t = inf is a zero jump
-            log_j = np.asarray(levy.tail_inverse_log(tail, arrivals / t))
-        for lam_idx, lam in enumerate(cfg.lambda_grid):
-            z = trimmed_z_rows(tail, t, log_j, marks, lam, r, log_j[:, -1])
+        z_by_lam = [np.empty(cfg.replicates) for _ in cfg.lambda_grid]
+        w = np.empty(cfg.replicates)
+        for block_rows, log_j in _horizon_blocks(tail, arrivals, t):
+            for lam, z in zip(cfg.lambda_grid, z_by_lam):
+                z[block_rows] = trimmed_z_rows(
+                    tail, t, log_j, marks[block_rows], lam, r, log_j[:, -1]
+                )
+            if with_ratio:
+                w[block_rows] = trimmed_ratios(log_j, r)
+        for lam_idx, (lam, z) in enumerate(zip(cfg.lambda_grid, z_by_lam)):
             ks = stats.ks_one_sample(
                 z, lambda x: limits.cauchy_rth_jump_cdf(r + 1, lam, x)
             )
@@ -526,8 +557,7 @@ def _right_task(args):
             )
             if t == t_min:
                 z_at_tmin[lam_idx] = z
-        if r == min(cfg.r_grid):
-            w = trimmed_ratios(log_j, r)
+        if with_ratio:
             ratio_rows.append(
                 ReportRow(
                     edge="right:ratio",
@@ -544,7 +574,6 @@ def _right_task(args):
                     seed=root,
                 )
             )
-        del log_j  # freed before the next horizon's inversion
     plots = []
     if cfg.plot and block == 0:
         for lam_idx, lam in enumerate(cfg.lambda_grid):

@@ -67,9 +67,8 @@ __all__ = [
 _SOLVE_ITERS = 200
 _SOLVE_RTOL = 2.0 ** -40
 #: Largest admitted log-power exponent.  The closed-form small-jump mean
-#: builds Gamma(p + 1) and log(1/eps)**p, which overflow a double past
-#: p = 171 and, at the smallest positive eps, past p = 107; up to 100 both
-#: stay finite at every level.
+#: builds Gamma(p + 1), which overflows a double past p = 171; up to 100 it
+#: and the Poisson sum's terms ``z**j / j!`` stay finite at every level.
 _LOG_POWER_MAX_P = 100.0
 #: Largest level at which the rational small-jump mean is summed as a
 #: positive series.  Its terms decay like ``(e / (1 + e))**k``: about 410
@@ -321,26 +320,49 @@ def tail_inverse_log(tail: TailFunction, u) -> float | np.ndarray:
     trip is exact, so the unit log-power identity is untouched).
 
     The solvers work on ``u`` flattened to 1-D, and the nudge drops an
-    element once its recomposed tail is ``<= u``.  A query whose exact log
-    inverse overflows a double (log-power tails with ``p < 1`` and huge
-    ``u``) raises ``ValueError``.  ``u = inf`` gives ``-inf`` for every
-    family.
+    element once its recomposed tail is ``<= u``.  A query longer than
+    ``_INVERSE_BLOCK`` (2**14) elements is solved one block of the
+    flattened query at a time, so each of the solvers' elementwise passes
+    runs over temporaries that stay in cache; every step is elementwise,
+    so the blocks give the bits of one call over the whole query, and a
+    query of at most one block takes the unblocked path unchanged.  A
+    query whose exact log inverse overflows a double (log-power tails with
+    ``p < 1`` and huge ``u``) raises ``ValueError``.  ``u = inf`` gives
+    ``-inf`` for every family.
     """
     arr = _validated(u, "u")
     flat = arr.reshape(-1)
+    if flat.size <= _INVERSE_BLOCK:
+        out = _inverse_log_flat(tail, flat)
+    else:
+        out = np.empty(flat.shape)
+        for lo in range(0, flat.size, _INVERSE_BLOCK):
+            hi = lo + _INVERSE_BLOCK
+            out[lo:hi] = _inverse_log_flat(tail, flat[lo:hi])
+    return _maybe_scalar(out.reshape(arr.shape), u)
+
+
+#: Elements per block of a long inverse query: 2**14 doubles are 128 kB per
+#: temporary, so Newton's and the nudge's passes stay within a 2 MB L2 cache.
+#: On a 2-vCPU VM with 2 MB of L2 per core, six horizons of a 2000 x 1000
+#: rational query took 0.70 s in blocks of 2**14 against 1.02 s unblocked;
+#: 2**12 did not help, and 2**16 and 2**18 took 0.73 s and 0.87 s.
+_INVERSE_BLOCK = 2**14
+
+
+def _inverse_log_flat(tail: TailFunction, flat: np.ndarray) -> np.ndarray:
+    """:func:`tail_inverse_log` of a 1-D query of validated rates."""
     a, f = tail.alpha, tail.factor
     if isinstance(f, (Constant, StableExact)):
         c = f.c if isinstance(f, Constant) else 1.0
-        out = _nudge_inverse_log(tail, (math.log(c) - np.log(flat)) / a, flat)
-    elif isinstance(f, LogPower):
+        return _nudge_inverse_log(tail, (math.log(c) - np.log(flat)) / a, flat)
+    if isinstance(f, LogPower):
         # 0.0 - x, not -x: a root that underflows to zero stays +0.0.  One
         # that overflows to -inf is rejected by the nudge.
         with np.errstate(over="ignore"):
             root = 0.0 - flat ** (1.0 / f.p)
-        out = _nudge_inverse_log(tail, root, flat)
-    else:
-        out = _nudge_inverse_log(tail, _newton_inverse_log_rational(a, flat), flat)
-    return _maybe_scalar(out.reshape(arr.shape), u)
+        return _nudge_inverse_log(tail, root, flat)
+    return _nudge_inverse_log(tail, _newton_inverse_log_rational(a, flat), flat)
 
 
 #: Newton's absolute step tolerance on the log abscissa.
@@ -497,20 +519,21 @@ def _small_jump_mean(tail: TailFunction, e: np.ndarray) -> np.ndarray:
         c = f.c if isinstance(f, Constant) else 1.0
         return c * a / (1.0 - a) * e ** (1.0 - a)
     if isinstance(f, LogPower):
-        # integral_0^e log(1/x)^p dx - e log(1/e)^p  ==  Gamma(p+1, z), upper
-        # incomplete at z = log(1/e), minus the boundary term; both vanish
-        # into Gamma(p+1) at and beyond e = 1.  For integer p the regularised
-        # Gamma(p+1, z) / p! is the finite Poisson sum (DLMF 8.4.8).
+        # integral_0^e log(1/x)^p dx - e log(1/e)^p  ==  Gamma(p+1, z) - e z^p
+        # at z = log(1/e), and the recurrence Gamma(p+1, z) = p Gamma(p, z) +
+        # z^p e^-z (DLMF 8.8.2) makes that p Gamma(p, z) = Gamma(p+1) Q(p, z):
+        # nothing is subtracted.  It is Gamma(p+1) at and beyond e = 1, and
+        # for integer p the regularised Q(p, z) is the finite Poisson sum
+        # (DLMF 8.4.8).
         p = f.p
         z = np.where(e < 1.0, -np.log(e), 0.0)
         if float(p).is_integer():
-            regularised = poisson_below(int(p) + 1, z)
+            regularised = poisson_below(int(p), z)
         else:
             from scipy.special import gammaincc  # non-integer p only
 
-            regularised = gammaincc(p + 1.0, z)
-        with np.errstate(invalid="ignore"):  # e = inf gives inf * 0 in the unused branch
-            return math.gamma(p + 1.0) * regularised - np.where(z > 0.0, e * z**p, 0.0)
+            regularised = gammaincc(p, z)
+        return math.gamma(p + 1.0) * regularised
     # RationalPerturb: integral_0^e x**-a/(1+x) dx = e**c/c * 2F1(1, c; c+1; -e)
     # at c = 1 - a.  The Pfaff transformation (DLMF 15.8.1) makes that
     # 2F1 = (1+e)**-1 * sum_k k!/(c+1)_k w**k at w = e/(1+e), whose terms are

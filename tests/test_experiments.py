@@ -10,11 +10,12 @@ import csv
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from subortrim import levy
+from subortrim import experiments, levy
 from subortrim.experiments import (
     CSV_HEADER,
     DEFAULT_MASTER_SEED,
@@ -390,6 +391,46 @@ class TestEdgeLeft:
         assert [row.t for row in report.rows if row.edge == "right"] == [1e-2, 1e-306]
         assert all(0.0 <= row.p_value <= 1.0 for row in report.rows if row.edge == "right")
         assert report.all_pass
+
+
+class TestRowBlocks:
+    # Each horizon is inverted and reduced in blocks of replicate rows; every
+    # step is per row, so the block size must not reach the CSV.
+    CONFIGS = {
+        "left": dict(
+            edge="left", tail="rational", alpha_grid=(0.5,), r_grid=(0, 1), t_grid=(1e-2, 1e-5),
+            lambda_grid=(0.5, 1.0), replicates=1000, seed_blocks=1,
+        ),
+        "right": dict(
+            edge="right", tail="log", r_grid=(0, 1), t_grid=(1e-2, 1e-4), lambda_grid=(0.5, 1.0),
+            level_grid=(1.0, 2.0), replicates=1000, seed_blocks=1,
+        ),
+    }
+
+    @pytest.mark.parametrize("edge", sorted(CONFIGS))
+    def test_csv_does_not_depend_on_the_row_block(self, edge, monkeypatch):
+        cfg = ExperimentConfig(**self.CONFIGS[edge])
+        texts = [run_experiment(cfg).csv_text()]
+        for rows in (7, cfg.replicates):
+            monkeypatch.setattr(experiments, "_ROW_BLOCK", rows)
+            texts.append(run_experiment(cfg).csv_text())
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+
+    def test_edge_left_peak_memory(self):
+        # The two 2000 x 1000 stream matrices take 32 MB (30.5 MiB); a horizon
+        # inverted and reduced over the whole matrix peaked at 125.8 MiB, in
+        # blocks of rows at 38.8 MiB.
+        cfg = ExperimentConfig(
+            edge="left", tail="rational", alpha_grid=(0.5,), t_grid=(1e-1, 1e-6),
+            lambda_grid=(1.0,), r_grid=(0,), replicates=2000, n_terms=1000, seed_blocks=1,
+        )
+        tracemalloc.start()
+        try:
+            run_edge_left(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.fixture(scope="module")

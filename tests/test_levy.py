@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate, special
 
+from subortrim import levy
 from subortrim.levy import (
     Constant,
     LogPower,
@@ -408,6 +409,87 @@ class TestInversePinnedBits:
             assert out.hex() == PINNED_SCALAR_INVERSE_HEX[key]
 
 
+# Block of the inverse's flattened query; the seam queries put their special
+# elements at its multiples.
+BLOCK = 2**14
+SEAM_FAMILIES = [
+    "stable(0.5)", "const(2,0.5)", "rational(0.05)", "rational(0.5)", "rational(0.9)", "log",
+    "logpow(2.5)",
+]
+# sha256 of tail_inverse_log's output bytes on each family's seam query,
+# recorded before long queries were solved in blocks.
+PINNED_SEAM_SHA256 = {
+    "stable(0.5)": "c1bf85f27c98f7758877bf5b4fcd949120aded98d095d5428806a640b54fce32",
+    "const(2,0.5)": "0e406e6097c0f30c55ab6f87603cf275da06d3a97c2f28d5e56aee0c0fee9b05",
+    "rational(0.05)": "0fc79d26b1c44ddb2e7f0b383ec3de28a73367d1f9c396058e72354dced64a9f",
+    "rational(0.5)": "40138e40430e354142759c97af017470f8173bbe9ca665a5f01abdca84feb8d7",
+    "rational(0.9)": "0ba6e9b82e49be40312d84888fb4949f2569cf23d315602e9053a6cf88e67830",
+    "log": "a4bb463e68c7f402f793c61484125e3072bb1a26bc5c0a11fe365e228d06953b",
+    "logpow(2.5)": "efc3f7d7cd070720e57324fe86b7d2a6070f5f6f59d32749eb622a6ef15e7ad0",
+}
+
+
+def _spy_nudges(monkeypatch):
+    """Record, per solver call, the indices the nudge moved."""
+    moved = []
+    nudge = levy._nudge_inverse_log
+
+    def spy(tail, log_x, u):
+        before = log_x.copy()
+        out = nudge(tail, log_x, u)
+        moved.append(np.flatnonzero(out != before))
+        return out
+
+    monkeypatch.setattr(levy, "_nudge_inverse_log", spy)
+    return moved
+
+
+def _seam_query(tail, moved):
+    """3.5 blocks of log-uniform rates with ``u = inf`` and nudged rates on block edges.
+
+    ``moved`` is a nudge spy's record: the first nudged rate of a one-block
+    call is copied to the first element of the second block and the last
+    of the third.  The unit log-power tail is never nudged.
+    """
+    rng = np.random.default_rng(20261019)
+    u = 10.0 ** rng.uniform(-300.0, 300.0, 7 * BLOCK // 2)
+    tail_inverse_log(tail, u[:BLOCK])
+    nudged = moved.pop()
+    if nudged.size:
+        u[BLOCK] = u[3 * BLOCK - 1] = u[nudged[0]]
+    u[BLOCK - 1] = u[3 * BLOCK] = math.inf
+    return u
+
+
+class TestBlockedInverse:
+    @pytest.mark.parametrize("spec", SEAM_FAMILIES)
+    def test_blocks_equal_unaligned_slices(self, spec, monkeypatch):
+        assert levy._INVERSE_BLOCK == BLOCK
+        tail = parse_tail(spec)
+        moved = _spy_nudges(monkeypatch)
+        u = _seam_query(tail, moved)
+        out = tail_inverse_log(tail, u)
+        assert len(moved) == 4  # one solver call per block
+        if spec != "log":
+            assert moved[1][0] == 0 and moved[2][-1] == BLOCK - 1
+        assert out[BLOCK - 1] == out[3 * BLOCK] == -math.inf
+        cuts = [0, 5000, 21_000, 21_001, 40_000, u.size]
+        pieces = [tail_inverse_log(tail, u[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        assert np.concatenate(pieces).tobytes() == out.tobytes()
+        assert tail_inverse_log(tail, u.reshape(-1, 7)).tobytes() == out.tobytes()
+        digest = hashlib.sha256(out.tobytes()).hexdigest()
+        assert digest == PINNED_SEAM_SHA256[spec]
+
+    def test_too_deep_query_in_the_last_block_raises(self):
+        # log(1/x)**0.5 = 1e155 needs log x = -1e310, below -1.8e308.
+        rng = np.random.default_rng(20261019)
+        u = 10.0 ** rng.uniform(-8.0, 100.0, 7 * BLOCK // 2)
+        tail_inverse_log(log_power_tail(0.5), u)
+        u[-3] = 1e155
+        with pytest.raises(ValueError, match="overflows"):
+            tail_inverse_log(log_power_tail(0.5), u)
+
+
 @st.composite
 def _inverse_queries(draw):
     """A tail family, an index in [0.01, 0.99], a shape (maybe empty), log-uniform u.
@@ -542,21 +624,21 @@ class TestSmallJumpMean:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 10, 100])
     def test_integer_log_power_matches_incomplete_gamma(self, p):
-        # The finite sum Gamma(p+1, z) / p! = Q(p+1, z) against scipy: they
-        # agree within 3 eps * max(1, z) of Gamma(p+1, z) for z up to
-        # max(50, p), the shallow branch's range; the boundary term is the
-        # same arithmetic on both sides.
+        # The mean p Gamma(p, z) = p! Q(p, z) at z = log(1/eps), with the
+        # finite sum Q(p, z) against scipy's: they agree within 4 eps *
+        # max(1, z) of the mean for z up to max(50, p), the shallow branch's
+        # range.
         z = np.geomspace(1e-3, max(50.0, p), 500)
         e = np.exp(-z)
         z = -np.log(e)
-        upper = math.gamma(p + 1.0) * special.gammaincc(p + 1.0, z)
+        want = math.gamma(p + 1.0) * special.gammaincc(p, z)
         got = small_jump_mean(log_power_tail(p), e)
-        assert np.all(np.abs(got - (upper - e * z**p)) <= 4.0 * EPS * np.maximum(1.0, z) * upper)
+        assert np.all(np.abs(got - want) <= 4.0 * EPS * np.maximum(1.0, z) * want)
 
     def test_non_integer_log_power_takes_scipy(self):
-        # gammaincc is imported inside the branch; the mean is unchanged.
+        # gammaincc is imported inside the branch for p Gamma(p, z).
         z = math.log(1.0 / 0.3)
-        want = math.gamma(3.5) * special.gammaincc(3.5, z) - 0.3 * z**2.5
+        want = math.gamma(3.5) * special.gammaincc(2.5, z)
         assert small_jump_mean(log_power_tail(2.5), 0.3) == pytest.approx(want, rel=4.0 * EPS)
 
     def test_index_one_rejected(self):
@@ -592,6 +674,30 @@ class TestLogSmallJumpMean:
         assert log_small_jump_mean(tail, -5.0) == pytest.approx(-5.0, rel=1e-12)
         assert log_small_jump_mean(tail, -300.0) == -300.0
         assert log_small_jump_mean(tail, -1e7) == -1e7
+
+    # log(p Gamma(p, w)) at w = -log_eps to 25 digits, from a 50-digit
+    # mpmath evaluation at the double level (-48.9 is not exact in double).
+    # The deepest levels are where the old route, Gamma(p+1, w) less the
+    # boundary term e**-w w**p, cancelled (42 eps at p = 1, -48.9).
+    LOG_POWER_MP_VALUES = [
+        (1, -3.0, "-3.0"),
+        (1, -40.0, "-40.0"),
+        (1, -48.9, "-48.89999999999999857891453"),
+        (2, -3.0, "-0.9205584583201640717483036"),
+        (2, -40.0, "-35.593280752735746886716"),
+        (2, -48.9, "-44.29683181668258031670886"),
+        (3, -0.5, "1.777267285009755808614268"),
+        (3, -10.0, "-4.097366666598633750436134"),
+        (3, -40.0, "-31.47364887079899694482098"),
+        (3, -48.9, "-39.98094418162573911618895"),
+    ]
+
+    @pytest.mark.parametrize("p, log_eps, value", LOG_POWER_MP_VALUES)
+    def test_integer_log_power_within_two_eps_of_fifty_digit_values(self, p, log_eps, value):
+        # A 400-level scan of [-50, 0) per p reached 1.3 eps * max(1, |v|).
+        got = log_small_jump_mean(log_power_tail(p), log_eps)
+        v = float(value)
+        assert abs(got - v) <= 2.0 * EPS * max(1.0, abs(v))
 
     def test_squared_log_power_deep_expansion(self):
         # Gamma(3, w) - e^-w w^2 = e^-w (2w + 2): the tail expansion is
@@ -668,8 +774,7 @@ def _libm_log_small_jump_mean(tail, z):
     if w <= 50.0 or p >= w:
         e = math.exp(min(z, 0.0))
         v = -math.log(e) if e < 1.0 else 0.0
-        upper = math.gamma(p + 1.0) * float(special.gammaincc(p + 1.0, v))
-        return math.log(upper - (e * v**p if v > 0.0 else 0.0))
+        return math.log(math.gamma(p + 1.0) * float(special.gammaincc(p, v)))
     series = num = den = 1.0
     last = math.inf
     for k in itertools.count(1):
