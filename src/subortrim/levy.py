@@ -424,31 +424,71 @@ def _newton_inverse_log_rational(a: float, u: np.ndarray) -> np.ndarray:
 
 
 def _newton_step(a: float, y: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Newton step ``resid / (a + sigmoid(y))`` with a stable sigmoid."""
-    z = np.multiply(y, -a)
-    resid = np.logaddexp(0.0, y)
-    np.subtract(z, resid, out=resid)
+    """Newton step ``resid / (a + sigmoid(y))`` on ``-a*y - softplus(y) - tau``.
+
+    The softplus (see :func:`_softplus`) and the stable sigmoid ``(1 if
+    y >= 0 else e) / (1 + e)`` share one ``e = exp(-|y|)``, so the step
+    runs only numpy's vectorised ``exp`` and ``log1p``; ``np.logaddexp(0,
+    y)``, the same formula, is a scalar libm loop.
+    """
+    e = np.abs(y)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    resid = _softplus(y, e)
+    scratch = np.multiply(y, -a)
+    np.subtract(scratch, resid, out=resid)
     resid -= tau
-    np.abs(y, out=z)
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    sigmoid = np.add(z, 1.0)
-    np.copyto(z, 1.0, where=y >= 0.0)
-    np.divide(z, sigmoid, out=sigmoid)
+    sigmoid = np.add(e, 1.0, out=scratch)
+    np.copyto(e, 1.0, where=y >= 0.0)
+    np.divide(e, sigmoid, out=sigmoid)
     sigmoid += a
     resid /= sigmoid
     return resid
+
+
+def _softplus(y: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``log(1 + exp(y))`` as ``max(y, 0) + log1p(e)``, given ``e = exp(-|y|)``.
+
+    Exact at ``y = 0`` (``log 2``) and ``y = -inf`` (0), and within 2 ulps
+    of ``np.logaddexp(0, y)`` on ``[-800, 800]``.
+    """
+    out = np.maximum(y, 0.0)
+    out += np.log1p(e)
+    return out
+
+
+#: The exponent field of a float64's bits.
+_EXPONENT_BITS = np.int64(0x7FF0_0000_0000_0000)
+
+
+def _ulp(x: np.ndarray) -> np.ndarray:
+    """``np.spacing(np.abs(x))`` of a float64 array from its exponent bits alone.
+
+    Masking the bits to the exponent field gives ``2**floor(log2|x|)``, and
+    its product with ``2**-52`` is exact (at worst a subnormal), so every
+    normal ``x`` gives the bits of ``np.spacing``, in two vector passes
+    where ``np.spacing`` runs a scalar ``nextafter`` loop.  Zero and
+    subnormals give 0 (``np.spacing``: ``2**-1074``), infinities and NaN
+    give ``inf`` (``np.spacing``: NaN), and the largest double gives
+    ``2**971`` (``np.spacing``: inf).
+    """
+    ulp = np.bitwise_and(x.view(np.int64), _EXPONENT_BITS).view(np.float64)
+    ulp *= 2.0**-52
+    return ulp
 
 
 def _unsettled(y: np.ndarray, step: np.ndarray) -> np.ndarray:
     """Indices whose step is not below ``max(log1p(2**-40), spacing(|y|))``.
 
     ``step`` is overwritten with its absolute value.  A NaN step never
-    settles.
+    settles, and neither does a step beside an infinite or NaN ``y``.
     """
     np.abs(step, out=step)
     over = np.flatnonzero(~(step < _NEWTON_ATOL))
-    return over[~(step[over] < np.spacing(np.abs(y[over])))]
+    y_over = y[over]
+    settled = step[over] < _ulp(y_over)
+    settled &= np.isfinite(y_over)
+    return over[~settled]
 
 
 def _nudge_inverse_log(tail: TailFunction, log_x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -475,7 +515,7 @@ def _nudge_inverse_log(tail: TailFunction, log_x: np.ndarray, u: np.ndarray) -> 
         base, ua = log_x[over], u[over]
         if np.any(np.isneginf(base)):
             raise ValueError("inverse query too deep: its log abscissa overflows")
-        floor = np.spacing(np.abs(base))
+        floor = _ulp(base)  # finite here: an infinite or NaN root never overshoots
         np.maximum(floor, 2.0**-60, out=floor)
         delta = np.zeros_like(base)
         for _ in range(_SOLVE_ITERS - 1):

@@ -52,8 +52,10 @@ __all__ = [
     "trimmed_z_rows",
 ]
 
-#: ``exp`` rounds to exactly +0.0 below ``log(2**-1075) = -745.13...``.
-_EXP_ZERO_BELOW = -746.0
+#: ``exp`` of every double below ``log(2**-1022) = -708.39...`` is below the
+#: smallest normal double, ``2**-1022``.  numpy's vectorised ``exp`` takes
+#: about 100 times as long per element on a subnormal result as on a normal one.
+_EXP_NORMAL_FROM = math.log(2.0**-1022)
 
 
 @dataclass(frozen=True)
@@ -324,24 +326,38 @@ def log_sum_exp_rows(terms: np.ndarray, log_comp) -> np.ndarray:
 
     The one log-sum-exp: max-shifted, with numpy's pairwise sum, so its
     rounding error is ``O(eps log n)`` and it stays exact in the exponent
-    when every term underflows; ``-inf`` terms are zeros.  Columns past the
-    last one holding a shifted term ``>= _EXP_ZERO_BELOW`` are set to the
-    zeros ``exp`` would give, not exponentiated: the summed array, and so
-    every bit, is that of a full ``exp`` (a shorter row would regroup it).
+    when every term underflows; ``-inf`` terms are zeros.  The shifted
+    terms are exponentiated by :func:`_exp_live_prefix`, which zeroes the
+    trailing columns whose exponentials are all below ``2**-1022``.  The
+    shifted total is at least 1, so the zeroing can change the result only
+    if a partial sum lies within ``n * 2**-1022`` of a rounding midpoint.
     It works in place: ``terms``, a float matrix, is overwritten.
     """
     m = np.maximum(terms.max(axis=1), log_comp)
     m[m == -np.inf] = 0.0  # a row of zero terms sums to log 0 = -inf, not NaN
     shifted = np.subtract(terms, m[:, None], out=terms)
-    width = shifted.shape[1]
-    if shifted[:, -1].max() < _EXP_ZERO_BELOW:
-        live = (shifted >= _EXP_ZERO_BELOW).any(axis=0)
-        width = width - int(np.argmax(live[::-1])) if live.any() else 0
-        shifted[:, width:] = 0.0
     with np.errstate(under="ignore", divide="ignore"):
-        np.exp(shifted[:, :width], out=shifted[:, :width])
-        total = shifted.sum(axis=1) + np.exp(log_comp - m)
+        total = _exp_live_prefix(shifted).sum(axis=1) + np.exp(log_comp - m)
         return m + np.log(total)
+
+
+def _exp_live_prefix(shifted: np.ndarray) -> np.ndarray:
+    """``exp`` of a ``(rows, n)`` matrix in place, its dead column suffix set to 0.
+
+    A column is dead when each of its terms is ``< _EXP_NORMAL_FROM``, so
+    that its exponentials are subnormal or zero; the trailing run of dead
+    columns is zeroed instead of exponentiated.  A NaN term keeps its
+    column live.  Returns ``shifted``.  Underflow in the live prefix is
+    the caller's to silence, so that a one-row call enters ``np.errstate``
+    once.
+    """
+    width = shifted.shape[1]
+    if shifted.size and shifted[:, -1].max() < _EXP_NORMAL_FROM:
+        dead = (shifted < _EXP_NORMAL_FROM).all(axis=0)
+        width = 0 if dead.all() else width - int(np.argmin(dead[::-1]))
+        shifted[:, width:] = 0.0
+    np.exp(shifted[:, :width], out=shifted[:, :width])
+    return shifted
 
 
 def trimmed_log_sums(log_j: np.ndarray, keep: np.ndarray, r: int, log_comp) -> np.ndarray:
@@ -385,15 +401,19 @@ def trimmed_ratios(log_j: np.ndarray, r: int) -> np.ndarray:
     """Row-wise ``(sum of jumps beyond r) / J_(r+1)`` of a ``(rows, terms)`` log matrix.
 
     Formed from log-jump differences only, so it is exact even when every
-    jump underflows.  Raises when a row holds fewer than ``r + 2`` jumps.
+    jump underflows.  The differences are exponentiated by
+    :func:`_exp_live_prefix`; as in :func:`log_sum_exp_rows`, the total is
+    at least 1, so the zeroed terms below ``2**-1022`` can move it only
+    where a partial sum lies within ``n * 2**-1022`` of a rounding midpoint.
+    Raises when a row holds fewer than ``r + 2`` jumps.
     """
     if r < 0:
         raise ValueError(f"trim count must be >= 0, got {r}")
     if log_j.shape[1] < r + 2:
         raise ValueError(f"need at least {r + 2} jumps for the ratio, have {log_j.shape[1]}")
-    pivot = log_j[:, r : r + 1]
+    shifted = log_j[:, r + 1 :] - log_j[:, r : r + 1]
     with np.errstate(under="ignore"):
-        return 1.0 + np.sum(np.exp(log_j[:, r + 1 :] - pivot), axis=1)
+        return 1.0 + _exp_live_prefix(shifted).sum(axis=1)
 
 
 def trimmed_z_rows(

@@ -343,15 +343,18 @@ class TestInverse:
 # rational entries were re-recorded when Newton began from the closer power
 # anchor with one fixed-point correction and dropped each element at its own
 # tolerance: that moves the last bits of some roots (the scalar rational(0.9)
-# at 0.37 from ...38a0p-3 to ...389fp-3).
+# at 0.37 from ...38a0p-3 to ...389fp-3).  The rational "2d" entries were
+# re-recorded again when the Newton step's softplus moved from np.logaddexp
+# to vectorised exp and log1p: 29 (rational(0.5)) and 40 (rational(0.9)) of
+# 4000 roots moved, by at most 64 and 15 ulps; no "1d" root moved.
 PINNED_INVERSE_SHA256 = {
     ("stable(0.5)", "2d"): "80403327a4c71d3380b1a2e641895c1a0b9bd8ff97318cb9b066200396e14852",
     ("stable(0.5)", "1d"): "e3cee6beca4f94c271169aca76986428011543a8d3c7a66937b9d588df5932c5",
     ("const(2,0.5)", "2d"): "eac47af8162ae908c00d97962b7d33fb663a9b6d753c815572c541ef6adb03c0",
     ("const(2,0.5)", "1d"): "d6164a23f96edc47b3be2b764dc4d685a70bb28ae785f6cd11efec3bab612342",
-    ("rational(0.5)", "2d"): "f4671b1bfbc2b73c537a6b05eaa9e567d5eab873548fb7efca805c7752a39013",
+    ("rational(0.5)", "2d"): "c9c9f1ec8af442523c770c89137c96d1623f2ab6d3ba48d4010475c4f56d56a4",
     ("rational(0.5)", "1d"): "8e430b73f548c8d77c5ab50db9ad123a720c5a9e4ede4a578835aef35286e775",
-    ("rational(0.9)", "2d"): "1deebe3fcafb519734cc0836588263802dce0cda43ab0cdb77c0c7c607beb1da",
+    ("rational(0.9)", "2d"): "7b517dfc1ee9fef0bb7c16e41e13658e59d604383a89c31fd8982f7f45d8f020",
     ("rational(0.9)", "1d"): "7b73fb89ce741e083844028ae6cbb98cba18bea265ced1c6e8072487298487c4",
     ("log", "2d"): "f0205d06791b083fedee3b7e0fc6ff1e020c99b14949ca0ed546ede3e9cc7381",
     ("log", "1d"): "1f667c9aff715170366b04d488a1acc8cc369dd58ab7cf5e123be13e553289ca",
@@ -417,13 +420,16 @@ SEAM_FAMILIES = [
     "logpow(2.5)",
 ]
 # sha256 of tail_inverse_log's output bytes on each family's seam query,
-# recorded before long queries were solved in blocks.
+# recorded before long queries were solved in blocks.  The rational entries
+# were re-recorded when the Newton step's softplus moved from np.logaddexp to
+# vectorised exp and log1p: 7, 13 and 11 of 57 344 roots moved (rational
+# 0.05, 0.5, 0.9), by at most 6, 8 and 2 ulps.
 PINNED_SEAM_SHA256 = {
     "stable(0.5)": "c1bf85f27c98f7758877bf5b4fcd949120aded98d095d5428806a640b54fce32",
     "const(2,0.5)": "0e406e6097c0f30c55ab6f87603cf275da06d3a97c2f28d5e56aee0c0fee9b05",
-    "rational(0.05)": "0fc79d26b1c44ddb2e7f0b383ec3de28a73367d1f9c396058e72354dced64a9f",
-    "rational(0.5)": "40138e40430e354142759c97af017470f8173bbe9ca665a5f01abdca84feb8d7",
-    "rational(0.9)": "0ba6e9b82e49be40312d84888fb4949f2569cf23d315602e9053a6cf88e67830",
+    "rational(0.05)": "be655833fec4d3ca1074202c504313df2f3e292f96c732fa743fddce423f4330",
+    "rational(0.5)": "31ac74051a1a1b94c15d5e0c58aba1c82456e227f5b13c79f2b701aebcb99b1b",
+    "rational(0.9)": "2c4ceff5650e7792b1c8234857f465807f8b577f337b91e828a2a0149d16891d",
     "log": "a4bb463e68c7f402f793c61484125e3072bb1a26bc5c0a11fe365e228d06953b",
     "logpow(2.5)": "efc3f7d7cd070720e57324fe86b7d2a6070f5f6f59d32749eb622a6ef15e7ad0",
 }
@@ -488,6 +494,79 @@ class TestBlockedInverse:
         u[-3] = 1e155
         with pytest.raises(ValueError, match="overflows"):
             tail_inverse_log(log_power_tail(0.5), u)
+
+
+SPECIAL_ABSCISSAE = [
+    0.0, -0.0, 5e-324, -5e-324, 2.0**-1023, -(2.0**-1030), math.inf, -math.inf, math.nan
+]
+
+
+class TestUlpAndSoftplus:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(1, 50),
+            elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+            .filter(lambda v: v != 0.0),
+        )
+    )
+    @example(np.array([2.0**-1022, -(2.0**-1022), 2.0**-970, 2.0**-969, 4096.0, 2.0**1023]))
+    def test_ulp_is_spacing_on_normal_floats(self, x):
+        x = x[np.abs(x) < np.finfo(float).max]  # whose np.spacing overflows to inf
+        assert levy._ulp(x).tobytes() == np.spacing(np.abs(x)).tobytes()
+
+    def test_ulp_raw_formula_off_the_normal_range(self):
+        # np.spacing gives 2**-1074 at zero and subnormals, NaN at infinities
+        # and inf at the largest double; the raw exponent-bit formula gives
+        # 0, inf and 2**971.
+        x = np.array([0.0, -0.0, 5e-324, -(2.0**-1030), math.inf, -math.inf, math.nan])
+        assert levy._ulp(x).tolist() == [0.0, 0.0, 0.0, 0.0, math.inf, math.inf, math.inf]
+        assert np.isnan(np.spacing(np.abs(x[4:]))).all()
+        assert levy._ulp(np.array([np.finfo(float).max]))[0] == 2.0**971
+
+    def test_unsettled_keeps_the_spacing_results(self):
+        ys = SPECIAL_ABSCISSAE + [1.0, -3.5, 4096.0, -1e300]
+        steps = [0.0, 2.0**-45, 2.0**-30, 1e-12, 1.0, 1e300, math.inf, -math.inf, math.nan]
+        pairs = np.array(list(itertools.product(ys, steps)))
+        y, step = pairs[:, 0].copy(), pairs[:, 1].copy()
+        got = levy._unsettled(y, step.copy())
+        over = np.flatnonzero(~(np.abs(step) < levy._NEWTON_ATOL))
+        with np.errstate(invalid="ignore"):
+            want = over[~(np.abs(step)[over] < np.spacing(np.abs(y[over])))]
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("spec", ["rational(0.5)", "stable(0.5)", "const(2,0.5)"])
+    def test_nudge_keeps_the_spacing_results(self, spec, monkeypatch):
+        # Each finite abscissa is queried at a rate just below its tail, so
+        # the nudge moves it; +inf and NaN never overshoot and stay put.
+        tail = parse_tail(spec)
+        log_x = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1023, -(2.0**-1030), -0.5, 3.0])
+        u = np.nextafter(np.asarray(tail_eval_from_log(tail, log_x)), 0.0)
+        log_x = np.append(log_x, [math.inf, math.nan])
+        u = np.append(u, [1.0, 1.0])
+        got = levy._nudge_inverse_log(tail, log_x.copy(), u)
+        monkeypatch.setattr(levy, "_ulp", lambda x: np.spacing(np.abs(x)))
+        want = levy._nudge_inverse_log(tail, log_x.copy(), u)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[:-2] > log_x[:-2]) and got[-2] == math.inf and math.isnan(got[-1])
+        with pytest.raises(ValueError, match="overflows"):
+            levy._nudge_inverse_log(tail, np.array([-math.inf]), np.array([0.5]))
+
+    def test_softplus_is_within_two_ulps_of_logaddexp(self):
+        rng = np.random.default_rng(20261020)
+        y = np.concatenate([
+            np.linspace(-800.0, 800.0, 400_001), rng.uniform(-40.0, 40.0, 100_000),
+            SPECIAL_ABSCISSAE[:6],
+        ])
+        got = levy._softplus(y, np.exp(-np.abs(y)))  # >= 0, so ulps are bit distances
+        assert np.abs(got.view(np.int64) - np.logaddexp(0.0, y).view(np.int64)).max() <= 2
+
+    def test_softplus_exact_values(self):
+        y = np.array([0.0, -0.0, -math.inf, math.inf])
+        got = levy._softplus(y, np.exp(-np.abs(y)))
+        assert got.tolist() == [math.log(2.0), math.log(2.0), 0.0, math.inf]
+        assert math.isnan(levy._softplus(np.array([math.nan]), np.array([math.nan]))[0])
 
 
 @st.composite

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from subortrim import limits
 from subortrim.levy import parse_tail, stable_tail, tail_eval
 from subortrim.limits import (
     FIDI_QUERY_GRID,
@@ -324,6 +325,35 @@ class TestCoupledSamples:
                 for r in (0, 1, 2):
                     want = self._PINNED_POWERS[(i, lam, r)]
                     assert tuple(float(v).hex() for v in got[r]) == want, (i, lam, r)
+
+    def test_deep_index_matches_full_exp_reference(self, monkeypatch):
+        # The first arrival of series 23, 38 and 47 lies below 0.14, so at
+        # alpha = 0.02 and depth 2e5 their ladders fall through exp's
+        # subnormal band, which the log-sum-exp zeroes instead of forming;
+        # series 0 does not reach it.
+        cut = math.log(2.0**-1022)
+        arrs = [sample_arrivals(derive_seed(9095, i), 200_000) for i in (0, 23, 38, 47)]
+        shifted = [np.log(a.arrivals[0] / a.arrivals) / 0.02 for a in arrs]
+        band = [bool(np.any((s < cut) & (s > -746.0))) for s in shifted]
+        assert band == [False, True, True, True]
+
+        def full_exp_rows(terms, log_comp):
+            m = np.maximum(np.max(terms, axis=1), log_comp)
+            m[m == -np.inf] = 0.0
+            with np.errstate(under="ignore", divide="ignore"):
+                total = np.sum(np.exp(terms - m[:, None]), axis=1) + np.exp(log_comp - m)
+                return m + np.log(total)
+
+        def samples():
+            return [
+                trimmed_stable_power_sample(a, (0.05, 0.02), (0, 1, 2), lam)
+                for a in arrs
+                for lam in (0.5, 1.0)
+            ]
+
+        got = samples()
+        monkeypatch.setattr(limits, "log_sum_exp_rows", full_exp_rows)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in samples()]
 
     def test_depth_and_level_validation(self):
         arr = self._hand_arr()

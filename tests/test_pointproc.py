@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from subortrim import pointproc
 from subortrim.levy import (
     log_power_tail,
     rational_tail,
@@ -33,6 +34,7 @@ from subortrim.pointproc import (
     restrict_to,
     sample_arrivals,
     trimmed_log_sums,
+    trimmed_ratios,
     trimmed_value,
     z_statistic,
     z_statistic_trimmed,
@@ -356,15 +358,25 @@ class TestTrimmedLogSumsProperties:
             assert abs(got[i] - ref) <= eps * (abs(ref) + 16.0)
 
 
-def _full_exp_log_sums(log_j, keep, r, log_comp):
-    """The trimmed log-sum with ``exp`` over every column: the reference for the cut."""
-    rank = np.cumsum(keep, axis=1)
-    terms = np.where(keep & (rank > r), log_j, -np.inf)
+def _full_exp_rows(terms, log_comp):
+    """:func:`log_sum_exp_rows` with ``exp`` over every column: the reference for the cut."""
     m = np.maximum(np.max(terms, axis=1), log_comp)
     m[m == -np.inf] = 0.0
     with np.errstate(under="ignore", divide="ignore"):
         total = np.sum(np.exp(terms - m[:, None]), axis=1) + np.exp(log_comp - m)
         return m + np.log(total)
+
+
+def _full_exp_log_sums(log_j, keep, r, log_comp):
+    """The trimmed log-sum with ``exp`` over every column."""
+    rank = np.cumsum(keep, axis=1)
+    return _full_exp_rows(np.where(keep & (rank > r), log_j, -np.inf), log_comp)
+
+
+def _full_exp_ratios(log_j, r):
+    """:func:`trimmed_ratios` with ``exp`` over every column."""
+    with np.errstate(under="ignore", invalid="ignore"):
+        return 1.0 + np.sum(np.exp(log_j[:, r + 1 :] - log_j[:, r : r + 1]), axis=1)
 
 
 @st.composite
@@ -419,6 +431,100 @@ class TestLogSumExpCut:
         log_j = np.array([[0.0, -1.0, -2.0], [-np.inf, -np.inf, -np.inf]])
         got = log_sum_exp_rows(log_j, np.array([800.0, -np.inf]))
         assert got[0] == 800.0 and got[1] == -np.inf
+
+
+#: log(2**-1022): exp of every double below it is subnormal or zero.
+NORMAL_CUT = math.log(2.0**-1022)
+
+
+@st.composite
+def _band_rows(draw):
+    """Ranked rows whose tails fall through exp's subnormal band, with dead entries.
+
+    Each row is a top level less sorted drops, drawn near the top, around
+    the normal cut (700-716 below the top), inside the subnormal band
+    (708-746) or past exp's zero cut (744-800).  Some entries become
+    ``-inf`` holes, some rows are dead (all ``-inf``), and rows may be one
+    column wide.  The compensation is off (``-inf``) or a level that may
+    dominate every term.
+    """
+    rows, terms = draw(st.integers(1, 5)), draw(st.integers(1, 160))
+    drops = (
+        st.floats(0.0, 5.0) | st.floats(700.0, 716.0) | st.floats(708.0, 746.0)
+        | st.floats(744.0, 800.0)
+    )
+    offsets = np.sort(draw(hnp.arrays(np.float64, (rows, terms), elements=drops)), axis=1)
+    top = draw(hnp.arrays(np.float64, (rows, 1), elements=st.floats(-50.0, 50.0)))
+    log_j = top - offsets
+    holes = st.tuples(st.integers(0, rows - 1), st.integers(0, terms - 1))
+    for i, j in draw(st.lists(holes, max_size=12)):
+        log_j[i, j] = -np.inf
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        log_j[i] = -np.inf
+    comp = st.just(-math.inf) | st.floats(-800.0, 50.0)
+    return log_j, draw(hnp.arrays(np.float64, rows, elements=comp)), draw(st.integers(0, 2))
+
+
+class TestExpLivePrefix:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_band_rows())
+    def test_log_sum_exp_rows_matches_full_exp_bitwise(self, query):
+        log_j, log_comp, _ = query
+        want = _full_exp_rows(log_j, log_comp)
+        got = log_sum_exp_rows(log_j.copy(), log_comp)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_band_rows())
+    def test_trimmed_ratios_match_full_exp_bitwise(self, query):
+        log_j, _, r = query
+        if log_j.shape[1] < r + 2:
+            with pytest.raises(ValueError, match="at least"):
+                trimmed_ratios(log_j, r)
+            return
+        with np.errstate(invalid="ignore"):  # a dead row's pivot: -inf - -inf
+            got = trimmed_ratios(log_j, r)
+        want = _full_exp_ratios(log_j, r)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_band_rows())
+    def test_zeroed_band_is_exactly_the_subnormal_suffix(self, query):
+        # Past the last column holding a normal exp every column is zeroed,
+        # each zeroed exp is subnormal or zero, and the rest is exp's bits.
+        log_j, log_comp, _ = query
+        m = np.maximum(np.max(log_j, axis=1), log_comp)
+        m[m == -np.inf] = 0.0
+        shifted = log_j - m[:, None]
+        with np.errstate(under="ignore"):
+            full = np.exp(shifted)
+            got = pointproc._exp_live_prefix(shifted.copy())
+        normal = np.flatnonzero((full >= 2.0**-1022).any(axis=0))
+        width = int(normal[-1]) + 1 if normal.size else 0
+        assert got[:, :width].tobytes() == full[:, :width].tobytes()
+        assert np.all(got[:, width:] == 0.0) and np.all(full[:, width:] < 2.0**-1022)
+
+    def test_cut_sits_at_the_normal_boundary(self):
+        # One column just above the cut keeps the band before it live; one
+        # just below is zeroed with everything after it.
+        above, below = NORMAL_CUT, np.nextafter(NORMAL_CUT, -np.inf)
+        shifted = np.array([[0.0, -720.0, above, below, -745.0, -900.0]])
+        with np.errstate(under="ignore"):
+            got = pointproc._exp_live_prefix(shifted.copy())
+            want = np.exp(shifted[:, :3])
+        assert got[:, :3].tobytes() == want.tobytes() and got[0, 2] >= 2.0**-1022
+        assert got[0, 3:].tolist() == [0.0, 0.0, 0.0]
+        assert pointproc._exp_live_prefix(np.array([[-720.0, -np.inf]])).tolist() == [[0.0, 0.0]]
+
+    def test_nan_keeps_its_column_live(self):
+        shifted = np.array([[0.0, -800.0, np.nan, -900.0], [0.0, -800.0, -800.0, -900.0]])
+        got = pointproc._exp_live_prefix(shifted)
+        assert math.isnan(got[0, 2])
+        assert np.nan_to_num(got).tolist() == [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+
+    def test_no_rows(self):
+        assert log_sum_exp_rows(np.empty((0, 3)), np.empty(0)).shape == (0,)
+        assert trimmed_ratios(np.empty((0, 3)), 0).shape == (0,)
 
 
 @st.composite
