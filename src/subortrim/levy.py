@@ -231,7 +231,7 @@ def parse_tail(text: str) -> TailFunction:
 
 def _validated(x, name: str):
     arr = np.asarray(x, dtype=float)
-    if not np.all(arr > 0.0):  # NaN fails the comparison too
+    if not (arr > 0.0).all():  # NaN fails the comparison too
         raise ValueError(f"{name} must be positive and not NaN")
     return arr
 
@@ -494,11 +494,12 @@ def _unsettled(y: np.ndarray, step: np.ndarray) -> np.ndarray:
 def _nudge_inverse_log(tail: TailFunction, log_x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Round a computed log inverse up until the tail drops to <= u.
 
-    The offset starts at one ulp and doubles while the recomposition still
-    overshoots (a fixed one-ulp step can crawl: near ``log_x = 0`` one ulp
-    of the abscissa moves the tail by less than one ulp of its value).  A
-    result that already satisfies the bound is returned bitwise unchanged,
-    so exact closed-form identities are never disturbed.
+    The offset starts at one ulp (at least ``2**-60``) and doubles while
+    the recomposition still overshoots (a fixed one-ulp step can crawl:
+    near ``log_x = 0`` one ulp of the abscissa moves the tail by less than
+    one ulp of its value).  A result that already satisfies the bound is
+    returned bitwise unchanged, so exact closed-form identities are never
+    disturbed.
 
     ``log_x`` and ``u`` are 1-D of one length, and ``log_x`` is updated in
     place.  The first check runs over every element; each later pass grows
@@ -513,22 +514,18 @@ def _nudge_inverse_log(tail: TailFunction, log_x: np.ndarray, u: np.ndarray) -> 
         if over.size == 0:
             return log_x
         base, ua = log_x[over], u[over]
-        if np.any(np.isneginf(base)):
+        if (base == -np.inf).any():
             raise ValueError("inverse query too deep: its log abscissa overflows")
-        floor = _ulp(base)  # finite here: an infinite or NaN root never overshoots
-        np.maximum(floor, 2.0**-60, out=floor)
-        delta = np.zeros_like(base)
+        delta = _ulp(base)  # finite here: an infinite or NaN root never overshoots
+        np.maximum(delta, 2.0**-60, out=delta)
         for _ in range(_SOLVE_ITERS - 1):
-            delta *= 2.0
-            np.maximum(delta, floor, out=delta)
             trial = base + delta
             log_x[over] = trial
             still = _eval_from_log(tail, trial) > ua
-            if not np.any(still):
+            if not still.any():
                 return log_x
-            over, base, ua, floor, delta = (
-                over[still], base[still], ua[still], floor[still], delta[still]
-            )
+            over, base, ua, delta = over[still], base[still], ua[still], delta[still]
+            delta *= 2.0
     raise ArithmeticError("inverse rounding guard failed to converge")
 
 
@@ -545,7 +542,7 @@ def small_jump_mean(tail: TailFunction, eps) -> float | np.ndarray:
     float, from a one-element call.
     """
     arr = np.asarray(eps, dtype=float)
-    if not np.all(arr > 0.0):
+    if not (arr > 0.0).all():
         raise ValueError(f"eps must be positive, got {eps}")
     if not tail.is_summable:
         raise ValueError("small jumps are not summable for tail index >= 1")

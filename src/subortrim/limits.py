@@ -190,7 +190,7 @@ def trimmed_stable_power_sample(arr: ArrivalSeries, alpha, r, lam: float) -> flo
     ``np.shape(r) + np.shape(alpha)``, all from one restricted ladder, and
     each entry has the bits of the scalar call.  Scalars give a float.
     """
-    alphas, ranks = np.asarray(alpha, dtype=float), np.asarray(r)
+    alphas, ranks = np.asarray(alpha, dtype=float), _ranks(r)
     alpha_list, rank_list = alphas.ravel().tolist(), ranks.ravel().tolist()
     if not all(0.0 < a < 1.0 for a in alpha_list):
         raise ValueError(f"index must lie in (0, 1), got {alpha}")
@@ -213,10 +213,18 @@ def cauchy_ordered_jump_sample(arr: ArrivalSeries, r, lam: float) -> float | np.
     pathwise dominated by lower ranks on the same series.  A sequence of
     ``r`` gives an array of that shape from one restricted ladder.
     """
-    ranks = np.asarray(r)
+    ranks = _ranks(r)
     log_jumps = _restricted_log_jumps(arr, lam, ranks.ravel().tolist())
     out = np.array([math.exp(v) for v in log_jumps[ranks.ravel()]]).reshape(ranks.shape)
     return float(out) if out.ndim == 0 else out
+
+
+def _ranks(r) -> np.ndarray:
+    """``r`` as an integer array; a float raises ``TypeError`` rather than an index error."""
+    ranks = np.asarray(r)
+    if ranks.dtype.kind not in "iu":
+        raise TypeError(f"trim counts must be integers, got {r!r}")
+    return ranks
 
 
 def _restricted_log_jumps(arr: ArrivalSeries, lam: float, ranks: list[int]) -> np.ndarray:

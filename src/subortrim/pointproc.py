@@ -115,14 +115,17 @@ class JumpLadder:
 
     def __post_init__(self):
         lj, mk = self.log_jumps, self.marks
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if lj.shape != mk.shape or lj.ndim != 1:
             raise ValueError("log_jumps and marks must be aligned 1-d arrays")
         if lj.size:
-            if np.any(np.isnan(lj)):
-                raise ValueError("log_jumps must not contain NaN")
-            if np.any(np.diff(lj) > 0.0):
+            # Every comparison with NaN is false, so one pass rejects NaN and
+            # any increase alike.  A one-jump ladder has no pair to compare,
+            # hence ``lj[0] == lj[0]``.  Only a failure tells the two apart.
+            if not ((lj[1:] <= lj[:-1]).all() and lj[0] == lj[0]):
+                if np.isnan(lj).any():
+                    raise ValueError("log_jumps must not contain NaN")
                 raise ValueError("log_jumps must be nonincreasing")
             if not self.floor_log_jump <= lj[-1]:
                 raise ValueError("compensation floor must not exceed the smallest jump")
@@ -281,11 +284,15 @@ def ordered_jumps(tail: TailFunction, t: float, arr: ArrivalSeries) -> JumpLadde
     domain; for the unit log-power family this is ``-Gamma_i / t`` exactly,
     whatever the magnitude.  The index-1 reciprocal tail is admitted (its
     finitely many simulated jumps are well-defined); only compensation
-    requires a summable tail.
+    requires a summable tail.  ``t`` must be positive and finite; where
+    ``Gamma_i / t`` overflows (a subnormal ``t``) the jump is zero, with log
+    ``-inf``.
     """
-    if not t > 0.0 or math.isnan(t):
-        raise ValueError(f"horizon must be positive, got {t}")
-    log_jumps = np.asarray(tail_inverse_log(tail, arr.arrivals / t), dtype=float)
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {t}")
+    with np.errstate(over="ignore"):  # Gamma / t = inf is a zero jump
+        rates = arr.arrivals / t
+    log_jumps = np.asarray(tail_inverse_log(tail, rates), dtype=float)
     return JumpLadder(
         horizon=float(t),
         log_jumps=log_jumps,
@@ -369,8 +376,7 @@ def trimmed_log_sums(log_j: np.ndarray, keep: np.ndarray, r: int, log_comp) -> n
     The sum is :func:`log_sum_exp_rows` over the used jumps, the others
     masked to ``-inf``.  Raises when a row keeps no more than ``r`` jumps.
     """
-    if r < 0:
-        raise ValueError(f"trim count must be >= 0, got {r}")
+    r = _trim_count(r)
     width = _kept_prefix(keep, r + 1)
     terms = np.where(keep, log_j, -np.inf)
     if r > 0:
@@ -378,6 +384,14 @@ def trimmed_log_sums(log_j: np.ndarray, keep: np.ndarray, r: int, log_comp) -> n
         rank = np.cumsum(keep[:, :width], axis=1)
         np.copyto(terms[:, :width], -np.inf, where=rank <= r)
     return log_sum_exp_rows(terms, log_comp)
+
+
+def _trim_count(r) -> int:
+    """``r`` as a Python int, checked ``>= 0``; a float raises ``TypeError``, not a slice error."""
+    r = operator.index(r)
+    if r < 0:
+        raise ValueError(f"trim count must be >= 0, got {r}")
+    return r
 
 
 def _kept_prefix(keep: np.ndarray, count: int) -> int:
@@ -407,8 +421,7 @@ def trimmed_ratios(log_j: np.ndarray, r: int) -> np.ndarray:
     where a partial sum lies within ``n * 2**-1022`` of a rounding midpoint.
     Raises when a row holds fewer than ``r + 2`` jumps.
     """
-    if r < 0:
-        raise ValueError(f"trim count must be >= 0, got {r}")
+    r = _trim_count(r)
     if log_j.shape[1] < r + 2:
         raise ValueError(f"need at least {r + 2} jumps for the ratio, have {log_j.shape[1]}")
     shifted = log_j[:, r + 1 :] - log_j[:, r : r + 1]
@@ -451,12 +464,18 @@ def trimmed_value(ladder: JumpLadder, r: int, compensate: bool = False) -> Trimm
     Returns
     -------
     TrimmedValue
-        The log of the sum from :func:`trimmed_log_sums` on the one-row
-        ladder, and its exponential.
+        The log of the sum, and its exponential.  The log has the bits of
+        :func:`trimmed_log_sums` on the one-row ladder with every jump kept:
+        it is :func:`log_sum_exp_rows` of the row with its ``r`` largest set
+        to ``-inf``, which is the matrix that call reduces.
     """
+    r = _trim_count(r)
+    if len(ladder) <= r:
+        raise ValueError(f"a row keeps no more than {r} jumps: deepen the series")
     comp = _log_compensation(ladder.tail, ladder.horizon, [ladder.floor_log_jump], compensate)
-    log_j = ladder.log_jumps[None, :]
-    log_value = float(trimmed_log_sums(log_j, np.ones(log_j.shape, dtype=bool), r, comp)[0])
+    terms = ladder.log_jumps[None, :].copy()
+    terms[:, :r] = -np.inf
+    log_value = float(log_sum_exp_rows(terms, comp)[0])
     with np.errstate(over="ignore", under="ignore"):
         return TrimmedValue(value=float(np.exp(log_value)), log_value=log_value)
 
@@ -470,6 +489,7 @@ def z_statistic(ladder: JumpLadder, lam: float, r: int) -> float:
     regime never exponentiates (unit log-power: the statistic is exactly
     the reciprocal ``r``-th retained arrival).
     """
+    r = operator.index(r)
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
     restricted = restrict_to(ladder, lam)

@@ -595,6 +595,74 @@ def _inverse_queries(draw):
     return tail, (float(u) if draw(st.booleans()) and u.ndim == 0 else u)
 
 
+def _doubling_nudge(tail, log_x, u):
+    """The nudge as it was before its offset started at the floor: ``(log_x, passes)``.
+
+    Its offset starts at zero and becomes ``max(2 * delta, floor)`` on each
+    pass; ``passes`` is the most passes any element took.
+    """
+    with np.errstate(over="ignore"):
+        over = np.flatnonzero(levy._eval_from_log(tail, log_x) > u)
+        if over.size == 0:
+            return log_x, 0
+        base, ua = log_x[over], u[over]
+        floor = np.maximum(np.spacing(np.abs(base)), 2.0**-60)
+        delta = np.zeros_like(base)
+        for passes in range(1, levy._SOLVE_ITERS):
+            delta *= 2.0
+            np.maximum(delta, floor, out=delta)
+            trial = base + delta
+            log_x[over] = trial
+            still = levy._eval_from_log(tail, trial) > ua
+            if not np.any(still):
+                return log_x, passes
+            over, base, ua, floor, delta = (
+                over[still], base[still], ua[still], floor[still], delta[still]
+            )
+    raise AssertionError("the reference nudge did not converge")
+
+
+#: Abscissae near log x = 0, where one ulp of log x moves the tail by less
+#: than one ulp of its value, so the nudge doubles its offset several times.
+NEAR_ZERO = np.array([
+    -0.75, -0.5, -0.1, -1e-3, -1e-10, -(2.0**-40), -1e-300, -5e-324, -0.0, 0.0,
+    5e-324, 1e-300, 2.0**-40, 1e-10, 1e-3, 0.1, 0.5,
+])
+
+
+class TestNudgeFromTheFloor:
+    @pytest.mark.parametrize("tail", ALL_FAMILIES + [rational_tail(0.9)], ids=str)
+    def test_bits_of_the_doubling_loop(self, tail):
+        # Rates k ulps below the tail at each abscissa: the nudge must move
+        # every element to the abscissa the doubling loop reached.
+        k = np.array([1.0, 3.0, 17.0, 100.0, 2.0**20])
+        log_x = np.repeat(NEAR_ZERO, k.size)
+        tails = np.asarray(tail_eval_from_log(tail, log_x))
+        u = tails * (1.0 - np.tile(k, NEAR_ZERO.size) * EPS)
+        live = u > 0.0  # the log-power tail is 0 at and beyond log x = 0
+        log_x, u = log_x[live], u[live]
+        want, passes = _doubling_nudge(tail, log_x.copy(), u)
+        assert passes >= 3
+        got = levy._nudge_inverse_log(tail, log_x.copy(), u)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(np.asarray(tail_eval_from_log(tail, got)) <= u)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(ALL_FAMILIES),
+        hnp.arrays(np.float64, st.integers(1, 30), elements=st.floats(-2.0, 2.0)),
+        st.integers(0, 40),
+    )
+    def test_bits_of_the_doubling_loop_on_any_query(self, tail, log_x, shift):
+        tails = np.asarray(tail_eval_from_log(tail, log_x))
+        u = tails * (1.0 - 2.0**-shift)
+        live = u > 0.0
+        log_x, u = log_x[live], u[live]
+        want, _ = _doubling_nudge(tail, log_x.copy(), u)
+        got = levy._nudge_inverse_log(tail, log_x.copy(), u)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestInverseProperties:
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(_inverse_queries())

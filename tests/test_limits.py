@@ -246,6 +246,26 @@ class TestCoupledSamples:
             math.sqrt(0.25 + 0.0625), rel=1e-12
         )
 
+    @pytest.mark.parametrize("r", [1.5, 1.0, [0, 1.5], np.array([0.0, 1.0])])
+    def test_non_integer_ranks_raise_type_error(self, r):
+        # A float used to fail as numpy's "slice indices must be integers"
+        # or as an IndexError.
+        arr = self._hand_arr()
+        with pytest.raises(TypeError):
+            trimmed_stable_power_sample(arr, 0.5, r, 1.0)
+        with pytest.raises(TypeError):
+            cauchy_ordered_jump_sample(arr, r, 1.0)
+
+    def test_integer_rank_arrays_are_accepted(self):
+        arr = self._hand_arr()
+        ranks = np.array([1, 0], dtype=np.uint8)
+        assert cauchy_ordered_jump_sample(arr, ranks, 1.0).tolist() == [
+            cauchy_ordered_jump_sample(arr, 1, 1.0), cauchy_ordered_jump_sample(arr, 0, 1.0)
+        ]
+        assert trimmed_stable_power_sample(arr, 0.5, np.int64(1), 1.0) == (
+            trimmed_stable_power_sample(arr, 0.5, 1, 1.0)
+        )
+
     def test_power_sample_dominates_ranked_jump(self):
         for i in range(15):
             arr = sample_arrivals(derive_seed(9090, i), 256)

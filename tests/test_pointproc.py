@@ -244,6 +244,92 @@ class TestOrderedJumps:
             _hand_ladder([0.0, -1.0], floor=-0.5)  # floor above smallest jump
         with pytest.raises(ValueError):
             _hand_ladder([0.0], horizon=0.0)
+        with pytest.raises(ValueError):
+            _hand_ladder([0.0], horizon=math.inf)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_rejects_infinite_horizon(self, bad):
+        # t = inf used to reach the inverse as rates of 0 and fail there.
+        with pytest.raises(ValueError, match="horizon"):
+            ordered_jumps(stable_tail(0.5), bad, sample_arrivals(1, 8))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tail", [stable_tail(0.5), rational_tail(0.5), log_power_tail()])
+    def test_subnormal_horizon_is_quiet(self, tail):
+        # Gamma / t overflows to inf, a zero jump, without a warning, and
+        # the ladder check and the compensated trimmed sum stay quiet too.
+        ladder = ordered_jumps(tail, 1e-320, sample_arrivals(24, 64))
+        assert np.all(ladder.log_jumps == -math.inf)
+        assert ladder.floor_log_jump == -math.inf
+        assert trimmed_value(ladder, 1, compensate=True) == (0.0, -math.inf)
+        mixed = ordered_jumps(tail, 1e-310, _hand_series([1e-5, 1.0, 2.0], [0.5, 0.5, 0.5]))
+        assert np.isfinite(mixed.log_jumps[0])
+        assert mixed.log_jumps[1:].tolist() == [-math.inf, -math.inf]
+
+
+def _old_ladder_check(lj):
+    """The two-pass ladder check the one-pass check replaces; its message or None.
+
+    Its ``np.diff`` warned on a run of equal infinities (``inf - inf``).
+    """
+    if lj.size:
+        if np.any(np.isnan(lj)):
+            return "log_jumps must not contain NaN"
+        with np.errstate(invalid="ignore"):
+            if np.any(np.diff(lj) > 0.0):
+                return "log_jumps must be nonincreasing"
+    return None
+
+
+def _ladder_check(lj):
+    """The message ``JumpLadder`` raises for ``lj``, or None."""
+    try:
+        _hand_ladder(lj, floor=-math.inf)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestLadderCheck:
+    @pytest.mark.parametrize(
+        "lj",
+        [
+            [math.nan],
+            [math.nan, 1.0, 0.0],
+            [2.0, math.nan, 0.0],
+            [2.0, 1.0, math.nan],
+            [math.nan, math.nan],
+            [1.0, 1.0, 1.0],
+            [1.0, 1.0, 2.0],
+            [math.inf, math.inf],
+            [-math.inf, -math.inf],
+            [math.inf, 0.0, -math.inf],
+            [-math.inf, math.inf],
+            [0.0, math.inf],
+            [-math.inf, 0.0],
+            [math.inf, math.nan],
+            [-math.inf, math.nan],
+            [math.inf],
+            [-math.inf],
+            [0.0],
+            [],
+        ],
+    )
+    def test_rejects_what_the_two_pass_check_rejected(self, lj):
+        lj = np.array(lj, dtype=float)
+        assert _ladder_check(lj) == _old_ladder_check(lj)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(0, 8),
+            elements=st.sampled_from([math.nan, math.inf, -math.inf, 2.0, 1.0, 0.0, -1.0])
+            | st.floats(-5.0, 5.0),
+        )
+    )
+    def test_same_verdict_and_message_on_any_row(self, lj):
+        assert _ladder_check(lj) == _old_ladder_check(lj)
 
 
 class TestRestrict:
@@ -324,6 +410,70 @@ class TestTrimmedValue:
             lj = np.sort(rng.normal(0.0, 2.0, 30))[::-1]
             tv = trimmed_value(_hand_ladder(lj), 3)
             assert math.log(tv.value) == pytest.approx(tv.log_value, rel=1e-12)
+
+
+@st.composite
+def _one_row_trims(draw):
+    """A ranked row with ties and ``-inf`` jumps, a trim count up to its length - 1."""
+    value = st.sampled_from([0.0, -1.0, -math.inf]) | st.floats(-800.0, 50.0)
+    lj = draw(hnp.arrays(np.float64, st.integers(1, 40), elements=value))
+    r = draw(st.integers(0, lj.size - 1))
+    horizon = draw(st.sampled_from([1.0, 2.0, 1e-6]))
+    return -np.sort(-lj), r, horizon, draw(st.booleans())
+
+
+class TestTrimmedValueIsTheMaskedKernel:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_one_row_trims())
+    def test_equals_trimmed_log_sums_with_every_jump_kept(self, query):
+        lj, r, horizon, compensate = query
+        tail = stable_tail(0.5)
+        ladder = _hand_ladder(lj, horizon=horizon, tail=tail)
+        comp = pointproc._log_compensation(tail, horizon, [ladder.floor_log_jump], compensate)
+        keep = np.ones((1, lj.size), dtype=bool)
+        want = trimmed_log_sums(lj[None, :].copy(), keep, r, comp)[0]
+        got = trimmed_value(ladder, r, compensate)
+        assert float(got.log_value).hex() == float(want).hex()
+        with np.errstate(over="ignore", under="ignore"):
+            assert float(got.value).hex() == float(np.exp(want)).hex()
+
+    @pytest.mark.parametrize("size, r", [(0, 0), (2, 2), (3, 7)])
+    def test_depth_error_is_the_kernels(self, size, r):
+        lj = np.linspace(0.0, -1.0, size)
+        ladder = JumpLadder(1.0, lj, np.full(size, 0.5), stable_tail(0.5), -1.0)
+        with pytest.raises(ValueError) as kernel:
+            trimmed_log_sums(lj[None, :], np.ones((1, size), dtype=bool), r, [-math.inf])
+        with pytest.raises(ValueError) as scalar:
+            trimmed_value(ladder, r)
+        assert str(scalar.value) == str(kernel.value)
+
+
+class TestIntegerTrimCounts:
+    @pytest.mark.parametrize("r", [1.5, 1.0, np.float64(1.0), "1"])
+    def test_non_integer_counts_raise_type_error(self, r):
+        # A float used to fail as numpy's "slice indices must be integers",
+        # or as an IndexError in z_statistic.
+        ladder = _hand_ladder(np.log([8.0, 4.0, 2.0, 1.0]))
+        calls = [
+            lambda: trimmed_value(ladder, r),
+            lambda: z_statistic(ladder, 1.0, r),
+            lambda: z_statistic_trimmed(ladder, 1.0, r),
+            lambda: ratio_diagnostic(ladder, r),
+            lambda: trimmed_log_sums(ladder.log_jumps[None, :], np.ones((1, 4), bool), r, [0.0]),
+            lambda: trimmed_ratios(ladder.log_jumps[None, :], r),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+
+    def test_numpy_integer_counts_are_accepted(self):
+        ladder = _hand_ladder(np.log([8.0, 4.0, 2.0, 1.0]))
+        assert trimmed_value(ladder, np.int64(1)) == trimmed_value(ladder, 1)
+        assert z_statistic(ladder, 1.0, np.int32(2)) == z_statistic(ladder, 1.0, 2)
+        assert ratio_diagnostic(ladder, np.uint8(1)) == ratio_diagnostic(ladder, 1)
+        assert z_statistic_trimmed(ladder, 1.0, np.int64(1)) == z_statistic_trimmed(
+            ladder, 1.0, 1
+        )
 
 
 @st.composite
