@@ -6,14 +6,13 @@ Five runners share one reporting shape:
     Small-horizon limit at positive tail index: trimmed reciprocal-rate
     statistics against trimmed-stable power references drawn on
     independent arrivals, plus an exact self-similarity regression for
-    the pure power-law families.  One task per (alpha, block) shares its
-    arrivals, and each horizon's inversion, across every (r, lambda); a
-    horizon is inverted and reduced ``_ROW_BLOCK`` replicate rows at a time.
+    the pure power-law families.  One task per (alpha, block) sweeps its
+    arrivals over the horizons for every (r, lambda).
 ``edge-right``
     Small-horizon limit at zero index: one-sample KS against the ranked
     reciprocal-tail jump laws, a joint fidi check along the restriction
-    grid, and the trimmed-ratio trend.  One task per (r, block) shares
-    its arrivals, and each horizon's row blocks, across every lambda.
+    grid, and the trimmed-ratio trend.  One task per (r, block) sweeps its
+    arrivals over the horizons for every lambda.
 ``edge-bottom``
     Index-to-zero coupling: per-seed relative error between the trimmed
     stable power and the ranked jump on shared randomness.
@@ -33,6 +32,12 @@ scheduling.  A task takes its replicate range's seeds in one block call
 series through ``sample_arrivals``.  Rows are merged in grid order and the
 CSV is byte-identical for any ``jobs`` value.  The ``ms_elapsed`` column
 is fixed at 0 to keep that guarantee; wall time lives in the JSON summary.
+
+One horizon sweep (``_z_sweep``) serves both edges and the diagnostics'
+ratio trend: per horizon it inverts the stream matrix ``_ROW_BLOCK``
+replicate rows at a time and returns a (slices x replicates) matrix of
+trimmed z-statistics, slice ``k`` being the ``k``-th (r, lambda) pair in
+``product(r_grid, lambda_grid)`` order, plus the trimmed ratios on request.
 
 Trend runs share one arrival matrix across the whole horizon grid
 (coupled comparison): the sampled vectors then converge pathwise as the
@@ -140,8 +145,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be nonempty")
         if any(not 0.0 < a < 1.0 for a in self.alpha_grid):
             raise ValueError("alpha_grid values must lie in (0, 1)")
-        if any(not t > 0.0 for t in self.t_grid):
-            raise ValueError("t_grid values must be positive")
+        if any(not 0.0 < t < math.inf for t in self.t_grid):
+            raise ValueError("t_grid values must be positive and finite")
         lams = self.lambda_grid
         if any(not 0.0 < v <= 1.0 for v in lams) or any(
             b <= a for a, b in zip(lams, lams[1:])
@@ -165,7 +170,7 @@ class ExperimentConfig:
             if len(self.level_grid) != len(self.lambda_grid):
                 raise ValueError("level_grid must match lambda_grid in length")
             ys = self.level_grid
-            if any(y <= 0.0 for y in ys):
+            if any(not y > 0.0 for y in ys):  # NaN fails too
                 raise ValueError("level_grid values must be positive")
             if 1 in self.r_grid and any(b <= a for a, b in zip(ys, ys[1:])):
                 raise ValueError("r = 1 needs a strictly increasing level_grid (second-jump fidi)")
@@ -316,19 +321,29 @@ def _stream_matrix(seeds: list[int], n_terms: int):
     return arrivals, marks
 
 
-def _horizon_blocks(tail: TailFunction, arrivals: np.ndarray, t: float):
-    """Yield ``(rows, log_j)``: the log-jump ladders at horizon ``t``, in row blocks.
+def _z_sweep(tail: TailFunction, arrivals, marks, t_grid, slices, ratio_r=None):
+    """Yield ``(t, z, w)`` per horizon ``t`` of ``t_grid``, from one stream matrix.
 
-    ``rows`` is the slice of ``_ROW_BLOCK`` rows of ``arrivals`` (fewer in
-    the last block) that a block covers.  Inversion and the row reductions
-    that follow are per row, so blocks give the bits of one pass over the
+    ``z`` is a ``(len(slices), replicates)`` matrix whose row ``k`` holds
+    the trimmed z-statistics of slice ``slices[k] = (r, lam)``, and ``w``
+    the trimmed ratios at trim ``ratio_r`` (``None`` without one).  Each
+    horizon is inverted ``_ROW_BLOCK`` rows at a time; inversion and the
+    reductions are per row, so blocks give the bits of one pass over the
     whole matrix while their temporaries stay in cache.
     """
-    for lo in range(0, len(arrivals), _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        with np.errstate(over="ignore"):  # Gamma / t = inf is a zero jump
-            log_j = np.asarray(levy.tail_inverse_log(tail, arrivals[rows] / t))
-        yield rows, log_j
+    replicates = len(arrivals)
+    for t in t_grid:
+        z = np.empty((len(slices), replicates))
+        w = None if ratio_r is None else np.empty(replicates)
+        for lo in range(0, replicates, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            with np.errstate(over="ignore"):  # Gamma / t = inf is a zero jump
+                log_j = np.asarray(levy.tail_inverse_log(tail, arrivals[rows] / t))
+            for k, (r, lam) in enumerate(slices):
+                z[k, rows] = trimmed_z_rows(tail, t, log_j, marks[rows], lam, r, log_j[:, -1])
+            if w is not None:
+                w[rows] = trimmed_ratios(log_j, ratio_r)
+        yield t, z, w
 
 
 def _replicate_seeds(root: int, stream: int, count: int) -> list[int]:
@@ -387,6 +402,41 @@ def _ks_trend(cfg: ExperimentConfig, label: str, rows: list) -> tuple[Verdict, l
     return verdict, medians
 
 
+def _ratio_trend(medians: list[float]) -> Verdict:
+    """The trimmed-ratio trend verdict on medians by decreasing t: down to 1."""
+    return Verdict(
+        name="ratio_trend_to_one",
+        passed=_weakly_nonincreasing(medians) and medians[-1] < 1.0 + 1e-9,
+        detail="medians " + " ".join(f"{m:.9g}" for m in medians),
+    )
+
+
+def _mc_agreement(name: str, analytic: float, mc: float, n: int) -> Verdict:
+    """An analytic probability against its Monte Carlo estimate over ``n`` draws."""
+    bound = 3.0 * stats.mc_standard_error(mc, n) + 1e-3
+    return Verdict(
+        name=name,
+        passed=abs(analytic - mc) <= bound,
+        detail=f"analytic {analytic:.6g} vs MC {mc:.6g} (bound {bound:.3g})",
+    )
+
+
+def _slice_tasks(cfg: ExperimentConfig, task, combos: int) -> list[list]:
+    """Run ``task((cfg, combo, block))`` over the grid; results by combo, then block.
+
+    A task returns its report rows as a list per slice first; see :func:`_slice_rows`.
+    """
+    blocks = cfg.seed_blocks
+    tasks = [(cfg, combo, block) for combo in range(combos) for block in range(blocks)]
+    results = _run_pool(cfg, task, tasks)
+    return [results[lo : lo + blocks] for lo in range(0, len(results), blocks)]
+
+
+def _slice_rows(blocks: list, k: int) -> list[ReportRow]:
+    """The rows of slice ``k`` from each block's result, in block order."""
+    return [row for res in blocks for row in res[0][k]]
+
+
 # --------------------------------------------------------------------------
 # edge-left
 
@@ -399,6 +449,7 @@ def _left_task(args):
     arrivals, marks = _stream_matrix(
         _replicate_seeds(root, _SAMPLE_STREAM, cfg.replicates), cfg.n_terms
     )
+    slices = list(product(cfg.r_grid, cfg.lambda_grid))
     # The reference is reduced series by series: one coupled call per
     # (replicate, lambda) serves every r.
     reference = np.empty((len(cfg.r_grid), len(cfg.lambda_grid), cfg.replicates))
@@ -408,22 +459,14 @@ def _left_task(args):
             reference[:, lam_idx, i] = limits.trimmed_stable_power_sample(
                 series, tail.alpha, cfg.r_grid, lam
             )
-    combos = list(product(enumerate(cfg.r_grid), enumerate(cfg.lambda_grid)))
-    rows = {(r_idx, lam_idx): [] for (r_idx, _), (lam_idx, _) in combos}
-    endpoints = {key: {} for key in rows}
-    # Each horizon's inversion, block by block, serves every (r, lambda).
-    for t in cfg.t_grid:
-        z_by_key = {key: np.empty(cfg.replicates) for key in rows}
-        for block_rows, log_j in _horizon_blocks(tail, arrivals, t):
-            for (r_idx, r), (lam_idx, lam) in combos:
-                z_by_key[r_idx, lam_idx][block_rows] = trimmed_z_rows(
-                    tail, t, log_j, marks[block_rows], lam, r, log_j[:, -1]
-                )
-        for (r_idx, r), (lam_idx, lam) in combos:
-            z = z_by_key[r_idx, lam_idx]
-            ref = reference[r_idx, lam_idx]
-            ks = stats.ks_two_sample(z, ref)
-            rows[r_idx, lam_idx].append(
+    reference = reference.reshape(len(slices), cfg.replicates)
+    rows = [[] for _ in slices]
+    z_first = None
+    for t, z, _ in _z_sweep(tail, arrivals, marks, cfg.t_grid, slices):
+        z_first = z if z_first is None else z_first
+        for k, (r, lam) in enumerate(slices):
+            ks = stats.ks_two_sample(z[k], reference[k])
+            rows[k].append(
                 ReportRow(
                     edge="left",
                     tail=str(tail),
@@ -434,22 +477,23 @@ def _left_task(args):
                     n=cfg.replicates,
                     ks_stat=ks.statistic,
                     p_value=ks.p_value,
-                    aux1=_median(z),
-                    aux2=_median(ref),
+                    aux1=_median(z[k]),
+                    aux2=_median(reference[k]),
                     seed=root,
                 )
             )
-            if block == 0 and t in (cfg.t_grid[0], cfg.t_grid[-1]):
-                endpoints[r_idx, lam_idx][t] = z
-    plots = {}
+    endpoints = (z_first, z) if block == 0 else None  # z at the first and last horizon
+    plots = []
     if cfg.plot and block == 0:
-        for (r_idx, r), (lam_idx, lam) in combos:
-            ref_sorted = _downsample(reference[r_idx, lam_idx])
-            plots[r_idx, lam_idx] = PlotSlice(
-                name=f"left_a{tail.alpha:g}_r{r}_lam{lam:g}",
-                samples=_downsample(endpoints[r_idx, lam_idx][cfg.t_grid[-1]]),
-                curve_x=ref_sorted,
-                curve_y=tuple((i + 1) / len(ref_sorted) for i in range(len(ref_sorted))),
+        for k, (r, lam) in enumerate(slices):
+            ref_sorted = _downsample(reference[k])
+            plots.append(
+                PlotSlice(
+                    name=f"left_a{tail.alpha:g}_r{r}_lam{lam:g}",
+                    samples=_downsample(z[k]),
+                    curve_x=ref_sorted,
+                    curve_y=tuple((i + 1) / len(ref_sorted) for i in range(len(ref_sorted))),
+                )
             )
     return rows, endpoints, plots
 
@@ -459,48 +503,34 @@ def run_edge_left(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.edge != "left":
         raise ValueError(f"config edge is {cfg.edge!r}, expected 'left'")
     start = perf_counter()
-    tasks = [
-        (cfg, alpha_idx, block)
-        for alpha_idx in range(len(cfg.alpha_grid))
-        for block in range(cfg.seed_blocks)
-    ]
-    results = _run_pool(cfg, _left_task, tasks)
-    by_key = {(task[1], task[2]): res for task, res in zip(tasks, results)}
+    by_alpha = _slice_tasks(cfg, _left_task, len(cfg.alpha_grid))
 
     report = ExperimentReport(edge="left", config=cfg)
     factor = _family_tail(cfg.tail, cfg.alpha_grid[0]).factor
     pure_power = isinstance(factor, (levy.Constant, levy.StableExact))
-    grid = product(
-        enumerate(cfg.alpha_grid), enumerate(cfg.r_grid), enumerate(cfg.lambda_grid)
-    )
-    for (alpha_idx, alpha), (r_idx, r), (lam_idx, lam) in grid:
-        key = (r_idx, lam_idx)
-        combo_rows = []
-        for block in range(cfg.seed_blocks):
-            rows = by_key[(alpha_idx, block)][0][key]
-            report.rows.extend(rows)
-            combo_rows.extend(rows)
-        _, endpoints, plots = by_key[(alpha_idx, 0)]
-        if key in plots:
-            report.plots.append(plots[key])
-        label = f"a={alpha:g} r={r} lam={lam:g}"
-        if pure_power and len(cfg.t_grid) >= 2:
-            # z is invariant in t on shared arrivals, so the KS fit cannot
-            # fail; the pathwise drift bound can.
-            t0, t1 = cfg.t_grid[0], cfg.t_grid[-1]
-            z0, z1 = endpoints[key][t0], endpoints[key][t1]
-            ks = stats.ks_two_sample(z0, z1)
-            drift = float(np.max(np.abs(z0 / z1 - 1.0)))
-            bound = _DRIFT_TOL * (1.0 + abs(math.log(t0)) + abs(math.log(t1)))
-            report.verdicts.append(
-                Verdict(
-                    name=f"self_similarity {label}",
-                    passed=ks.p_value > 0.01 and drift <= bound,
-                    detail=f"cross-horizon KS stat={ks.statistic:.6g} p={ks.p_value:.6g}, "
-                    f"pathwise drift {drift:.3g} (bound {bound:.3g})",
+    for alpha, blocks in zip(cfg.alpha_grid, by_alpha):
+        _, (z0, z1), plots = blocks[0]
+        report.plots.extend(plots)
+        for k, (r, lam) in enumerate(product(cfg.r_grid, cfg.lambda_grid)):
+            combo_rows = _slice_rows(blocks, k)
+            report.rows.extend(combo_rows)
+            label = f"a={alpha:g} r={r} lam={lam:g}"
+            if pure_power and len(cfg.t_grid) >= 2:
+                # z is invariant in t on shared arrivals, so the KS fit cannot
+                # fail; the pathwise drift bound can.
+                t0, t1 = cfg.t_grid[0], cfg.t_grid[-1]
+                ks = stats.ks_two_sample(z0[k], z1[k])
+                drift = float(np.max(np.abs(z0[k] / z1[k] - 1.0)))
+                bound = _DRIFT_TOL * (1.0 + abs(math.log(t0)) + abs(math.log(t1)))
+                report.verdicts.append(
+                    Verdict(
+                        name=f"self_similarity {label}",
+                        passed=ks.p_value > 0.01 and drift <= bound,
+                        detail=f"cross-horizon KS stat={ks.statistic:.6g} p={ks.p_value:.6g}, "
+                        f"pathwise drift {drift:.3g} (bound {bound:.3g})",
+                    )
                 )
-            )
-        report.verdicts.append(_ks_trend(cfg, label, combo_rows)[0])
+            report.verdicts.append(_ks_trend(cfg, label, combo_rows)[0])
     report.total_ms = int((perf_counter() - start) * 1000)
     return report
 
@@ -519,27 +549,17 @@ def _right_task(args):
         _replicate_seeds(root, _SAMPLE_STREAM, cfg.replicates), cfg.n_terms
     )
     t_min = min(cfg.t_grid)
-    rows_by_lam = {i: [] for i in range(len(cfg.lambda_grid))}
-    z_at_tmin = {}
+    levels = np.asarray(cfg.level_grid)
+    rows = [[] for _ in cfg.lambda_grid]
     ratio_rows = []
-    with_ratio = r == min(cfg.r_grid)
-    # Each horizon's inversion, block by block, serves every restriction
-    # level and the ratio.
-    for t in cfg.t_grid:
-        z_by_lam = [np.empty(cfg.replicates) for _ in cfg.lambda_grid]
-        w = np.empty(cfg.replicates)
-        for block_rows, log_j in _horizon_blocks(tail, arrivals, t):
-            for lam, z in zip(cfg.lambda_grid, z_by_lam):
-                z[block_rows] = trimmed_z_rows(
-                    tail, t, log_j, marks[block_rows], lam, r, log_j[:, -1]
-                )
-            if with_ratio:
-                w[block_rows] = trimmed_ratios(log_j, r)
-        for lam_idx, (lam, z) in enumerate(zip(cfg.lambda_grid, z_by_lam)):
+    ratio_r = r if r == min(cfg.r_grid) else None
+    slices = [(r, lam) for lam in cfg.lambda_grid]
+    for t, z, w in _z_sweep(tail, arrivals, marks, cfg.t_grid, slices, ratio_r):
+        for k, lam in enumerate(cfg.lambda_grid):
             ks = stats.ks_one_sample(
-                z, lambda x: limits.cauchy_rth_jump_cdf(r + 1, lam, x)
+                z[k], lambda x: limits.cauchy_rth_jump_cdf(r + 1, lam, x)
             )
-            rows_by_lam[lam_idx].append(
+            rows[k].append(
                 ReportRow(
                     edge="right",
                     tail=str(tail),
@@ -550,14 +570,14 @@ def _right_task(args):
                     n=cfg.replicates,
                     ks_stat=ks.statistic,
                     p_value=ks.p_value,
-                    aux1=_median(z),
-                    aux2=float(np.mean(z <= cfg.level_grid[lam_idx])),
+                    aux1=_median(z[k]),
+                    aux2=float(np.mean(z[k] <= levels[k])),
                     seed=root,
                 )
             )
-            if t == t_min:
-                z_at_tmin[lam_idx] = z
-        if with_ratio:
+        if t == t_min:
+            z_tmin = z
+        if w is not None:
             ratio_rows.append(
                 ReportRow(
                     edge="right:ratio",
@@ -576,8 +596,8 @@ def _right_task(args):
             )
     plots = []
     if cfg.plot and block == 0:
-        for lam_idx, lam in enumerate(cfg.lambda_grid):
-            xs = _downsample(z_at_tmin[lam_idx])
+        for k, lam in enumerate(cfg.lambda_grid):
+            xs = _downsample(z_tmin[k])
             grid = np.linspace(xs[0], xs[-1], 256)
             plots.append(
                 PlotSlice(
@@ -591,11 +611,8 @@ def _right_task(args):
             )
     joint_hits = -1
     if r in (0, 1):
-        ok = np.ones(cfg.replicates, dtype=bool)
-        for lam_idx, level in enumerate(cfg.level_grid):
-            ok &= z_at_tmin[lam_idx] <= level
-        joint_hits = int(np.sum(ok))
-    return rows_by_lam, ratio_rows, joint_hits, plots
+        joint_hits = int(np.count_nonzero(np.all(z_tmin <= levels[:, None], axis=0)))
+    return rows, ratio_rows, joint_hits, plots
 
 
 def run_edge_right(cfg: ExperimentConfig) -> ExperimentReport:
@@ -603,27 +620,18 @@ def run_edge_right(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.edge != "right":
         raise ValueError(f"config edge is {cfg.edge!r}, expected 'right'")
     start = perf_counter()
-    tasks = [
-        (cfg, r_idx, block)
-        for r_idx in range(len(cfg.r_grid))
-        for block in range(cfg.seed_blocks)
-    ]
-    results = _run_pool(cfg, _right_task, tasks)
-    by_key = {(task[1], task[2]): res for task, res in zip(tasks, results)}
+    by_r = _slice_tasks(cfg, _right_task, len(cfg.r_grid))
 
     report = ExperimentReport(edge="right", config=cfg)
     t_desc = sorted(cfg.t_grid, reverse=True)
-    for r_idx, r in enumerate(cfg.r_grid):
-        for lam_idx, lam in enumerate(cfg.lambda_grid):
-            combo_rows = []
-            for block in range(cfg.seed_blocks):
-                rows = by_key[(r_idx, block)][0][lam_idx]
-                report.rows.extend(rows)
-                combo_rows.extend(rows)
+    floor = _PILOT_KS_THRESHOLD * math.sqrt(_PILOT_ANCHOR_N / cfg.replicates)
+    for r, blocks in zip(cfg.r_grid, by_r):
+        for k, lam in enumerate(cfg.lambda_grid):
+            combo_rows = _slice_rows(blocks, k)
+            report.rows.extend(combo_rows)
             label = f"r={r} lam={lam:g}"
             trend, medians = _ks_trend(cfg, label, combo_rows)
             report.verdicts.append(trend)
-            floor = _PILOT_KS_THRESHOLD * math.sqrt(_PILOT_ANCHOR_N / cfg.replicates)
             report.verdicts.append(
                 Verdict(
                     name=f"ks_terminal_floor {label}",
@@ -631,31 +639,21 @@ def run_edge_right(cfg: ExperimentConfig) -> ExperimentReport:
                     detail=f"terminal median {medians[-1]:.6g} vs threshold {floor:.6g}",
                 )
             )
-    for r_idx, r in enumerate(cfg.r_grid):
-        ratio_rows = []
-        for block in range(cfg.seed_blocks):
-            ratio_rows.extend(by_key[(r_idx, block)][1])
+    for blocks in by_r:
+        ratio_rows = [row for res in blocks for row in res[1]]
         report.rows.extend(ratio_rows)
         if ratio_rows:
             meds = [
                 _median([row.aux1 for row in ratio_rows if row.t == t]) for t in t_desc
             ]
-            report.verdicts.append(
-                Verdict(
-                    name="ratio_trend_to_one",
-                    passed=_weakly_nonincreasing(meds) and meds[-1] < 1.0 + 1e-9,
-                    detail="medians " + " ".join(f"{m:.9g}" for m in meds),
-                )
-            )
-    for r_idx, r in enumerate(cfg.r_grid):
+            report.verdicts.append(_ratio_trend(meds))
+    n = cfg.replicates * cfg.seed_blocks
+    query = FidiQuery(lambdas=cfg.lambda_grid, levels=cfg.level_grid)
+    for r_idx, (r, blocks) in enumerate(zip(cfg.r_grid, by_r)):
         if r not in (0, 1):
             continue
-        hits = sum(by_key[(r_idx, block)][2] for block in range(cfg.seed_blocks))
-        n = cfg.replicates * cfg.seed_blocks
-        mc = hits / n
-        query = FidiQuery(lambdas=cfg.lambda_grid, levels=cfg.level_grid)
+        mc = sum(res[2] for res in blocks) / n
         analytic = limits.fidi_probability(query, r + 1)
-        bound = 3.0 * stats.mc_standard_error(mc, n) + 1e-3
         report.rows.append(
             ReportRow(
                 edge="right:fidi",
@@ -672,15 +670,9 @@ def run_edge_right(cfg: ExperimentConfig) -> ExperimentReport:
                 seed=_combo_root(cfg, 0, r_idx),
             )
         )
-        report.verdicts.append(
-            Verdict(
-                name=f"fidi_joint r={r}",
-                passed=abs(analytic - mc) <= bound,
-                detail=f"analytic {analytic:.6g} vs MC {mc:.6g} (bound {bound:.3g})",
-            )
-        )
-    for _, res in sorted(by_key.items()):
-        report.plots.extend(res[3])
+        report.verdicts.append(_mc_agreement(f"fidi_joint r={r}", analytic, mc, n))
+    for blocks in by_r:
+        report.plots.extend(blocks[0][3])
     report.total_ms = int((perf_counter() - start) * 1000)
     return report
 
@@ -826,7 +818,6 @@ def run_fidi_validation(cfg: ExperimentConfig) -> ExperimentReport:
         for rank_idx, rank in enumerate((1, 2)):
             analytic = limits.fidi_probability(q, rank)
             mc = float(hits[qi, rank_idx]) / n
-            bound = 3.0 * stats.mc_standard_error(mc, n) + 1e-3
             report.rows.append(
                 ReportRow(
                     edge="fidi",
@@ -843,13 +834,8 @@ def run_fidi_validation(cfg: ExperimentConfig) -> ExperimentReport:
                     seed=root,
                 )
             )
-            report.verdicts.append(
-                Verdict(
-                    name=f"fidi_query{qi + 1}_rank{rank}",
-                    passed=abs(analytic - mc) <= bound,
-                    detail=f"analytic {analytic:.6g} vs MC {mc:.6g} (bound {bound:.3g})",
-                )
-            )
+            name = f"fidi_query{qi + 1}_rank{rank}"
+            report.verdicts.append(_mc_agreement(name, analytic, mc, n))
     worst = 0.0
     for q in FIDI_QUERY_GRID:
         if len(q) != 1:
@@ -939,12 +925,10 @@ def _diag_task(args):
             out.append((x, dev))
         return name, out
     if name == "ratio_trend":
-        arrivals, _ = _stream_matrix(_replicate_seeds(root, 3, 100), cfg.n_terms)
-        meds = []
-        for t in (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            log_j = -arrivals / t  # zero-index family, unit log-power
-            meds.append((t, _median(trimmed_ratios(log_j, 0))))
-        return name, meds
+        arrivals, marks = _stream_matrix(_replicate_seeds(root, 3, 100), cfg.n_terms)
+        t_grid = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+        sweep = _z_sweep(levy.log_power_tail(), arrivals, marks, t_grid, (), ratio_r=0)
+        return name, [(t, _median(w)) for t, _, w in sweep]
     raise ValueError(name)
 
 
@@ -1016,13 +1000,7 @@ def run_diagnostics(cfg: ExperimentConfig) -> ExperimentReport:
                 seed=root,
             )
         )
-    report.verdicts.append(
-        Verdict(
-            name="ratio_trend_to_one",
-            passed=_weakly_nonincreasing(meds) and meds[-1] < 1.0 + 1e-9,
-            detail="medians " + " ".join(f"{m:.9g}" for m in meds),
-        )
-    )
+    report.verdicts.append(_ratio_trend(meds))
     report.total_ms = int((perf_counter() - start) * 1000)
     return report
 

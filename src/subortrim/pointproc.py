@@ -121,11 +121,14 @@ class JumpLadder:
             raise ValueError("log_jumps and marks must be aligned 1-d arrays")
         if lj.size:
             # Every comparison with NaN is false, so one pass rejects NaN and
-            # any increase alike.  A one-jump ladder has no pair to compare,
-            # hence ``lj[0] == lj[0]``.  Only a failure tells the two apart.
-            if not ((lj[1:] <= lj[:-1]).all() and lj[0] == lj[0]):
+            # any increase alike; below a head ``< inf`` no jump is infinite,
+            # and the head test also catches a lone NaN.  Only a failure
+            # tells the three apart.  A zero jump (log ``-inf``) is admitted.
+            if not ((lj[1:] <= lj[:-1]).all() and lj[0] < math.inf):
                 if np.isnan(lj).any():
                     raise ValueError("log_jumps must not contain NaN")
+                if (lj == math.inf).any():
+                    raise ValueError("log_jumps must not contain +inf (an infinite jump)")
                 raise ValueError("log_jumps must be nonincreasing")
             if not self.floor_log_jump <= lj[-1]:
                 raise ValueError("compensation floor must not exceed the smallest jump")
@@ -171,12 +174,12 @@ def derive_seed(master_seed: int, *indices: int | np.ndarray) -> int | list[int]
 
     Block form: when the last index is a 1-d integer array, the result is a
     list of Python ints, one per element, each equal to the call with that
-    element as the last index.  The pool is mixed from the master and the
-    leading indices once; only the last word's hash and the output words
-    run per element, as uint32 array arithmetic (a test pins this against
-    SeedSequence bit for bit).  An element of 2**32 or more spans two
-    words and takes the scalar route; a negative one raises ``ValueError``
-    as SeedSequence does, and an empty block gives ``[]``.
+    element as the last index.  numpy's SeedSequence mixes the pool of the
+    master and the leading indices once; only the last word's hash and the
+    output words run per element, as uint32 array arithmetic (a test pins
+    this against SeedSequence bit for bit).  An element of 2**32 or more
+    spans two words and takes the scalar route; a negative one raises
+    ``ValueError`` as SeedSequence does, and an empty block gives ``[]``.
 
     The master and every scalar index must be integers (Python or numpy):
     a float raises ``TypeError`` rather than being truncated onto another
@@ -190,15 +193,9 @@ def derive_seed(master_seed: int, *indices: int | np.ndarray) -> int | list[int]
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _words(n: int) -> list[int]:
-    """SeedSequence's uint32 words of a nonnegative int, least significant first."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+def _word_count(n: int) -> int:
+    """The number of uint32 words SeedSequence makes of a nonnegative int."""
+    return max(1, -(-n.bit_length() // 32))
 
 
 def _mix(x, y):
@@ -212,32 +209,22 @@ def _derive_seed_block(master_seed: int, prefix: tuple, last: np.ndarray) -> lis
         raise TypeError("a block index must be a 1-d integer array")
     if last.size and last.min() < 0:
         raise ValueError("expected non-negative integer")
-    prefix = tuple(operator.index(i) for i in prefix)
-    # SeedSequence pads the run entropy to the pool size when a spawn key is
-    # given, so the block's word always comes after the pool is full and is
-    # mixed into each pool word in turn, like every word after the first
-    # four.  Its hash constants do not depend on the data.
-    entropy = _words(operator.index(master_seed))
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    for i in prefix:
-        entropy += _words(i)
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
+    master, prefix = operator.index(master_seed), tuple(operator.index(i) for i in prefix)
+    # numpy's pool for the master and the leading indices, entropy padded to
+    # the pool size.  The block's word comes after it and is mixed into each
+    # pool word in turn, like every word past the fourth; numpy's hash
+    # constant has advanced once per hash so far: 16 to fill and cross-mix
+    # the pool, 4 per word past the fourth.
+    pool = [int(w) for w in np.random.SeedSequence(master, spawn_key=prefix).pool]
+    words = max(_POOL_SIZE, _word_count(master)) + sum(map(_word_count, prefix))
+    hashes = 16 + 4 * (words - _POOL_SIZE)
+    hash_const = _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _MASK32
+    word = last.astype(np.uint32)
+    for dst in range(_POOL_SIZE):
+        value = word ^ hash_const
         hash_const = hash_const * _MULT_A & _MASK32
         value = value * hash_const & _MASK32
-        return value ^ (value >> 16)
-
-    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL_SIZE:] + [last.astype(np.uint32)]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(w))
+        pool[dst] = _mix(pool[dst], value ^ (value >> 16))
 
     # generate_state(1, uint64): one uint32 word from each of pool words 0
     # and 1, low word first.

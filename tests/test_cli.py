@@ -158,6 +158,19 @@ class TestConfigErrors:
         assert "increasing level_grid" in payload["message"]
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[grids]\nt = 1e-2, inf\n", "[edge]\nlevels = 1.0, nan\n[grids]\nlambda = 0.5, 1.0\n"],
+    )
+    def test_non_finite_horizon_or_level_is_a_config_error(self, tmp_path, capsys, text):
+        # Both used to pass the constructor and fail deep in the run.
+        rc, payload = self._run(
+            tmp_path, capsys, text, ("--output", str(tmp_path)), command="edge-right"
+        )
+        assert rc == 1
+        assert payload["error"] == "config"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = cli.parse_and_dispatch(
             ["fidi", "--config", str(tmp_path / "nope.ini")], environ={}

@@ -113,6 +113,9 @@ class TestConfig:
                 lambda_grid=(0.5, 1.0),
                 level_grid=(2.0, 1.0),
             ),
+            dict(edge="left", t_grid=(1e-2, math.inf)),
+            dict(edge="right", t_grid=(math.nan,)),
+            dict(edge="right", lambda_grid=(0.5, 1.0), level_grid=(1.0, math.nan)),
         ],
     )
     def test_rejected_configs(self, kw):
@@ -692,6 +695,7 @@ PINNED_CSV_SHA256 = {
     "right-log": "c3537ebd558cf6cfe152d487765be72a677799182c8dc613e5b966770778b925",
     "fidi-partial-block": "32cfa0b2579967f9da8daf877651ae701a0c166521f50530ab49304a455e9c31",
     "bottom-mixed-r": "c349a55757de97a1be54bd5699d86b12f4e0b0b0afd52e529ce09df146edc5f0",
+    "diagnostics": "f471703ff210ae8088720c64ae130ead5929d031108db205e52810170a8ffcdf",
 }
 PINNED_CSV_CONFIGS = {
     "left-stable": dict(
@@ -712,6 +716,13 @@ PINNED_CSV_CONFIGS = {
         edge="bottom", alpha_grid=(0.4, 0.2, 0.1), r_grid=(0, 2, 1), lambda_grid=(0.5, 1.0),
         replicates=3, n_terms=20_000,
     ),
+    "diagnostics": dict(edge="diagnostics", replicates=5),
+}
+# sha256 of repr(report.plots) for pinned configs run with plot=True, recorded
+# before the horizon sweep re-indexed the plot slices by position.
+PINNED_PLOTS_SHA256 = {
+    "left-stable": "b89f566112dd30cb370b925903ee25bd28b6c98f17c87389f4ed82e32b54ae7b",
+    "right-log": "09f6fbf2cd63e7f6df603866acec667d8c393eea628caf321410c775812f2c37",
 }
 
 
@@ -721,3 +732,9 @@ class TestPinnedCsv:
         report = run_experiment(ExperimentConfig(**PINNED_CSV_CONFIGS[name]))
         digest = hashlib.sha256(report.csv_text().encode("utf-8")).hexdigest()
         assert digest == PINNED_CSV_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_PLOTS_SHA256))
+    def test_plot_digest(self, name):
+        report = run_experiment(ExperimentConfig(**PINNED_CSV_CONFIGS[name], plot=True))
+        digest = hashlib.sha256(repr(report.plots).encode("utf-8")).hexdigest()
+        assert digest == PINNED_PLOTS_SHA256[name]

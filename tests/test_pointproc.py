@@ -268,13 +268,16 @@ class TestOrderedJumps:
 
 
 def _old_ladder_check(lj):
-    """The two-pass ladder check the one-pass check replaces; its message or None.
+    """The two-pass ladder check, plus a +inf pass; its message or None.
 
-    Its ``np.diff`` warned on a run of equal infinities (``inf - inf``).
+    The one-pass check replaced the first two passes.  Their ``np.diff``
+    warned on a run of equal infinities (``inf - inf``).
     """
     if lj.size:
         if np.any(np.isnan(lj)):
             return "log_jumps must not contain NaN"
+        if np.any(lj == math.inf):
+            return "log_jumps must not contain +inf (an infinite jump)"
         with np.errstate(invalid="ignore"):
             if np.any(np.diff(lj) > 0.0):
                 return "log_jumps must be nonincreasing"
@@ -330,6 +333,14 @@ class TestLadderCheck:
     )
     def test_same_verdict_and_message_on_any_row(self, lj):
         assert _ladder_check(lj) == _old_ladder_check(lj)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_jump_rejected_zero_jump_admitted(self):
+        # An infinite jump used to pass and make the trimmed sum NaN after
+        # an ``inf - inf`` warning; a zero jump (log -inf) sums as zero.
+        with pytest.raises(ValueError, match=r"\+inf \(an infinite jump\)"):
+            _hand_ladder([math.inf, 0.0], floor=0.0)
+        assert trimmed_value(_hand_ladder([0.0, -math.inf]), 0) == (1.0, 0.0)
 
 
 class TestRestrict:
