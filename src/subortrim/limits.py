@@ -22,13 +22,14 @@ grid, memoised by suffix start.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .levy import TailFunction, parse_tail, tail_eval
-from .pointproc import ArrivalSeries, log_sum_exp_rows
+from .pointproc import ArrivalSeries, log_sum_exp_sorted
 from .stats import poisson_below
 
 __all__ = [
@@ -90,8 +91,9 @@ def cauchy_rth_jump_cdf(r: int, lam: float, x) -> float | np.ndarray:
     that a Poisson(lam/x) count of jumps above ``x`` stays below ``r``.
     Evaluated as that finite sum (:func:`stats.poisson_below`, the
     integer-order regularised upper incomplete gamma function); vectorised
-    over ``x``.
+    over ``x``.  ``r`` must be an integer; a float raises ``TypeError``.
     """
+    r = _rank(r)
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
     if not lam > 0.0 or math.isnan(lam):
@@ -165,11 +167,20 @@ def second_jump_fidi(levy_level_mass, q: FidiQuery) -> float:
 
 def fidi_probability(q: FidiQuery, r: int, measure="cauchy") -> float:
     """Dispatch a fidi query: ``r = 1`` largest jump, ``r = 2`` second largest."""
+    r = _rank(r)
     if r == 1:
         return extremal_fidi_cdf(q, measure)
     if r == 2:
         return second_jump_fidi(measure, q)
     raise ValueError(f"fidi rank must be 1 or 2, got {r}")
+
+
+def _rank(r) -> int:
+    """``r`` as a Python int; a float raises ``TypeError`` rather than passing for an int."""
+    try:
+        return operator.index(r)
+    except TypeError:
+        raise TypeError(f"rank must be an integer, got {r!r}") from None
 
 
 def trimmed_stable_power_sample(arr: ArrivalSeries, alpha, r, lam: float) -> float | np.ndarray:
@@ -180,27 +191,37 @@ def trimmed_stable_power_sample(arr: ArrivalSeries, alpha, r, lam: float) -> flo
 
         ( sum_{i > r} d_i**(1/alpha) )**alpha
 
-    evaluated as ``exp(alpha * log_sum_exp_rows(log d_i / alpha))`` so
-    extreme powers never overflow.  Sharing ``arr`` with
+    evaluated as ``exp(alpha * L)`` with ``L`` the log-sum-exp of
+    ``log d_i / alpha`` over ``i > r``, so extreme powers never overflow.
+    The restricted log-ladder ``-log Gamma_i`` is nonincreasing (the
+    arrivals increase and ``log`` is monotone), so ``L`` is
+    :func:`pointproc.log_sum_exp_sorted` of its suffix past rank ``r``:
+    the bits of :func:`pointproc.log_sum_exp_rows` on that row, with
+    ``exp`` formed only on the prefix above the subnormal cut, which at a
+    small ``alpha`` is a few of the terms.  Sharing ``arr`` with
     :func:`cauchy_ordered_jump_sample` couples the two statistics on the
     same randomness: as ``alpha`` drops, this value sinks to that ranked
     jump realisation by realisation.
 
     ``alpha`` and ``r`` may each be a sequence; the result has shape
-    ``np.shape(r) + np.shape(alpha)``, all from one restricted ladder, and
-    each entry has the bits of the scalar call.  Scalars give a float.
+    ``np.shape(r) + np.shape(alpha)``, all from one restricted ladder and
+    one scratch row, and each entry has the bits of the scalar call.  An
+    empty ``alpha`` or ``r`` gives an empty array.  Scalars give a float.
     """
     alphas, ranks = np.asarray(alpha, dtype=float), _ranks(r)
     alpha_list, rank_list = alphas.ravel().tolist(), ranks.ravel().tolist()
     if not all(0.0 < a < 1.0 for a in alpha_list):
         raise ValueError(f"index must lie in (0, 1), got {alpha}")
-    log_jumps = _restricted_log_jumps(arr, lam, rank_list)
-    row = np.empty((1, log_jumps.size))  # the scratch every (r, alpha) is reduced in
+    _check_restriction(lam, rank_list)
     out = []
-    for k in rank_list:
-        for a in alpha_list:
-            terms = np.divide(log_jumps[None, k:], a, out=row[:, : row.shape[1] - k])
-            out.append(math.exp(a * log_sum_exp_rows(terms, -np.inf)[0]))
+    if rank_list:
+        log_jumps = arr.arrivals[arr.marks <= lam]
+        np.negative(np.log(log_jumps, out=log_jumps), out=log_jumps)
+        _check_depth(log_jumps.size, rank_list)
+        scratch = np.empty(log_jumps.size)  # the row every (r, alpha) is reduced in
+        for k in rank_list:
+            for a in alpha_list:
+                out.append(math.exp(a * log_sum_exp_sorted(log_jumps[k:], a, scratch)))
     if ranks.ndim == alphas.ndim == 0:
         return out[0]
     return np.reshape(out, ranks.shape + alphas.shape)
@@ -211,33 +232,54 @@ def cauchy_ordered_jump_sample(arr: ArrivalSeries, r, lam: float) -> float | np.
 
     Marginally distributed as ``cauchy_rth_jump_cdf(r + 1, lam, .)``;
     pathwise dominated by lower ranks on the same series.  A sequence of
-    ``r`` gives an array of that shape from one restricted ladder.
+    ``r`` gives an array of that shape from one restricted ladder; an empty
+    one gives an empty array.  Only the leading arrivals that hold rank
+    ``max(r) + 1`` are read: the scanned prefix doubles from ``2 (max(r) + 1)``
+    arrivals until enough of its marks are ``<= lam``.
     """
     ranks = _ranks(r)
-    log_jumps = _restricted_log_jumps(arr, lam, ranks.ravel().tolist())
+    rank_list = ranks.ravel().tolist()
+    _check_restriction(lam, rank_list)
+    if not rank_list:
+        return np.empty(ranks.shape)
+    count, total = max(rank_list) + 1, arr.arrivals.size
+    width = min(total, 2 * count)
+    while True:
+        kept = arr.arrivals[:width][arr.marks[:width] <= lam]
+        if kept.size >= count or width == total:
+            break
+        width = min(total, 2 * width)
+    _check_depth(kept.size, rank_list)
+    log_jumps = np.negative(np.log(kept[:count]))
     out = np.array([math.exp(v) for v in log_jumps[ranks.ravel()]]).reshape(ranks.shape)
     return float(out) if out.ndim == 0 else out
 
 
 def _ranks(r) -> np.ndarray:
-    """``r`` as an integer array; a float raises ``TypeError`` rather than an index error."""
+    """``r`` as an integer array; a float raises ``TypeError`` rather than an index error.
+
+    An empty ``r`` is an empty integer array, whatever its dtype.
+    """
     ranks = np.asarray(r)
+    if ranks.size == 0:
+        return ranks.astype(np.intp)
     if ranks.dtype.kind not in "iu":
         raise TypeError(f"trim counts must be integers, got {r!r}")
     return ranks
 
 
-def _restricted_log_jumps(arr: ArrivalSeries, lam: float, ranks: list[int]) -> np.ndarray:
-    """Ranked log-jumps with marks ``<= lam``, checked to reach rank ``r + 1`` for every ``r``."""
+def _check_restriction(lam: float, ranks: list[int]) -> None:
+    """Reject a restriction level outside ``(0, 1]`` and a negative trim count."""
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"restriction level must lie in (0, 1], got {lam}")
-    if min(ranks) < 0:
+    if ranks and min(ranks) < 0:
         raise ValueError(f"trim count must be >= 0, got {ranks}")
-    log_jumps = arr.arrivals[arr.marks <= lam]
-    np.negative(np.log(log_jumps, out=log_jumps), out=log_jumps)
-    if log_jumps.size <= max(ranks):
-        raise ValueError(f"only {log_jumps.size} restricted jumps, trim {ranks}: deepen the series")
-    return log_jumps
+
+
+def _check_depth(kept: int, ranks: list[int]) -> None:
+    """Raise unless ``kept`` restricted jumps reach rank ``r + 1`` for every ``r``."""
+    if kept <= max(ranks):
+        raise ValueError(f"only {kept} restricted jumps, trim {ranks}: deepen the series")
 
 
 #: Fixed validation grid: 12 queries spanning n = 1..4, mixed widths and levels,

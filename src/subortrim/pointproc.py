@@ -20,6 +20,7 @@ unless values are representable.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ __all__ = [
     "z_statistic_trimmed",
     "ratio_diagnostic",
     "log_sum_exp_rows",
+    "log_sum_exp_sorted",
     "trimmed_log_sums",
     "trimmed_ratios",
     "trimmed_z_rows",
@@ -318,7 +320,8 @@ def _log_compensation(tail: TailFunction, horizon: float, floor_log_jumps, on: b
 def log_sum_exp_rows(terms: np.ndarray, log_comp) -> np.ndarray:
     """Row-wise ``log(sum(exp(terms)) + exp(log_comp))`` of a ``(rows, n >= 1)`` matrix.
 
-    The one log-sum-exp: max-shifted, with numpy's pairwise sum, so its
+    The log-sum-exp of rows in any order (:func:`log_sum_exp_sorted` gives
+    its bits on a sorted row): max-shifted, with numpy's pairwise sum, so its
     rounding error is ``O(eps log n)`` and it stays exact in the exponent
     when every term underflows; ``-inf`` terms are zeros.  The shifted
     terms are exponentiated by :func:`_exp_live_prefix`, which zeroes the
@@ -349,9 +352,43 @@ def _exp_live_prefix(shifted: np.ndarray) -> np.ndarray:
     if shifted.size and shifted[:, -1].max() < _EXP_NORMAL_FROM:
         dead = (shifted < _EXP_NORMAL_FROM).all(axis=0)
         width = 0 if dead.all() else width - int(np.argmin(dead[::-1]))
-        shifted[:, width:] = 0.0
+    return _exp_prefix(shifted, width)
+
+
+def _exp_prefix(shifted: np.ndarray, width: int) -> np.ndarray:
+    """``exp`` of the first ``width`` columns of ``shifted`` in place, the rest set to 0."""
+    shifted[:, width:] = 0.0
     np.exp(shifted[:, :width], out=shifted[:, :width])
     return shifted
+
+
+def log_sum_exp_sorted(ladder: np.ndarray, alpha: float, scratch: np.ndarray):
+    """``log(sum(exp(ladder / alpha)))`` of a nonempty nonincreasing 1-d ``ladder``, ``alpha > 0``.
+
+    The bits of ``log_sum_exp_rows(ladder[None] / alpha, -inf)[0]``, without
+    its passes over the whole row.  As the ladder is sorted, its first term
+    is the row maximum, and the live columns (shifted terms at or above
+    ``_EXP_NORMAL_FROM``) form a prefix, whose width is found by bisection
+    with the same scalar operations.  Only that prefix is divided, shifted
+    and exponentiated; the dead suffix is zeroed and the whole row is
+    summed, so that numpy's pairwise grouping is the full row's.
+    ``scratch`` is a float array at least as long as ``ladder``; it is
+    overwritten.
+    """
+    n, term = ladder.size, ladder.item
+    m = term(0) / alpha
+    if m == -math.inf:
+        m = 0.0  # a row of zero terms sums to log 0 = -inf, not NaN
+    width = n
+    if term(n - 1) / alpha - m < _EXP_NORMAL_FROM:
+        width = bisect.bisect_left(
+            range(n - 1), True, key=lambda j: term(j) / alpha - m < _EXP_NORMAL_FROM
+        )
+    row = scratch[None, :n]
+    live = np.divide(ladder[None, :width], alpha, out=row[:, :width])
+    np.subtract(live, m, out=live)
+    with np.errstate(under="ignore", divide="ignore"):
+        return m + np.log(_exp_prefix(row, width).sum(axis=1))[0]
 
 
 def trimmed_log_sums(log_j: np.ndarray, keep: np.ndarray, r: int, log_comp) -> np.ndarray:

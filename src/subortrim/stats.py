@@ -160,13 +160,16 @@ def empirical_laplace(samples, s: float) -> LaplaceEstimate:
     """Sample mean and standard error of ``exp(-s * X)``.
 
     For nonnegative samples the mean lies in (0, 1].  The standard error
-    uses the unbiased sample variance (0 for a single observation).
+    uses the unbiased sample variance (0 for a single observation).  A
+    NaN sample and an infinite or NaN ``s`` raise ``ValueError``.
     """
-    if not s > 0.0 or math.isnan(s):
-        raise ValueError(f"transform argument must be positive, got {s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"transform argument must be positive and finite, got {s}")
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size < 1:
         raise ValueError("need at least one sample")
+    if np.isnan(arr).any():
+        raise ValueError("samples must not contain NaN")
     with np.errstate(under="ignore"):
         vals = np.exp(-s * arr)
     mean = float(np.mean(vals))

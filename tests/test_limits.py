@@ -8,14 +8,16 @@ with the product/recursion implementations under test.
 """
 
 import math
+import types
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from subortrim import limits
+from subortrim import pointproc
 from subortrim.levy import parse_tail, stable_tail, tail_eval
 from subortrim.limits import (
     FIDI_QUERY_GRID,
@@ -27,7 +29,7 @@ from subortrim.limits import (
     second_jump_fidi,
     trimmed_stable_power_sample,
 )
-from subortrim.pointproc import ArrivalSeries, derive_seed, sample_arrivals
+from subortrim.pointproc import ArrivalSeries, derive_seed, log_sum_exp_rows, sample_arrivals
 
 
 def _pois_pmf(mean, k):
@@ -129,6 +131,13 @@ class TestCauchyRthJumpCdf:
         with pytest.raises(ValueError):
             cauchy_rth_jump_cdf(1, 1.0, np.array([1.0, math.nan]))
 
+    @pytest.mark.parametrize("r", [1.5, 2.0, np.float64(1.0)])
+    def test_float_rank_raises_type_error(self, r):
+        # 1.5 used to fail only inside range(); 2.0 was taken as 2.
+        with pytest.raises(TypeError, match="rank must be an integer"):
+            cauchy_rth_jump_cdf(r, 1.0, 1.0)
+        assert cauchy_rth_jump_cdf(np.int64(2), 1.0, 1.0) == cauchy_rth_jump_cdf(2, 1.0, 1.0)
+
 
 class TestExtremalFidi:
     def test_single_point_reduces_to_marginal(self):
@@ -207,6 +216,14 @@ class TestFidiDispatchAndParse:
         assert fidi_probability(q, 2) == second_jump_fidi("cauchy", q)
         with pytest.raises(ValueError):
             fidi_probability(q, 3)
+        assert fidi_probability(q, np.int64(2)) == fidi_probability(q, 2)
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, 1.5, np.float64(1.0)])
+    def test_float_rank_raises_type_error(self, r):
+        # 1.0 == 1 used to pick the largest-jump branch.
+        q = FidiQuery(lambdas=(0.5, 1.0), levels=(1.0, 2.0))
+        with pytest.raises(TypeError, match="rank must be an integer"):
+            fidi_probability(q, r)
 
     @pytest.mark.parametrize(
         "lams, ys",
@@ -346,7 +363,7 @@ class TestCoupledSamples:
                     want = self._PINNED_POWERS[(i, lam, r)]
                     assert tuple(float(v).hex() for v in got[r]) == want, (i, lam, r)
 
-    def test_deep_index_matches_full_exp_reference(self, monkeypatch):
+    def test_deep_index_matches_full_exp_reference(self):
         # The first arrival of series 23, 38 and 47 lies below 0.14, so at
         # alpha = 0.02 and depth 2e5 their ladders fall through exp's
         # subnormal band, which the log-sum-exp zeroes instead of forming;
@@ -364,16 +381,11 @@ class TestCoupledSamples:
                 total = np.sum(np.exp(terms - m[:, None]), axis=1) + np.exp(log_comp - m)
                 return m + np.log(total)
 
-        def samples():
-            return [
-                trimmed_stable_power_sample(a, (0.05, 0.02), (0, 1, 2), lam)
-                for a in arrs
-                for lam in (0.5, 1.0)
-            ]
-
-        got = samples()
-        monkeypatch.setattr(limits, "log_sum_exp_rows", full_exp_rows)
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in samples()]
+        for a in arrs:
+            for lam in (0.5, 1.0):
+                got = trimmed_stable_power_sample(a, (0.05, 0.02), (0, 1, 2), lam)
+                want = _reference_powers(a, (0.05, 0.02), (0, 1, 2), lam, full_exp_rows)
+                assert got.tobytes() == want.tobytes()
 
     def test_depth_and_level_validation(self):
         arr = self._hand_arr()
@@ -404,6 +416,125 @@ class TestCoupledSamples:
         arr = sample_arrivals(9092, 64)
         val = trimmed_stable_power_sample(arr, 0.01, 0, 1.0)
         assert math.isfinite(val) and val > 0.0
+
+
+def _reference_powers(arr, alphas, ranks, lam, rows=log_sum_exp_rows):
+    """The power sample through the whole restricted ladder and a row log-sum-exp.
+
+    Each (r, alpha) divides the full restricted suffix past rank ``r`` and
+    reduces it with ``rows`` (max shift, exp, pairwise sum): the route the
+    sorted-ladder reduction replaces.
+    """
+    log_jumps = -np.log(arr.arrivals[arr.marks <= lam])
+    if log_jumps.size <= max(ranks):
+        raise ValueError("deepen the series")
+    out = [
+        math.exp(a * rows(np.divide(log_jumps[None, k:], a), -np.inf)[0])
+        for k in ranks
+        for a in alphas
+    ]
+    return np.reshape(np.array(out, dtype=float), (len(ranks), len(alphas)))
+
+
+def _reference_ranked(arr, ranks, lam):
+    """The ranked jumps read from the whole restricted ladder."""
+    log_jumps = -np.log(arr.arrivals[arr.marks <= lam])
+    if log_jumps.size <= max(ranks):
+        raise ValueError("deepen the series")
+    return np.array([math.exp(v) for v in log_jumps[list(ranks)]])
+
+
+@st.composite
+def _coupled_queries(draw):
+    """A series, a restriction level and unsorted grids of trim counts and indices.
+
+    The series is a drawn stream, or arrivals built from drawn gaps with a
+    first arrival anywhere from 1e-300 to 10.  Indices mix the deep end
+    (alpha <= 0.02, where the live prefix of a few thousand terms is
+    shorter than the row) with the rest of (0, 1).  Short series at low
+    levels keep too few jumps for the largest trim count.
+    """
+    if draw(st.booleans()):
+        arr = sample_arrivals(draw(st.integers(0, 2**32)), draw(st.integers(1, 4000)))
+    else:
+        n = draw(st.integers(1, 300))
+        first = draw(st.floats(1e-300, 10.0))
+        gaps = draw(hnp.arrays(np.float64, n - 1, elements=st.floats(1e-3, 100.0)))
+        arrivals = np.cumsum(np.concatenate([[first], gaps]))
+        marks = draw(hnp.arrays(np.float64, n, elements=st.floats(1e-9, 1.0)))
+        assume(bool(np.all(arrivals[1:] > arrivals[:-1])))
+        arr = ArrivalSeries(arrivals=arrivals, marks=marks, seed=0)
+    lam = draw(st.floats(0.01, 1.0) | st.just(1.0))
+    ranks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    deep, shallow = st.floats(1e-4, 0.02), st.floats(0.02, 0.999)
+    alphas = draw(st.lists(deep | shallow, min_size=1, max_size=4))
+    return arr, lam, ranks, alphas
+
+
+class TestSortedLadderReduction:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_coupled_queries())
+    def test_coupled_samples_match_full_restriction_route_bitwise(self, query):
+        arr, lam, ranks, alphas = query
+        try:
+            want = _reference_powers(arr, alphas, ranks, lam)
+        except ValueError:
+            with pytest.raises(ValueError, match="deepen"):
+                trimmed_stable_power_sample(arr, alphas, ranks, lam)
+            with pytest.raises(ValueError, match="deepen"):
+                cauchy_ordered_jump_sample(arr, ranks, lam)
+            return
+        got = trimmed_stable_power_sample(arr, alphas, ranks, lam)
+        assert got.tobytes() == want.tobytes()
+        ranked = cauchy_ordered_jump_sample(arr, ranks, lam)
+        assert ranked.tobytes() == _reference_ranked(arr, ranks, lam).tobytes()
+
+    def test_live_prefix_is_shorter_than_the_row(self):
+        # At alpha = 0.01 on 4000 terms only the terms within 708 * alpha of
+        # the head in log are exponentiated; the scratch past them is zeroed.
+        arr = sample_arrivals(derive_seed(9096, 0), 4000)
+        log_jumps = -np.log(arr.arrivals)
+        scratch = np.full(log_jumps.size, np.nan)
+        value = pointproc.log_sum_exp_sorted(log_jumps, 0.01, scratch)
+        live = np.count_nonzero(scratch)
+        assert 0 < live < log_jumps.size and not np.isnan(scratch).any()
+        want = log_sum_exp_rows(log_jumps[None, :] / 0.01, -np.inf)[0]
+        assert float(value).hex() == float(want).hex()
+
+    def test_ranked_sample_reads_only_a_prefix(self):
+        # The scan doubles from 2 (max(r) + 1) arrivals until its marks keep
+        # max(r) + 1 of them; nothing past that prefix is read.
+        class Recorded:
+            """An array that allows slices from the start, and records the widest."""
+
+            def __init__(self, values):
+                self.values, self.size, self.widest = values, values.size, 0
+
+            def __getitem__(self, key):
+                assert isinstance(key, slice) and key.start is None
+                self.widest = max(self.widest, key.stop)
+                return self.values[key]
+
+        arr = sample_arrivals(derive_seed(9097, 0), 100_000)
+        stub = types.SimpleNamespace(arrivals=Recorded(arr.arrivals), marks=Recorded(arr.marks))
+        got = cauchy_ordered_jump_sample(stub, (2, 0), 0.5)
+        assert got.tobytes() == _reference_ranked(arr, (2, 0), 0.5).tobytes()
+        assert stub.arrivals.widest == stub.marks.widest <= 24
+
+    def test_empty_trim_grids_give_empty_results(self):
+        arr = sample_arrivals(derive_seed(9098, 0), 100)
+        for empty in ([], np.array([], dtype=int), np.array([])):
+            got = cauchy_ordered_jump_sample(arr, empty, 1.0)
+            assert isinstance(got, np.ndarray) and got.shape == (0,)
+            got = trimmed_stable_power_sample(arr, (0.5, 0.2), empty, 1.0)
+            assert isinstance(got, np.ndarray) and got.shape == (0, 2)
+        assert trimmed_stable_power_sample(arr, [], 0, 1.0).shape == (0,)
+        assert trimmed_stable_power_sample(arr, [], [], 1.0).shape == (0, 0)
+        # The level and the index are still checked.
+        with pytest.raises(ValueError, match="restriction"):
+            cauchy_ordered_jump_sample(arr, [], 0.0)
+        with pytest.raises(ValueError, match="index"):
+            trimmed_stable_power_sample(arr, 1.5, [], 1.0)
 
 
 class TestQueryGrid:

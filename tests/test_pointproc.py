@@ -29,6 +29,7 @@ from subortrim.pointproc import (
     JumpLadder,
     derive_seed,
     log_sum_exp_rows,
+    log_sum_exp_sorted,
     ordered_jumps,
     ratio_diagnostic,
     restrict_to,
@@ -686,6 +687,47 @@ class TestExpLivePrefix:
     def test_no_rows(self):
         assert log_sum_exp_rows(np.empty((0, 3)), np.empty(0)).shape == (0,)
         assert trimmed_ratios(np.empty((0, 3)), 0).shape == (0,)
+
+
+@st.composite
+def _sorted_rows(draw):
+    """A nonincreasing row and an index, the scaled drops near and past exp's cut.
+
+    After division by ``alpha`` each term lies below the head by a drop
+    drawn as in :func:`_band_rows`; a trailing run of ``-inf`` (zero jumps)
+    may cover part or all of the row.
+    """
+    terms, alpha = draw(st.integers(1, 300)), draw(st.floats(1e-3, 1.0))
+    drops = (
+        st.floats(0.0, 5.0) | st.floats(700.0, 716.0) | st.floats(708.0, 746.0)
+        | st.floats(744.0, 800.0)
+    )
+    offsets = np.sort(draw(hnp.arrays(np.float64, terms, elements=drops)))
+    row = draw(st.floats(-50.0, 50.0)) - offsets * alpha
+    row[terms - draw(st.integers(0, terms)) :] = -np.inf
+    return row, alpha
+
+
+class TestLogSumExpSorted:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_sorted_rows())
+    def test_matches_log_sum_exp_rows_bitwise(self, query):
+        row, alpha = query
+        scratch = np.full(row.size + 3, np.nan)  # longer than the row, and never read
+        got = log_sum_exp_sorted(row, alpha, scratch)
+        want = log_sum_exp_rows(row[None, :] / alpha, -np.inf)[0]
+        assert float(got).hex() == float(want).hex()
+        assert np.isnan(scratch[row.size :]).all()
+
+    def test_live_width_is_bisected_at_the_cut(self):
+        # Terms at the cut stay live, one ulp below it they are zeroed.
+        below = np.nextafter(NORMAL_CUT, -np.inf)
+        row = np.array([0.0, -1.0, NORMAL_CUT, below, -900.0])
+        scratch = np.full(row.size, np.nan)
+        with np.errstate(under="ignore"):
+            want = np.exp(row[:3])
+        log_sum_exp_sorted(row, 1.0, scratch)
+        assert scratch[:3].tobytes() == want.tobytes() and scratch[3:].tolist() == [0.0, 0.0]
 
 
 @st.composite

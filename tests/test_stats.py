@@ -227,6 +227,16 @@ class TestEmpiricalLaplace:
         with pytest.raises(ValueError):
             empirical_laplace(np.array([1.0]), math.nan)
 
+    def test_nan_sample_raises(self):
+        # It used to give a NaN mean and standard error.
+        with pytest.raises(ValueError, match="NaN"):
+            empirical_laplace(np.array([1.0, math.nan, 2.0]), 1.0)
+
+    def test_infinite_argument_raises(self):
+        # s = inf on a zero sample used to form -inf * 0 ("invalid value").
+        with pytest.raises(ValueError, match="transform argument"):
+            empirical_laplace(np.array([0.0, 1.0]), math.inf)
+
 
 class TestMcStandardError:
     def test_binomial_half(self):

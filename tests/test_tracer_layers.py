@@ -66,3 +66,28 @@ def test_edge_left_calls_what_the_left_rational_workload_expects(tracer):
     assert {m: metrics[m] != 0 for m in expected} == expected
     assert metrics["pointproc.arrivals_calls"] == 2 * cfg.replicates
     assert metrics["pointproc.arrivals_drawn"] == 2 * cfg.replicates * cfg.n_terms
+
+
+def test_edge_bottom_calls_what_the_bottom_deep_workload_expects(tracer):
+    # Each series is drawn once and serves one ranked and one power call per
+    # lambda; the coupled samples stay on the wrapped names and off levy.
+    cfg = ExperimentConfig(
+        edge="bottom", alpha_grid=(0.4, 0.02), lambda_grid=(0.5, 1.0), r_grid=(0, 2, 1),
+        replicates=3, n_terms=2000, seed_blocks=1,
+    )
+    trace = tracer.Tracer("tier-1")
+    trace.install()
+    try:
+        experiments.run_experiment(cfg)
+    finally:
+        trace.uninstall()
+    metrics = tracer.layer_metrics(trace.spans)
+    expected = {
+        metric: table["bottom-deep"]
+        for metric, table in tracer.PRESENCE.items()
+        if "bottom-deep" in table and not metric.startswith("cli.")
+    }
+    assert {m: metrics[m] != 0 for m in expected} == expected
+    assert metrics["limits.coupled_calls"] == 2 * cfg.replicates * len(cfg.lambda_grid)
+    assert metrics["levy.inverse_calls"] == 0
+    assert metrics["pointproc.arrivals_drawn"] == cfg.replicates * cfg.n_terms
