@@ -34,13 +34,16 @@ CSV is byte-identical for any ``jobs`` value.  The ``ms_elapsed`` column
 is fixed at 0 to keep that guarantee; wall time lives in the JSON summary.
 
 One horizon sweep (``_z_sweep``) serves both edges and the diagnostics'
-ratio trend: per horizon it inverts the stream matrix ``_ROW_BLOCK``
-replicate rows at a time and returns a (slices x replicates) matrix of
-trimmed z-statistics, slice ``k`` being the ``k``-th (r, lambda) pair in
-``product(r_grid, lambda_grid)`` order, plus the trimmed ratios on request.
+ratio trend.  It draws the replicates' streams ``_ROW_BLOCK`` rows at a
+time and inverts and reduces each block at every horizon before drawing
+the next, so memory holds one block of the stream matrix, not the whole
+(replicates x n_terms) matrix.  It fills a (horizons x slices x
+replicates) array of trimmed z-statistics, slice ``k`` being the ``k``-th
+(r, lambda) pair in ``product(r_grid, lambda_grid)`` order, plus a
+(horizons x replicates) array of trimmed ratios on request.
 
-Trend runs share one arrival matrix across the whole horizon grid
-(coupled comparison): the sampled vectors then converge pathwise as the
+Trend runs use the same arrivals at every horizon of the grid (coupled
+comparison): the sampled vectors then converge pathwise as the
 horizon shrinks, which turns distributional trends into near-deterministic
 ones and makes the power-law self-similarity check exact.  At very small
 horizons the statistic saturates in float precision (samples stop moving
@@ -51,7 +54,7 @@ terminal bound rather than a strict decrease.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import operator
 from dataclasses import dataclass, field, fields
 from itertools import product
 from time import perf_counter
@@ -92,9 +95,10 @@ _KS_EDGES = ("left", "right")
 _FIDI_DEPTH = 128
 #: Replicate rows per fidi count; fixed, so memory does not grow with the chunk.
 _FIDI_BLOCK = 128
-#: Replicate rows per block of a horizon's inversion and reduction in
-#: edge-left and edge-right: 256 rows of a 1000-term ladder are 2 MB per
-#: temporary, and the CSV does not depend on the block.
+#: Replicate rows drawn, inverted and reduced together by the horizon sweep
+#: of edge-left, edge-right and the ratio trend: 256 rows of a 1000-term
+#: ladder are 2 MB per stream block or temporary, whatever the replicate
+#: count, and the CSV does not depend on the block.
 _ROW_BLOCK = 256
 _PLOT_POINTS = 512
 #: Edge-right's terminal KS-median floor, pilot-calibrated at ``_PILOT_ANCHOR_N``
@@ -152,7 +156,11 @@ class ExperimentConfig:
             b <= a for a, b in zip(lams, lams[1:])
         ):
             raise ValueError("lambda_grid must be strictly increasing within (0, 1]")
-        if any(r < 0 for r in self.r_grid):
+        for name in ("replicates", "n_terms", "seed_blocks", "jobs", "master_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        r_grid = tuple(_integer("r_grid entry", r) for r in self.r_grid)
+        object.__setattr__(self, "r_grid", r_grid)
+        if any(r < 0 for r in r_grid):
             raise ValueError("r_grid values must be nonnegative")
         floor = 1000 if self.edge in _KS_EDGES else 1
         if self.replicates < floor:
@@ -163,9 +171,8 @@ class ExperimentConfig:
             raise ValueError("seed_blocks must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        seed = self.master_seed
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"master_seed must be a nonnegative integer, got {seed!r}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.edge == "right":
             if len(self.level_grid) != len(self.lambda_grid):
                 raise ValueError("level_grid must match lambda_grid in length")
@@ -190,6 +197,16 @@ class ExperimentConfig:
             v = getattr(self, f.name)
             out[f.name] = list(v) if isinstance(v, tuple) else v
         return out
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int: ints and numpy ints pass, bools and floats raise."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _family_tail(tail_str: str, alpha: float) -> TailFunction:
@@ -321,29 +338,31 @@ def _stream_matrix(seeds: list[int], n_terms: int):
     return arrivals, marks
 
 
-def _z_sweep(tail: TailFunction, arrivals, marks, t_grid, slices, ratio_r=None):
-    """Yield ``(t, z, w)`` per horizon ``t`` of ``t_grid``, from one stream matrix.
+def _z_sweep(tail: TailFunction, seeds, n_terms: int, t_grid, slices, ratio_r=None):
+    """Trimmed z-statistics of the streams of ``seeds`` at every horizon of ``t_grid``.
 
-    ``z`` is a ``(len(slices), replicates)`` matrix whose row ``k`` holds
-    the trimmed z-statistics of slice ``slices[k] = (r, lam)``, and ``w``
-    the trimmed ratios at trim ``ratio_r`` (``None`` without one).  Each
-    horizon is inverted ``_ROW_BLOCK`` rows at a time; inversion and the
-    reductions are per row, so blocks give the bits of one pass over the
-    whole matrix while their temporaries stay in cache.
+    Returns ``(z, w)``: ``z[j, k]`` holds the replicates' trimmed
+    z-statistics at ``t_grid[j]`` for slice ``slices[k] = (r, lam)``, and
+    ``w[j]`` their trimmed ratios at trim ``ratio_r`` (``w`` is ``None``
+    without one).  The streams are drawn ``_ROW_BLOCK`` rows at a time, and
+    each block is inverted and reduced at every horizon before the next is
+    drawn; the whole stream matrix is never built.  Drawing, inversion and
+    the reductions are per row, so the block does not reach the bits.
     """
-    replicates = len(arrivals)
-    for t in t_grid:
-        z = np.empty((len(slices), replicates))
-        w = None if ratio_r is None else np.empty(replicates)
-        for lo in range(0, replicates, _ROW_BLOCK):
-            rows = slice(lo, lo + _ROW_BLOCK)
+    replicates = len(seeds)
+    z = np.empty((len(t_grid), len(slices), replicates))
+    w = None if ratio_r is None else np.empty((len(t_grid), replicates))
+    for lo in range(0, replicates, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        arrivals, marks = _stream_matrix(seeds[rows], n_terms)
+        for j, t in enumerate(t_grid):
             with np.errstate(over="ignore"):  # Gamma / t = inf is a zero jump
-                log_j = np.asarray(levy.tail_inverse_log(tail, arrivals[rows] / t))
+                log_j = np.asarray(levy.tail_inverse_log(tail, arrivals / t))
             for k, (r, lam) in enumerate(slices):
-                z[k, rows] = trimmed_z_rows(tail, t, log_j, marks[rows], lam, r, log_j[:, -1])
+                z[j, k, rows] = trimmed_z_rows(tail, t, log_j, marks, lam, r, log_j[:, -1])
             if w is not None:
-                w[rows] = trimmed_ratios(log_j, ratio_r)
-        yield t, z, w
+                w[j, rows] = trimmed_ratios(log_j, ratio_r)
+    return z, w
 
 
 def _replicate_seeds(root: int, stream: int, count: int) -> list[int]:
@@ -374,6 +393,8 @@ def _run_pool(cfg: ExperimentConfig, worker, tasks: list) -> list:
     """Map tasks to results, preserving task order, honouring cfg.jobs."""
     if cfg.jobs == 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
+
     with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
 
@@ -446,10 +467,11 @@ def _left_task(args):
     cfg, alpha_idx, block = args
     tail = _family_tail(cfg.tail, cfg.alpha_grid[alpha_idx])
     root = _combo_root(cfg, block, alpha_idx)
-    arrivals, marks = _stream_matrix(
-        _replicate_seeds(root, _SAMPLE_STREAM, cfg.replicates), cfg.n_terms
-    )
     slices = list(product(cfg.r_grid, cfg.lambda_grid))
+    z_all, _ = _z_sweep(
+        tail, _replicate_seeds(root, _SAMPLE_STREAM, cfg.replicates), cfg.n_terms,
+        cfg.t_grid, slices,
+    )
     # The reference is reduced series by series: one coupled call per
     # (replicate, lambda) serves every r.
     reference = np.empty((len(cfg.r_grid), len(cfg.lambda_grid), cfg.replicates))
@@ -461,9 +483,7 @@ def _left_task(args):
             )
     reference = reference.reshape(len(slices), cfg.replicates)
     rows = [[] for _ in slices]
-    z_first = None
-    for t, z, _ in _z_sweep(tail, arrivals, marks, cfg.t_grid, slices):
-        z_first = z if z_first is None else z_first
+    for t, z in zip(cfg.t_grid, z_all):
         for k, (r, lam) in enumerate(slices):
             ks = stats.ks_two_sample(z[k], reference[k])
             rows[k].append(
@@ -482,7 +502,7 @@ def _left_task(args):
                     seed=root,
                 )
             )
-    endpoints = (z_first, z) if block == 0 else None  # z at the first and last horizon
+    endpoints = (z_all[0], z_all[-1]) if block == 0 else None  # first and last horizon
     plots = []
     if cfg.plot and block == 0:
         for k, (r, lam) in enumerate(slices):
@@ -490,7 +510,7 @@ def _left_task(args):
             plots.append(
                 PlotSlice(
                     name=f"left_a{tail.alpha:g}_r{r}_lam{lam:g}",
-                    samples=_downsample(z[k]),
+                    samples=_downsample(z_all[-1, k]),
                     curve_x=ref_sorted,
                     curve_y=tuple((i + 1) / len(ref_sorted) for i in range(len(ref_sorted))),
                 )
@@ -545,16 +565,17 @@ def _right_task(args):
     tail = _family_tail(cfg.tail, 0.0)
     r = cfg.r_grid[r_idx]
     root = _combo_root(cfg, block, r_idx)
-    arrivals, marks = _stream_matrix(
-        _replicate_seeds(root, _SAMPLE_STREAM, cfg.replicates), cfg.n_terms
-    )
-    t_min = min(cfg.t_grid)
     levels = np.asarray(cfg.level_grid)
     rows = [[] for _ in cfg.lambda_grid]
     ratio_rows = []
     ratio_r = r if r == min(cfg.r_grid) else None
     slices = [(r, lam) for lam in cfg.lambda_grid]
-    for t, z, w in _z_sweep(tail, arrivals, marks, cfg.t_grid, slices, ratio_r):
+    z_all, w_all = _z_sweep(
+        tail, _replicate_seeds(root, _SAMPLE_STREAM, cfg.replicates), cfg.n_terms,
+        cfg.t_grid, slices, ratio_r,
+    )
+    z_tmin = z_all[cfg.t_grid.index(min(cfg.t_grid))]
+    for j, (t, z) in enumerate(zip(cfg.t_grid, z_all)):
         for k, lam in enumerate(cfg.lambda_grid):
             ks = stats.ks_one_sample(
                 z[k], lambda x: limits.cauchy_rth_jump_cdf(r + 1, lam, x)
@@ -575,9 +596,7 @@ def _right_task(args):
                     seed=root,
                 )
             )
-        if t == t_min:
-            z_tmin = z
-        if w is not None:
+        if w_all is not None:
             ratio_rows.append(
                 ReportRow(
                     edge="right:ratio",
@@ -589,8 +608,8 @@ def _right_task(args):
                     n=cfg.replicates,
                     ks_stat=math.nan,
                     p_value=math.nan,
-                    aux1=_median(w),
-                    aux2=float(np.max(w)),
+                    aux1=_median(w_all[j]),
+                    aux2=float(np.max(w_all[j])),
                     seed=root,
                 )
             )
@@ -925,10 +944,10 @@ def _diag_task(args):
             out.append((x, dev))
         return name, out
     if name == "ratio_trend":
-        arrivals, marks = _stream_matrix(_replicate_seeds(root, 3, 100), cfg.n_terms)
         t_grid = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-        sweep = _z_sweep(levy.log_power_tail(), arrivals, marks, t_grid, (), ratio_r=0)
-        return name, [(t, _median(w)) for t, _, w in sweep]
+        seeds = _replicate_seeds(root, 3, 100)
+        _, w = _z_sweep(levy.log_power_tail(), seeds, cfg.n_terms, t_grid, (), ratio_r=0)
+        return name, [(t, _median(w_t)) for t, w_t in zip(t_grid, w)]
     raise ValueError(name)
 
 

@@ -122,6 +122,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**kw)
 
+    @pytest.mark.parametrize("name", ["replicates", "n_terms", "seed_blocks", "jobs"])
+    @pytest.mark.parametrize("bad", [1000.0, 1.5, True, "1000"])
+    def test_counts_must_be_integers(self, name, bad):
+        # Unchecked, a float fails deep in the run and True runs as one replicate.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ExperimentConfig(edge="left", **{name: bad})
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1"])
+    def test_r_grid_entries_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match="r_grid entry must be an integer"):
+            ExperimentConfig(edge="left", r_grid=(0, bad))
+
+    def test_numpy_integer_counts_become_python_ints(self):
+        cfg = ExperimentConfig(
+            edge="left", replicates=np.int64(1000), n_terms=np.int32(1000),
+            seed_blocks=np.uint8(2), jobs=np.int64(1), r_grid=(np.int64(0), np.int16(2)),
+            master_seed=np.uint64(7),
+        )
+        counts = (cfg.replicates, cfg.n_terms, cfg.seed_blocks, cfg.jobs, cfg.master_seed)
+        assert counts == (1000, 1000, 2, 1, 7)
+        assert all(type(v) is int for v in counts + cfg.r_grid)
+        assert cfg.r_grid == (0, 2)
+
     def test_unordered_levels_fine_without_the_second_jump(self):
         cfg = _tiny("right", r_grid=(0, 2), lambda_grid=(0.5, 1.0), level_grid=(2.0, 1.0))
         assert cfg.level_grid == (2.0, 1.0)
@@ -396,9 +419,27 @@ class TestEdgeLeft:
         assert report.all_pass
 
 
+def _traced_peak(run, cfg) -> int:
+    """Peak traced allocation, in bytes, of ``run(cfg)``."""
+    tracemalloc.start()
+    try:
+        run(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _left_peak(replicates: int) -> int:
+    cfg = ExperimentConfig(
+        edge="left", tail="rational", alpha_grid=(0.5,), t_grid=(1e-1, 1e-6),
+        lambda_grid=(1.0,), r_grid=(0,), replicates=replicates, n_terms=1000, seed_blocks=1,
+    )
+    return _traced_peak(run_edge_left, cfg)
+
+
 class TestRowBlocks:
-    # Each horizon is inverted and reduced in blocks of replicate rows; every
-    # step is per row, so the block size must not reach the CSV.
+    # The streams are drawn, inverted and reduced in blocks of replicate rows;
+    # every step is per row, so the block size must not reach the CSV.
     CONFIGS = {
         "left": dict(
             edge="left", tail="rational", alpha_grid=(0.5,), r_grid=(0, 1), t_grid=(1e-2, 1e-5),
@@ -420,20 +461,26 @@ class TestRowBlocks:
         assert texts[1] == texts[0] and texts[2] == texts[0]
 
     def test_edge_left_peak_memory(self):
-        # The two 2000 x 1000 stream matrices take 32 MB (30.5 MiB); a horizon
-        # inverted and reduced over the whole matrix peaked at 125.8 MiB, in
-        # blocks of rows at 38.8 MiB.
+        # The sweep draws 256 stream rows at a time and reduces them at every
+        # horizon before drawing the next block: 11.3 MiB here.  The whole
+        # 2000 x 1000 arrival and mark matrices alone take 30.5 MiB, so the
+        # gate fails if the sweep builds them again.
+        peak = _left_peak(2000)
+        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_edge_left_peak_memory_is_flat_in_replicates(self):
+        # 10.9 MiB at 8000 replicates: the peak does not grow with them.
+        peak = _left_peak(8000)
+        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_edge_right_peak_memory(self):
+        # The same sweep: 10.3 MiB, where whole stream matrices take 30.5 MiB.
         cfg = ExperimentConfig(
-            edge="left", tail="rational", alpha_grid=(0.5,), t_grid=(1e-1, 1e-6),
-            lambda_grid=(1.0,), r_grid=(0,), replicates=2000, n_terms=1000, seed_blocks=1,
+            edge="right", t_grid=(1e-2, 1e-4), lambda_grid=(0.5, 1.0), level_grid=(1.0, 2.0),
+            r_grid=(0,), replicates=2000, n_terms=1000, seed_blocks=1,
         )
-        tracemalloc.start()
-        try:
-            run_edge_left(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        peak = _traced_peak(run_edge_right, cfg)
+        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.fixture(scope="module")

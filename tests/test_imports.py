@@ -5,7 +5,9 @@ every function the harness evaluates on its run paths is elementary.  A
 fresh interpreter imports the CLI, runs one small config of each simulating
 edge and lists the scipy modules it has loaded; it then takes the one
 branch that still needs scipy (a non-integer log-power exponent), so the
-gate is seen to notice a load.
+gate is seen to notice a load.  The same runs, all serial, must not load
+the process-pool modules either: ``concurrent.futures.process`` and
+``multiprocessing`` cost several milliseconds of every cold start.
 """
 
 import json
@@ -27,7 +29,12 @@ def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 
+def pool_modules():
+    return sorted(m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules)
+
+
 after_import = loaded()
+pools_after_import = pool_modules()
 configs = [
     dict(edge="fidi", replicates=50),
     dict(edge="right", tail="log", r_grid=(0, 1), t_grid=(1e-2,), lambda_grid=(0.5, 1.0),
@@ -39,9 +46,11 @@ configs = [
 ]
 rows = [len(run_experiment(ExperimentConfig(**kw)).rows) for kw in configs]
 after_runs = loaded()
+pools_after_runs = pool_modules()
 small_jump_mean(log_power_tail(2.5), 0.3)
 print(json.dumps({"after_import": after_import, "rows": rows, "after_runs": after_runs,
-                  "after_lazy": loaded()}))
+                  "after_lazy": loaded(), "pools_after_import": pools_after_import,
+                  "pools_after_runs": pools_after_runs}))
 """
 
 
@@ -61,3 +70,6 @@ def test_cli_import_and_edge_runs_leave_scipy_special_unloaded():
     assert "scipy.special" not in out["after_runs"]
     # The non-integer log-power mean imports it inside its branch.
     assert "scipy.special" in out["after_lazy"]
+    # The process pool is imported only by a run with jobs > 1.
+    assert out["pools_after_import"] == []
+    assert out["pools_after_runs"] == []
