@@ -29,7 +29,9 @@ derive from that root as ``derive_seed(root, stream, replicate)``, so a
 row can be regenerated in isolation and results are independent of
 scheduling.  A task takes its replicate range's seeds in one block call
 (``derive_seed`` with an index array), and each replicate draws its own
-series through ``sample_arrivals``.  Rows are merged in grid order and the
+series through ``sample_arrivals``; ``iter_arrivals`` hashes the PCG64
+state words of each block of seeds once, so that no row runs numpy's
+SeedSequence.  Rows are merged in grid order and the
 CSV is byte-identical for any ``jobs`` value.  The ``ms_elapsed`` column
 is fixed at 0 to keep that guarantee; wall time lives in the JSON summary.
 
@@ -64,7 +66,13 @@ import numpy as np
 from . import levy, limits, stats
 from .levy import TailFunction
 from .limits import FIDI_QUERY_GRID, FidiQuery
-from .pointproc import derive_seed, sample_arrivals, trimmed_ratios, trimmed_z_rows
+from .pointproc import (
+    derive_seed,
+    iter_arrivals,
+    sample_arrivals,
+    trimmed_ratios,
+    trimmed_z_rows,
+)
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -331,8 +339,7 @@ def _stream_matrix(seeds: list[int], n_terms: int):
     """Stack the arrival series of ``seeds`` into (len(seeds), n_terms) matrices."""
     arrivals = np.empty((len(seeds), n_terms))
     marks = np.empty_like(arrivals)
-    for i, seed in enumerate(seeds):
-        series = sample_arrivals(seed, n_terms)
+    for i, series in enumerate(iter_arrivals(seeds, n_terms)):
         arrivals[i] = series.arrivals
         marks[i] = series.marks
     return arrivals, marks
@@ -475,8 +482,8 @@ def _left_task(args):
     # The reference is reduced series by series: one coupled call per
     # (replicate, lambda) serves every r.
     reference = np.empty((len(cfg.r_grid), len(cfg.lambda_grid), cfg.replicates))
-    for i, seed in enumerate(_replicate_seeds(root, _REFERENCE_STREAM, cfg.replicates)):
-        series = sample_arrivals(seed, cfg.n_terms)
+    ref_seeds = _replicate_seeds(root, _REFERENCE_STREAM, cfg.replicates)
+    for i, series in enumerate(iter_arrivals(ref_seeds, cfg.n_terms)):
         for lam_idx, lam in enumerate(cfg.lambda_grid):
             reference[:, lam_idx, i] = limits.trimmed_stable_power_sample(
                 series, tail.alpha, cfg.r_grid, lam
@@ -800,17 +807,24 @@ def _fidi_task(args):
 
     Replicates are stacked ``_FIDI_BLOCK`` rows at a time.  Per row, a
     query holds at rank 1 when no (lam, y) pair has a jump above ``y`` by
-    ``lam``, and at rank 2 when none has more than one.
+    ``lam``, and at rank 2 when none has more than one.  Arrivals increase
+    along a row, so a block is counted only over its reachable prefix: the
+    columns where some row still has an arrival below ``1 / y`` for the
+    grid's smallest level ``y``.
     """
     cfg, rep_lo, rep_hi = args
     root = _edge_root(cfg)
     hits = np.zeros((len(FIDI_QUERY_GRID), 2), dtype=np.int64)
     depth_ok = True
     task_seeds = derive_seed(root, np.arange(rep_lo, rep_hi))
+    reach = 1.0 / min(y for q in FIDI_QUERY_GRID for y in q.levels)
     for lo in range(0, len(task_seeds), _FIDI_BLOCK):
         seeds = task_seeds[lo : lo + _FIDI_BLOCK]
         arrivals, marks = _stream_matrix(seeds, _FIDI_DEPTH)
         depth_ok &= bool(np.all(arrivals[:, -1] >= 8.0))
+        # Column minima are nondecreasing, as each row increases.
+        width = int(np.searchsorted(arrivals.min(axis=0), reach))
+        arrivals, marks = arrivals[:, :width], marks[:, :width]
         for qi, q in enumerate(FIDI_QUERY_GRID):
             most = np.zeros(len(seeds), dtype=np.intp)  # largest count over the pairs
             for lam, y in zip(q.lambdas, q.levels):

@@ -21,6 +21,7 @@ unless values are representable.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ __all__ = [
     "TrimmedValue",
     "derive_seed",
     "sample_arrivals",
+    "iter_arrivals",
     "ordered_jumps",
     "restrict_to",
     "trimmed_value",
@@ -163,6 +165,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
+_MAX_SEED = 2**64 - 1
 
 
 def derive_seed(master_seed: int, *indices: int | np.ndarray) -> int | list[int]:
@@ -200,10 +203,51 @@ def _word_count(n: int) -> int:
     return max(1, -(-n.bit_length() // 32))
 
 
-def _mix(x, y):
-    """SeedSequence's ``mix`` on Python ints or uint32 arrays."""
-    out = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
-    return out ^ (out >> 16)
+def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """The constants of SeedSequence's hashes ``first`` to ``first + count - 1``.
+
+    A ``(count + 1, 1)`` uint32 column: hash ``k`` xors with the ``k``-th
+    constant ``init * mult**k`` and multiplies by the next one.
+    """
+    steps = range(first, first + count + 1)
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in steps], np.uint32)[:, None]
+
+
+#: The 16 hashes that fill and cross-mix the pool of an entropy of at most
+#: four words, and the 8 that output ``generate_state(4, np.uint64)``.
+_FILL_CONSTS = _hash_consts(_INIT_A, _MULT_A, 0, 16)
+_OUTPUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 8)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of each row of a uint32 matrix, with successive constants.
+
+    Row ``k`` of ``values`` (rows broadcast) takes the ``k``-th hash of
+    ``consts``, a column from :func:`_hash_consts`; uint32 arithmetic wraps
+    as numpy's C code does.
+    """
+    out = values ^ consts[:-1]
+    out *= consts[1:]
+    out ^= out >> 16
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of uint32 arrays."""
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    out ^= out >> 16
+    return out
+
+
+def _generate_state(pool: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence's ``generate_state(n_words, np.uint64)`` of each column of a ``(4, n)`` pool.
+
+    An ``(n, n_words)`` C-ordered uint64 array, ``n_words <= 4``; each word
+    is two output words, low first, hashed from the pool words in turn.
+    """
+    sources = pool[np.arange(2 * n_words) % _POOL_SIZE]
+    halves = _hashmix(sources, _OUTPUT_CONSTS[: 2 * n_words + 1]).astype(np.uint64)
+    return np.ascontiguousarray((halves[0::2] | halves[1::2] << np.uint64(32)).T)
 
 
 def _derive_seed_block(master_seed: int, prefix: tuple, last: np.ndarray) -> list[int]:
@@ -217,32 +261,67 @@ def _derive_seed_block(master_seed: int, prefix: tuple, last: np.ndarray) -> lis
     # pool word in turn, like every word past the fourth; numpy's hash
     # constant has advanced once per hash so far: 16 to fill and cross-mix
     # the pool, 4 per word past the fourth.
-    pool = [int(w) for w in np.random.SeedSequence(master, spawn_key=prefix).pool]
+    pool = np.random.SeedSequence(master, spawn_key=prefix).pool[:, None]
     words = max(_POOL_SIZE, _word_count(master)) + sum(map(_word_count, prefix))
-    hashes = 16 + 4 * (words - _POOL_SIZE)
-    hash_const = _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _MASK32
-    word = last.astype(np.uint32)
-    for dst in range(_POOL_SIZE):
-        value = word ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        pool[dst] = _mix(pool[dst], value ^ (value >> 16))
-
-    # generate_state(1, uint64): one uint32 word from each of pool words 0
-    # and 1, low word first.
-    out_const, halves = _INIT_B, []
-    for value in pool[:2]:
-        value = value ^ out_const
-        out_const = out_const * _MULT_B & _MASK32
-        value = value * out_const & _MASK32
-        halves.append((value ^ (value >> 16)).astype(np.uint64))
-    seeds = (halves[0] | halves[1] << np.uint64(32)).tolist()
+    consts = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (words - _POOL_SIZE), _POOL_SIZE)
+    pool = _mix(pool, _hashmix(last.astype(np.uint32), consts))
+    seeds = _generate_state(pool, 1)[:, 0].tolist()
     for k in np.flatnonzero(last > _MASK32).tolist():
         seeds[k] = derive_seed(master_seed, *prefix, int(last[k]))
     return seeds
 
 
-def sample_arrivals(seed: int, n_terms: int) -> ArrivalSeries:
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of each seed, as an ``(n, 4)`` array.
+
+    ``seeds`` is a 1-d uint64 array.  A seed's entropy is its words
+    ``[lo, hi]``, padded to the pool size with zero words, as numpy pads
+    the pool (so a seed below ``2**32``, one word long, hashes its missing
+    ``hi`` as 0).  The pool is filled and cross-mixed and the output words
+    are hashed, each step on the whole block at once; in the cross-mix, the
+    hashes of one source word into the three others are one step.  A test
+    pins the result against SeedSequence bit for bit.  The rows are
+    C-contiguous, so that each is the four words PCG64 reads.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    entropy = np.zeros((_POOL_SIZE, seeds.size), dtype=np.uint32)
+    entropy[0] = seeds.astype(np.uint32)
+    entropy[1] = seeds >> np.uint64(32)
+    pool = _hashmix(entropy, _FILL_CONSTS[: _POOL_SIZE + 1])
+    first = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [k for k in range(_POOL_SIZE) if k != src]
+        hashed = _hashmix(pool[src], _FILL_CONSTS[first : first + _POOL_SIZE])
+        pool[dst] = _mix(pool[dst], hashed)
+        first += _POOL_SIZE - 1
+    return _generate_state(pool, 4)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """A seed sequence type that hands PCG64 four state words hashed beforehand.
+
+    PCG64 reads the four words from the array's buffer, so they are held
+    as a C-contiguous uint64 array of shape ``(4,)``.  The type is built on
+    first use, so that importing the package does not import numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = np.ascontiguousarray(words, dtype=np.uint64)
+            if self.words.shape != (4,):
+                raise ValueError(f"seed_words must be 4 uint64 words, got shape {self.words.shape}")
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def sample_arrivals(seed: int, n_terms: int, *, seed_words=None) -> ArrivalSeries:
     """Sample ``n_terms`` Poisson arrival times plus uniform marks.
 
     Deterministic given ``seed``: the generator is PCG64 seeded through
@@ -253,17 +332,46 @@ def sample_arrivals(seed: int, n_terms: int) -> ArrivalSeries:
     of arrivals and lie in ``(0, 1]``.  The cumulative sum and the marks are
     formed in place on the drawn arrays.  ``seed`` and ``n_terms`` must be
     integers (Python or numpy); a float raises ``TypeError``.
+
+    ``seed_words``, when given, is the seed's row of :func:`_seed_words`
+    (the four uint64 words ``SeedSequence(seed).generate_state(4,
+    np.uint64)``), already hashed, so that PCG64 is seeded from them by
+    numpy's own C code without running SeedSequence; they are not checked
+    against ``seed``.  :func:`iter_arrivals` passes them.  The keyword is
+    interim: it goes when a block draw of the whole stream matrix replaces
+    the per-row calls (ROADMAP item 5).
     """
     n = operator.index(n_terms)
     seed = operator.index(seed)
     if n < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    bits = np.random.PCG64(seed if seed_words is None else _seed_words_type()(seed_words))
+    rng = np.random.Generator(bits)
     arrivals = rng.standard_exponential(n)
     np.add.accumulate(arrivals, out=arrivals)  # np.cumsum's loop, without its wrapper
     marks = rng.random(n)
     np.subtract(1.0, marks, out=marks)
     return ArrivalSeries(arrivals=arrivals, marks=marks, seed=seed)
+
+
+def iter_arrivals(seeds, n_terms: int):
+    """Yield ``sample_arrivals(seed, n_terms)`` for each of ``seeds`` in turn, with its bits.
+
+    The PCG64 words of every seed in ``[0, 2**64)`` are hashed once, as a
+    block, by :func:`_seed_words`, and each row passes its words to
+    :func:`sample_arrivals`, which is called once per row.  The block hash
+    costs about as much as numpy's SeedSequence for a handful of rows, so a
+    single series is drawn by :func:`sample_arrivals` itself.  A seed of
+    ``2**64`` or more is seeded by numpy's SeedSequence, and a negative one
+    raises ``sample_arrivals``'s ``ValueError`` when its row is reached; a
+    float raises ``TypeError`` before the first row.
+    """
+    seeds = list(map(operator.index, seeds))
+    block = iter(_seed_words(np.array([s for s in seeds if 0 <= s <= _MAX_SEED], np.uint64)))
+    for seed in seeds:
+        words = next(block) if 0 <= seed <= _MAX_SEED else None
+        # Through the module global, so that a rebinding of it sees one call per row.
+        yield sample_arrivals(seed, n_terms, seed_words=words)
 
 
 def ordered_jumps(tail: TailFunction, t: float, arr: ArrivalSeries) -> JumpLadder:

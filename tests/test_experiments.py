@@ -28,6 +28,7 @@ from subortrim.experiments import (
     _edge_root,
     _family_tail,
     _fidi_task,
+    _stream_matrix,
     _weakly_nonincreasing,
     run_edge_bottom,
     run_edge_left,
@@ -459,6 +460,16 @@ class TestRowBlocks:
             monkeypatch.setattr(experiments, "_ROW_BLOCK", rows)
             texts.append(run_experiment(cfg).csv_text())
         assert texts[1] == texts[0] and texts[2] == texts[0]
+
+    @pytest.mark.parametrize("count", [0, 1, 40])
+    def test_stream_matrix_stacks_the_series(self, count):
+        seeds = derive_seed(9, np.arange(count))
+        arrivals, marks = _stream_matrix(seeds, 17)
+        assert arrivals.shape == marks.shape == (count, 17)
+        for i, seed in enumerate(seeds):
+            series = sample_arrivals(seed, 17)
+            assert np.array_equal(arrivals[i], series.arrivals)
+            assert np.array_equal(marks[i], series.marks)
 
     def test_edge_left_peak_memory(self):
         # The sweep draws 256 stream rows at a time and reduces them at every

@@ -7,7 +7,9 @@ edge and lists the scipy modules it has loaded; it then takes the one
 branch that still needs scipy (a non-integer log-power exponent), so the
 gate is seen to notice a load.  The same runs, all serial, must not load
 the process-pool modules either: ``concurrent.futures.process`` and
-``multiprocessing`` cost several milliseconds of every cold start.
+``multiprocessing`` cost several milliseconds of every cold start.  Nor
+does the CLI import load ``numpy.random`` (about 10 ms), which a run
+loads when it first draws.
 """
 
 import json
@@ -35,6 +37,7 @@ def pool_modules():
 
 after_import = loaded()
 pools_after_import = pool_modules()
+random_after_import = "numpy.random" in sys.modules
 configs = [
     dict(edge="fidi", replicates=50),
     dict(edge="right", tail="log", r_grid=(0, 1), t_grid=(1e-2,), lambda_grid=(0.5, 1.0),
@@ -50,7 +53,8 @@ pools_after_runs = pool_modules()
 small_jump_mean(log_power_tail(2.5), 0.3)
 print(json.dumps({"after_import": after_import, "rows": rows, "after_runs": after_runs,
                   "after_lazy": loaded(), "pools_after_import": pools_after_import,
-                  "pools_after_runs": pools_after_runs}))
+                  "pools_after_runs": pools_after_runs,
+                  "random_after_import": random_after_import}))
 """
 
 
@@ -73,3 +77,4 @@ def test_cli_import_and_edge_runs_leave_scipy_special_unloaded():
     # The process pool is imported only by a run with jobs > 1.
     assert out["pools_after_import"] == []
     assert out["pools_after_runs"] == []
+    assert not out["random_after_import"]

@@ -28,6 +28,7 @@ from subortrim.pointproc import (
     ArrivalSeries,
     JumpLadder,
     derive_seed,
+    iter_arrivals,
     log_sum_exp_rows,
     log_sum_exp_sorted,
     ordered_jumps,
@@ -206,6 +207,99 @@ class TestSampleArrivals:
         arr = sample_arrivals(3, 10)
         with pytest.raises(ValueError):
             arr.arrivals[0] = 0.5
+
+
+_SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _same_series(a, b):
+    return (
+        a.seed == b.seed
+        and np.array_equal(a.arrivals, b.arrivals)
+        and np.array_equal(a.marks, b.marks)
+    )
+
+
+class TestSeedWords:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(_SEED_EDGES), st.integers(0, 2**64 - 1)), max_size=20
+        )
+    )
+    def test_matches_seed_sequence(self, seeds):
+        words = pointproc._seed_words(np.array(seeds, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        assert words.flags.c_contiguous
+        for seed, row in zip(seeds, words):
+            np.testing.assert_array_equal(
+                row, np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            )
+
+    @pytest.mark.parametrize("seed", _SEED_EDGES)
+    def test_sample_arrivals_from_words_has_the_seeds_bits(self, seed):
+        words = pointproc._seed_words(np.array([seed], dtype=np.uint64))[0]
+        assert _same_series(sample_arrivals(seed, 40, seed_words=words), sample_arrivals(seed, 40))
+
+    def test_seed_words_must_be_four_words(self):
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            sample_arrivals(5, 10, seed_words=np.zeros(3, dtype=np.uint64))
+        # A strided view is copied: PCG64 reads the words from the buffer.
+        words = np.asfortranarray(pointproc._seed_words(np.array([5, 6], dtype=np.uint64)))
+        assert _same_series(sample_arrivals(5, 10, seed_words=words[0]), sample_arrivals(5, 10))
+
+
+class TestIterArrivals:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_SEED_EDGES + [2**64, 2**70 + 3]),
+                st.integers(0, 2**64 - 1),
+            ),
+            max_size=24,
+        ),
+        st.integers(1, 40),
+    )
+    def test_rows_match_sample_arrivals(self, seeds, n_terms):
+        rows = list(iter_arrivals(seeds, n_terms))
+        assert len(rows) == len(seeds)
+        assert all(_same_series(a, sample_arrivals(s, n_terms)) for a, s in zip(rows, seeds))
+
+    def test_only_seeds_of_2_64_or_more_take_numpys_route(self, monkeypatch):
+        # Each row is one call through the module's name, with the words of
+        # its seed unless SeedSequence spans more than two words for it.
+        calls = []
+        original = pointproc.sample_arrivals
+
+        def recording(seed, n_terms, *, seed_words=None):
+            calls.append((seed, n_terms, seed_words is not None))
+            return original(seed, n_terms, seed_words=seed_words)
+
+        monkeypatch.setattr(pointproc, "sample_arrivals", recording)
+        seeds = [3, 2**64, 2**64 - 1, 2**70 + 3, 0]
+        list(iter_arrivals(seeds, 5))
+        assert calls == [(s, 5, s < 2**64) for s in seeds]
+
+    def test_negative_seed_raises_sample_arrivals_error(self):
+        with pytest.raises(ValueError) as want:
+            sample_arrivals(-1, 5)
+        rows = iter_arrivals([0, 1, -1], 5)
+        assert _same_series(next(rows), sample_arrivals(0, 5))
+        assert _same_series(next(rows), sample_arrivals(1, 5))
+        with pytest.raises(ValueError, match=str(want.value)):
+            next(rows)
+
+    def test_float_seed_raises_type_error(self):
+        with pytest.raises(TypeError):
+            next(iter_arrivals([0, 1, 7.0], 5))
+
+    def test_empty_and_numpy_seeds(self):
+        assert list(iter_arrivals([], 5)) == []
+        seeds = np.arange(4, dtype=np.uint64)
+        rows = list(iter_arrivals(seeds, 5))
+        assert all(type(a.seed) is int for a in rows)
+        assert all(_same_series(a, sample_arrivals(int(s), 5)) for a, s in zip(rows, seeds))
 
 
 class TestOrderedJumps:

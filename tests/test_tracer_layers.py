@@ -91,3 +91,24 @@ def test_edge_bottom_calls_what_the_bottom_deep_workload_expects(tracer):
     assert metrics["limits.coupled_calls"] == 2 * cfg.replicates * len(cfg.lambda_grid)
     assert metrics["levy.inverse_calls"] == 0
     assert metrics["pointproc.arrivals_drawn"] == cfg.replicates * cfg.n_terms
+
+
+def test_fidi_calls_what_the_fidi_mc_workload_expects(tracer):
+    # Every replicate draws its series through one sample_arrivals call of
+    # _FIDI_DEPTH terms, though its block's seeds are hashed together.
+    cfg = ExperimentConfig(edge="fidi", replicates=300, n_terms=1000)
+    trace = tracer.Tracer("tier-1")
+    trace.install()
+    try:
+        experiments.run_experiment(cfg)
+    finally:
+        trace.uninstall()
+    metrics = tracer.layer_metrics(trace.spans)
+    expected = {
+        metric: table["fidi-mc"]
+        for metric, table in tracer.PRESENCE.items()
+        if "fidi-mc" in table and not metric.startswith("cli.")
+    }
+    assert {m: metrics[m] != 0 for m in expected} == expected
+    assert metrics["pointproc.arrivals_calls"] == cfg.replicates
+    assert metrics["pointproc.arrivals_drawn"] == cfg.replicates * experiments._FIDI_DEPTH
