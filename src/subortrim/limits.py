@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .levy import TailFunction, parse_tail, tail_eval
-from .pointproc import ArrivalSeries, log_sum_exp_sorted
+from .pointproc import _SUM_NODE, ArrivalSeries, log_sum_exp_sorted
 from .stats import poisson_below
 
 __all__ = [
@@ -215,10 +215,14 @@ def trimmed_stable_power_sample(arr: ArrivalSeries, alpha, r, lam: float) -> flo
     _check_restriction(lam, rank_list)
     out = []
     if rank_list:
-        log_jumps = arr.arrivals[arr.marks <= lam]
-        np.negative(np.log(log_jumps, out=log_jumps), out=log_jumps)
+        if lam == 1.0:  # every mark lies in (0, 1]: the whole series is kept
+            log_jumps = np.log(arr.arrivals)
+        else:
+            log_jumps = arr.arrivals[arr.marks <= lam]
+            np.log(log_jumps, out=log_jumps)
+        np.negative(log_jumps, out=log_jumps)
         _check_depth(log_jumps.size, rank_list)
-        scratch = np.empty(log_jumps.size)  # the row every (r, alpha) is reduced in
+        scratch = np.empty(min(log_jumps.size, _SUM_NODE))  # every (r, alpha) sums in it
         for k in rank_list:
             for a in alpha_list:
                 out.append(math.exp(a * log_sum_exp_sorted(log_jumps[k:], a, scratch)))

@@ -61,6 +61,14 @@ __all__ = [
 #: about 100 times as long per element on a subnormal result as on a normal one.
 _EXP_NORMAL_FROM = math.log(2.0**-1022)
 
+#: The longest node of numpy's pairwise sum that :func:`log_sum_exp_sorted`
+#: exponentiates and reduces at once; its scratch holds this many doubles.
+_SUM_NODE = 2**16
+
+#: numpy's pairwise sum adds a run of at most this many doubles in one
+#: unrolled loop (its ``PW_BLOCKSIZE``), and splits only longer runs.
+_PAIRWISE_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class ArrivalSeries:
@@ -477,11 +485,14 @@ def log_sum_exp_sorted(ladder: np.ndarray, alpha: float, scratch: np.ndarray):
     its passes over the whole row.  As the ladder is sorted, its first term
     is the row maximum, and the live columns (shifted terms at or above
     ``_EXP_NORMAL_FROM``) form a prefix, whose width is found by bisection
-    with the same scalar operations.  Only that prefix is divided, shifted
-    and exponentiated; the dead suffix is zeroed and the whole row is
-    summed, so that numpy's pairwise grouping is the full row's.
-    ``scratch`` is a float array at least as long as ``ladder``; it is
-    overwritten.
+    with the same scalar operations.  The row is summed node by node along
+    numpy's pairwise split (:func:`_sum_exp_node`), so that the grouping is
+    the full row's: a node of at most ``_SUM_NODE`` terms has only its live
+    prefix divided, shifted and exponentiated, its dead suffix zeroed, and
+    is reduced at once; a longer node adds the sums of its halves; a node
+    wholly past the live prefix adds 0 and is never read.  A row of at most
+    ``_SUM_NODE`` terms is one such node.  ``scratch`` is a float array of
+    at least ``min(len(ladder), _SUM_NODE)`` elements; it is overwritten.
     """
     n, term = ladder.size, ladder.item
     m = term(0) / alpha
@@ -492,11 +503,32 @@ def log_sum_exp_sorted(ladder: np.ndarray, alpha: float, scratch: np.ndarray):
         width = bisect.bisect_left(
             range(n - 1), True, key=lambda j: term(j) / alpha - m < _EXP_NORMAL_FROM
         )
-    row = scratch[None, :n]
-    live = np.divide(ladder[None, :width], alpha, out=row[:, :width])
-    np.subtract(live, m, out=live)
     with np.errstate(under="ignore", divide="ignore"):
-        return m + np.log(_exp_prefix(row, width).sum(axis=1))[0]
+        return m + np.log(_sum_exp_node(ladder, alpha, m, width, scratch))[0]
+
+
+def _sum_exp_node(node: np.ndarray, alpha: float, m: float, width: int, scratch: np.ndarray):
+    """numpy's pairwise sum of ``exp(node / alpha - m)``, its terms past ``width`` taken as 0.
+
+    Returns a one-element array.  A node longer than ``_SUM_NODE`` (and than
+    ``_PAIRWISE_BLOCK``, below which numpy does not split) splits where
+    numpy's pairwise sum splits it, at half its length rounded down to a
+    multiple of 8, and adds the sums of its halves; a right half that lies
+    wholly past ``width`` adds 0.  A shorter node is reduced in ``scratch``
+    as numpy reduces it inside the longer row.  Module-level, not a closure,
+    so that no reference cycle keeps a caller's ladder alive.
+    """
+    n = node.size
+    if n > _SUM_NODE and n > _PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % 8
+        left = _sum_exp_node(node[:half], alpha, m, width, scratch)
+        right = _sum_exp_node(node[half:], alpha, m, width - half, scratch) if width > half else 0.0
+        return left + right
+    width = min(width, n)
+    row = scratch[None, :n]
+    live = np.divide(node[None, :width], alpha, out=row[:, :width])
+    np.subtract(live, m, out=live)
+    return _exp_prefix(row, width).sum(axis=1)
 
 
 def trimmed_log_sums(log_j: np.ndarray, keep: np.ndarray, r: int, log_comp) -> np.ndarray:

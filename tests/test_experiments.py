@@ -493,6 +493,17 @@ class TestRowBlocks:
         peak = _traced_peak(run_edge_right, cfg)
         assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_edge_bottom_peak_memory(self):
+        # The power sums share one 0.5 MiB sum-node scratch: 24.1 MiB here,
+        # against 31.3 MiB when each call took a full-length 7.6 MiB scratch
+        # row.  A 1e6-term ladder is 7.6 MiB, so the gate also fails if one
+        # replicate's ladder outlives it into the next.
+        cfg = ExperimentConfig(
+            edge="bottom", r_grid=(0, 1, 2), lambda_grid=(1.0,), replicates=3, n_terms=1_000_000,
+        )
+        peak = _traced_peak(run_edge_bottom, cfg)
+        assert peak <= 27 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
 
 @pytest.fixture(scope="module")
 def right_report():
@@ -746,13 +757,16 @@ class TestRestrictConsistency:
 # right digest was re-recorded when the reciprocal-tail rank CDF became the
 # finite Poisson sum instead of scipy's incomplete gamma function: its KS
 # statistics and p-values moved in the last bits (0.026766583771753172 ->
-# 0.026766583771753227), every verdict unchanged.
+# 0.026766583771753227), every verdict unchanged.  The bottom-multi-node
+# digest was recorded before the sorted log-sum-exp summed its row node by
+# node: its 1e5- and 2e5-term restricted ladders span several sum nodes.
 PINNED_CSV_SHA256 = {
     "left-stable": "006d20b691b6f368a62099d20e5c2991b16199d3ca73cbb7b4257030676ead52",
     "left-rational": "45648938e5bd8b5bccbf26271631f651792665ad454f6f178f8a0135215ed9f3",
     "right-log": "c3537ebd558cf6cfe152d487765be72a677799182c8dc613e5b966770778b925",
     "fidi-partial-block": "32cfa0b2579967f9da8daf877651ae701a0c166521f50530ab49304a455e9c31",
     "bottom-mixed-r": "c349a55757de97a1be54bd5699d86b12f4e0b0b0afd52e529ce09df146edc5f0",
+    "bottom-multi-node": "28731a29f5687f5bb3c3fb1bcda2686a6412ad82083041957db1be8f87433cf8",
     "diagnostics": "f471703ff210ae8088720c64ae130ead5929d031108db205e52810170a8ffcdf",
 }
 PINNED_CSV_CONFIGS = {
@@ -773,6 +787,9 @@ PINNED_CSV_CONFIGS = {
     "bottom-mixed-r": dict(
         edge="bottom", alpha_grid=(0.4, 0.2, 0.1), r_grid=(0, 2, 1), lambda_grid=(0.5, 1.0),
         replicates=3, n_terms=20_000,
+    ),
+    "bottom-multi-node": dict(
+        edge="bottom", r_grid=(0, 2, 1), lambda_grid=(0.5, 1.0), replicates=2, n_terms=200_000,
     ),
     "diagnostics": dict(edge="diagnostics", replicates=5),
 }

@@ -491,10 +491,11 @@ class TestSortedLadderReduction:
 
     def test_live_prefix_is_shorter_than_the_row(self):
         # At alpha = 0.01 on 4000 terms only the terms within 708 * alpha of
-        # the head in log are exponentiated; the scratch past them is zeroed.
+        # the head in log are exponentiated; in the node-sized scratch (one
+        # node here) the terms past them are zeroed.
         arr = sample_arrivals(derive_seed(9096, 0), 4000)
         log_jumps = -np.log(arr.arrivals)
-        scratch = np.full(log_jumps.size, np.nan)
+        scratch = np.full(min(log_jumps.size, pointproc._SUM_NODE), np.nan)
         value = pointproc.log_sum_exp_sorted(log_jumps, 0.01, scratch)
         live = np.count_nonzero(scratch)
         assert 0 < live < log_jumps.size and not np.isnan(scratch).any()

@@ -813,6 +813,41 @@ class TestLogSumExpSorted:
         assert float(got).hex() == float(want).hex()
         assert np.isnan(scratch[row.size :]).all()
 
+    @pytest.mark.parametrize("node", [8, 16, 136])
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(query=_sorted_rows())
+    def test_short_nodes_keep_the_full_row_bits(self, node, query):
+        # Shrunk nodes split rows of up to 300 terms, so that live widths and
+        # zero tails fall across node boundaries and whole nodes lie past the
+        # live prefix.  numpy never splits a run of at most 128 terms, so
+        # neither does the sum, and no more of the scratch is written.
+        row, alpha = query
+        scratch = np.full(row.size + 3, np.nan)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pointproc, "_SUM_NODE", node)
+            got = log_sum_exp_sorted(row, alpha, scratch)
+        want = log_sum_exp_rows(row[None, :] / alpha, -np.inf)[0]
+        assert float(got).hex() == float(want).hex()
+        assert np.isnan(scratch[max(node, pointproc._PAIRWISE_BLOCK) :]).all()
+
+    @pytest.mark.parametrize(
+        "terms", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5, 1_000_000], ids=str
+    )
+    def test_long_rows_keep_the_full_row_bits(self, terms):
+        # A node-sized scratch: alpha = 0.4 keeps the whole row live, 0.016
+        # ends the live prefix near 1e5 terms on the longer rows, 0.01 within
+        # the first node, and the zero tail starts a third of the way in.
+        assert pointproc._SUM_NODE == 2**16
+        ladder = -np.log(sample_arrivals(derive_seed(4411, terms), terms).arrivals)
+        tailed = ladder.copy()
+        tailed[terms // 3 + 7 :] = -np.inf
+        scratch = np.full(min(terms, pointproc._SUM_NODE), np.nan)
+        for row in (ladder, tailed):
+            for alpha in (0.4, 0.016, 0.01):
+                got = log_sum_exp_sorted(row, alpha, scratch)
+                want = log_sum_exp_rows(row[None, :] / alpha, -np.inf)[0]
+                assert float(got).hex() == float(want).hex(), (alpha, row is tailed)
+
     def test_live_width_is_bisected_at_the_cut(self):
         # Terms at the cut stay live, one ulp below it they are zeroed.
         below = np.nextafter(NORMAL_CUT, -np.inf)
