@@ -13,7 +13,7 @@ Configuration file (INI syntax, all sections optional)::
     [edge]
     name = right            ; must match the subcommand
     r = 0, 1                ; trim depths
-    levels = 1.0, 2.0       ; edge-right joint levels (pairs with lambda)
+    levels = 1.0, 2.0       ; edge-right joint levels, one per lambda, in any order
 
     [tail]
     family = log            ; const(c,a) | stable(a) | cauchy | log | logpow(p<=100) | rational(a)
@@ -33,7 +33,9 @@ Configuration file (INI syntax, all sections optional)::
     output = .
     plot = false
 
-Unknown sections or keys are rejected.  Command-line flags override config
+Edge-right checks the joint law of its levels for every ``r`` of the
+trim grid; the levels need not be monotone at any ``r``.  Unknown
+sections or keys are rejected.  Command-line flags override config
 values; the ``SUBORTRIM_SEED`` environment variable is the lowest-priority
 seed source.  ``--jobs`` only caps worker processes — reports are byte
 identical for any value.

@@ -8,9 +8,7 @@ A driftless subordinator is determined by its Levy measure ``Pi`` on
 which is nonincreasing, right-continuous and finite for every ``x > 0``.
 All families in this module factor as ``tail(x) = x**-alpha * L(x)`` with
 tail index ``alpha in [0, 1)`` and a factor ``L`` that varies slowly at 0,
-so that small jumps dominate and the process is a.s. finite.  The index
-``alpha == 1`` is admitted only as a jump-law helper (reciprocal tail);
-its small jumps are not summable and mean-type operations reject it.
+so that small jumps dominate and the process is a.s. finite.
 
 Four families are provided:
 
@@ -53,7 +51,6 @@ __all__ = [
     "stable_tail",
     "log_power_tail",
     "rational_tail",
-    "cauchy_tail",
     "parse_tail",
     "tail_eval",
     "tail_eval_from_log",
@@ -112,9 +109,7 @@ class TailFunction:
     Parameters
     ----------
     alpha : float
-        Tail index in ``[0, 1)``.  ``alpha == 1`` is allowed only for the
-        ``Constant``/``StableExact`` factors, as a jump-law helper whose
-        small jumps are not summable.
+        Tail index in ``[0, 1)``.
     factor : Constant | StableExact | LogPower | RationalPerturb
         The slowly varying factor ``L``.
 
@@ -134,10 +129,8 @@ class TailFunction:
         a = self.alpha
         if not isinstance(self.factor, _FACTORS):
             raise TypeError(f"unknown slowly varying factor: {self.factor!r}")
-        if not (0.0 <= a < 1.0 or a == 1.0):
-            raise ValueError(f"tail index must lie in [0, 1) (or ==1 helper), got {a}")
-        if a == 1.0 and not isinstance(self.factor, (Constant, StableExact)):
-            raise ValueError("index-1 helper tails must be pure power laws")
+        if not 0.0 <= a < 1.0:
+            raise ValueError(f"tail index must lie in [0, 1), got {a}")
         if a != 0.0 and isinstance(self.factor, LogPower):
             raise ValueError("log-power tails are zero-index only")
         if a == 0.0 and not isinstance(self.factor, LogPower):
@@ -151,19 +144,11 @@ class TailFunction:
             raise ValueError(
                 f"log-power exponent must lie in (0, {_LOG_POWER_MAX_P:g}], got {self.factor.p}"
             )
-        # Small jumps are summable for every admitted combination: each
-        # factor is integrable against x**-alpha near 0 once alpha < 1, so
-        # no runtime probe is needed (is_summable reads the index alone).
-
-    @property
-    def is_summable(self) -> bool:
-        """True when small jumps have finite mean mass (``alpha < 1``)."""
-        return self.alpha < 1.0
 
     def __str__(self):
         f = self.factor
         if isinstance(f, StableExact):
-            return "cauchy" if self.alpha == 1.0 else f"stable({self.alpha:g})"
+            return f"stable({self.alpha:g})"
         if isinstance(f, Constant):
             return f"const({f.c:g},{self.alpha:g})"
         if isinstance(f, LogPower):
@@ -191,16 +176,11 @@ def rational_tail(alpha: float) -> TailFunction:
     return TailFunction(alpha=float(alpha), factor=RationalPerturb())
 
 
-def cauchy_tail() -> TailFunction:
-    """Reciprocal tail ``1/x``: the index-1 jump-law helper."""
-    return TailFunction(alpha=1.0, factor=StableExact())
-
-
 def parse_tail(text: str) -> TailFunction:
     """Parse a tail-family config string.
 
     Accepted forms: ``stable(A)``, ``rational(A)``, ``log``, ``logpow(P)``,
-    ``cauchy``, ``const(C,A)``.  Whitespace-insensitive.
+    ``const(C,A)``.  Whitespace-insensitive.
 
     >>> str(parse_tail("stable(0.5)"))
     'stable(0.5)'
@@ -208,8 +188,6 @@ def parse_tail(text: str) -> TailFunction:
     s = "".join(text.split()).lower()
     if s == "log":
         return log_power_tail()
-    if s == "cauchy":
-        return cauchy_tail()
     name, sep, rest = s.partition("(")
     if not sep or not rest.endswith(")"):
         raise ValueError(f"unparseable tail spec: {text!r}")
@@ -538,14 +516,11 @@ def small_jump_mean(tail: TailFunction, eps) -> float | np.ndarray:
 
     in closed form for every family but the rational one, which sums a
     series of positive terms up to level 10 (``_RATIONAL_SERIES_CAP``).
-    Requires ``alpha < 1`` (summable small jumps).  Scalar input yields a
-    float, from a one-element call.
+    Scalar input yields a float, from a one-element call.
     """
     arr = np.asarray(eps, dtype=float)
     if not (arr > 0.0).all():
         raise ValueError(f"eps must be positive, got {eps}")
-    if not tail.is_summable:
-        raise ValueError("small jumps are not summable for tail index >= 1")
     return _maybe_scalar(_small_jump_mean(tail, arr.reshape(-1)).reshape(arr.shape), eps)
 
 
@@ -635,8 +610,6 @@ def log_small_jump_mean(tail: TailFunction, log_eps) -> float | np.ndarray:
     arr = np.asarray(log_eps, dtype=float)
     if np.isnan(arr).any():
         raise ValueError("log_eps must not be NaN")
-    if not tail.is_summable:
-        raise ValueError("small jumps are not summable for tail index >= 1")
     out = _log_small_jump_mean(tail, arr.reshape(-1))
     return _maybe_scalar(out.reshape(arr.shape), log_eps)
 

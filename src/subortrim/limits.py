@@ -9,14 +9,11 @@ Small-time limits of the normalised jump statistics land on two families:
   series so that the index-to-zero limit holds per realisation, not just
   in law.
 
-For joint (vector) statements the module evaluates finite-dimensional
-CDFs over a grid ``lam_1 < ... < lam_n`` with levels ``y_1 ... y_n``:
-closed-form products for the largest jump, and an exact recursion over
-independent Poisson cell counts for the second largest.  The recursion
-conditions on the first time slice: either no jump exceeds the lowest
-level there, or exactly one does, landing in some level cell ``i``; each
-branch reduces to the same functional form on the time-shifted suffix
-grid, memoised by suffix start.
+For joint (vector) statements the module evaluates the finite-dimensional
+CDF of the rank-``r`` jump over a grid ``lam_1 < ... < lam_n`` with
+positive levels ``y_1 ... y_n`` that need not be monotone, at any rank:
+one dynamic program over the time slices with independent Poisson counts
+per level band (:func:`fidi_probability`).
 """
 
 from __future__ import annotations
@@ -24,11 +21,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .levy import TailFunction, parse_tail, tail_eval
+from .levy import tail_eval  # noqa: F401 - perfbench's tracer test rebinds limits.tail_eval
 from .pointproc import _SUM_NODE, ArrivalSeries, log_sum_exp_sorted
 from .stats import poisson_below
 
@@ -49,8 +45,7 @@ class FidiQuery:
     """A joint-CDF query: restriction levels with one level per component.
 
     ``lambdas`` must be strictly increasing within (0, 1]; ``levels`` are
-    positive and need not be monotone (the largest-jump evaluator reduces
-    them; the second-jump recursion demands increasing levels).
+    positive and need not be monotone at any rank.
     """
 
     lambdas: tuple[float, ...]
@@ -69,19 +64,6 @@ class FidiQuery:
 
     def __len__(self):
         return len(self.lambdas)
-
-
-def _measure_tail(measure):
-    """Turn a measure descriptor into a tail callable ``y -> mass above y``."""
-    if isinstance(measure, str):
-        if measure.strip().lower() == "cauchy":
-            return lambda y: 1.0 / y
-        return lambda y, t=parse_tail(measure): float(tail_eval(t, y))
-    if isinstance(measure, TailFunction):
-        return lambda y: float(tail_eval(measure, y))
-    if callable(measure):
-        return measure
-    raise TypeError(f"unsupported measure descriptor: {measure!r}")
 
 
 def cauchy_rth_jump_cdf(r: int, lam: float, x) -> float | np.ndarray:
@@ -105,74 +87,55 @@ def cauchy_rth_jump_cdf(r: int, lam: float, x) -> float | np.ndarray:
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(arr.shape)
 
 
-def extremal_fidi_cdf(q: FidiQuery, measure="cauchy") -> float:
-    """Joint CDF of the largest jump along a restriction grid.
+def fidi_probability(q: FidiQuery, r: int) -> float:
+    """Joint CDF of the rank-``r`` reciprocal-tail jump along a restriction grid.
 
-    Uses the reduced levels ``y_i' = min_{j >= i} y_j`` (a later, lower
-    constraint already forces the earlier one) and multiplies the no-jump
-    probabilities of the independent time slices:
-    ``prod_i exp(-(lam_i - lam_{i-1}) * mass_above(y_i'))``.
+    The probability that, for every ``i``, at most ``r - 1`` jumps over
+    ``[0, lam_i]`` exceed ``y_i``; ``r`` is any integer ``>= 1``.  The
+    levels are reduced to ``y_i' = min_{j >= i} y_j``, because a later,
+    lower level already forces an earlier one at every rank.  The reduced
+    levels do not decrease, so in time slice ``s`` only jumps above ``y_s'``
+    can count, and one in level band ``b`` (above ``y_b'``, at most
+    ``y_{b+1}'``) counts for constraints ``s`` to ``b``.  Each slice's band
+    counts are independent Poisson; their no-jump factors multiply to
+    ``exp(-sum_s gap_s / y_s')`` on every path, which is taken out.  The
+    rest is a dynamic program over the slices whose state is the sorted
+    tuple of the bands of the at most ``r - 1`` jumps that still count.
     """
-    tail = _measure_tail(measure)
-    reduced = np.minimum.accumulate(np.asarray(q.levels, dtype=float)[::-1])[::-1]
-    lams = np.asarray(q.lambdas, dtype=float)
-    gaps = np.diff(lams, prepend=0.0)
-    exponent = math.fsum(g * tail(y) for g, y in zip(gaps, reduced))
-    return math.exp(-exponent)
-
-
-def second_jump_fidi(levy_level_mass, q: FidiQuery) -> float:
-    """Joint CDF of the second-largest jump along a restriction grid.
-
-    Exact evaluation for any driftless subordinator given through its
-    level-mass descriptor (``"cauchy"``, a tail function, or a callable
-    tail).  Conditioning on the first time slice — no jump above the
-    lowest level, or exactly one, in level band ``i`` — reduces the event
-    to the identical functional form on the suffix grid re-rooted at the
-    band's restriction level, so the whole computation memoises on suffix
-    start and runs in O(n^2).
-
-    Demands strictly increasing levels: the slice decomposition counts
-    jumps above ``y_i`` as a disjoint union of level bands, which needs
-    ``y_1 < ... < y_n``.
-    """
-    tail = _measure_tail(levy_level_mass)
-    ys = q.levels
-    if any(b <= a for a, b in zip(ys, ys[1:])):
-        raise ValueError("second-jump fidi needs strictly increasing levels")
-    n = len(q)
-    lams = (0.0,) + q.lambdas
-    # Band masses Mg[i] = mass of (y_{i+1-th level}, next level]; top band to infinity.
-    masses = [tail(ys[i]) - (tail(ys[i + 1]) if i + 1 < n else 0.0) for i in range(n)]
-    masses = [max(m, 0.0) for m in masses]
-    above = [math.fsum(masses[i:]) for i in range(n)] + [0.0]  # mass above y_{i+1-th}
-
-    @lru_cache(maxsize=None)
-    def suffix(a: int) -> float:
-        m = n - a
-        if m == 0:
-            return 1.0
-        g1 = lams[a + 1] - lams[a]
-        quiet = math.exp(-g1 * above[a])  # no first-slice jump above the lowest level
-        total = quiet * suffix(a + 1)
-        chain = 0.0  # sum_{l=2..i} gap_l * (mass above local level l)
-        for i in range(1, m + 1):
-            if i >= 2:
-                chain += (lams[a + i] - lams[a + i - 1]) * above[a + i - 1]
-            total += g1 * masses[a + i - 1] * quiet * math.exp(-chain) * suffix(a + i)
-        return total
-
-    return min(1.0, max(0.0, suffix(0)))
-
-
-def fidi_probability(q: FidiQuery, r: int, measure="cauchy") -> float:
-    """Dispatch a fidi query: ``r = 1`` largest jump, ``r = 2`` second largest."""
     r = _rank(r)
-    if r == 1:
-        return extremal_fidi_cdf(q, measure)
-    if r == 2:
-        return second_jump_fidi(measure, q)
-    raise ValueError(f"fidi rank must be 1 or 2, got {r}")
+    if r < 1:
+        raise ValueError(f"rank must be >= 1, got {r}")
+    reduced = np.minimum.accumulate(np.asarray(q.levels, dtype=float)[::-1])[::-1]
+    gaps = np.diff(np.asarray(q.lambdas, dtype=float), prepend=0.0).tolist()
+    above = [1.0 / y for y in reduced.tolist()]  # mass above each reduced level
+    bands = [lo - hi for lo, hi in zip(above, above[1:] + [0.0])]
+    states = {(): 1.0}
+    for s, gap in enumerate(gaps):
+        for b in range(s, len(bands)):
+            rate, grown = gap * bands[b], {}
+            for held, p in states.items():
+                for c in range(r - len(held)):  # c more jumps in band b
+                    key = tuple(sorted(held + (b,) * c))
+                    grown[key] = grown.get(key, 0.0) + p
+                    p *= rate / (c + 1)
+            states = grown
+        kept = {}
+        for held, p in states.items():  # band-s jumps count for no later constraint
+            key = held[held.count(s) :]
+            kept[key] = kept.get(key, 0.0) + p
+        states = kept
+    exponent = math.fsum(g * m for g, m in zip(gaps, above))
+    return min(1.0, math.fsum(states.values()) * math.exp(-exponent))
+
+
+def extremal_fidi_cdf(q: FidiQuery) -> float:
+    """Joint CDF of the largest jump along a restriction grid: ``fidi_probability(q, 1)``."""
+    return fidi_probability(q, 1)
+
+
+def second_jump_fidi(q: FidiQuery) -> float:
+    """Joint CDF of the second-largest jump: ``fidi_probability(q, 2)``."""
+    return fidi_probability(q, 2)
 
 
 def _rank(r) -> int:
@@ -286,8 +249,8 @@ def _check_depth(kept: int, ranks: list[int]) -> None:
         raise ValueError(f"only {kept} restricted jumps, trim {ranks}: deepen the series")
 
 
-#: Fixed validation grid: 12 queries spanning n = 1..4, mixed widths and levels,
-#: all with increasing levels so both fidi evaluators apply.
+#: Fixed validation grid: 12 queries spanning n = 1..4, mixed widths and
+#: increasing levels.
 FIDI_QUERY_GRID: tuple[FidiQuery, ...] = (
     FidiQuery(lambdas=(1.0,), levels=(1.0,)),
     FidiQuery(lambdas=(0.5,), levels=(0.8,)),

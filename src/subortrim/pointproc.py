@@ -387,9 +387,7 @@ def ordered_jumps(tail: TailFunction, t: float, arr: ArrivalSeries) -> JumpLadde
 
     ``log J_i = log inverse_tail(Gamma_i / t)`` is formed entirely in log
     domain; for the unit log-power family this is ``-Gamma_i / t`` exactly,
-    whatever the magnitude.  The index-1 reciprocal tail is admitted (its
-    finitely many simulated jumps are well-defined); only compensation
-    requires a summable tail.  ``t`` must be positive and finite; where
+    whatever the magnitude.  ``t`` must be positive and finite; where
     ``Gamma_i / t`` overflows (a subnormal ``t``) the jump is zero, with log
     ``-inf``.
     """
@@ -600,10 +598,9 @@ def trimmed_z_rows(
 
     Each row is a ladder over horizon ``t`` with its marks and the log of
     its resolution floor.  The trimmed sum keeps the jumps with marks
-    ``<= lam`` and is compensated over ``t * lam`` when the tail is
-    summable.
+    ``<= lam`` and is compensated over ``t * lam``.
     """
-    comp = _log_compensation(tail, t * lam, floor_log_jumps, tail.is_summable)
+    comp = _log_compensation(tail, t * lam, floor_log_jumps, True)
     log_x = trimmed_log_sums(log_j, marks <= lam, r, comp)
     rate = np.asarray(tail_eval_from_log(tail, log_x))
     with np.errstate(divide="ignore"):
@@ -622,8 +619,7 @@ def trimmed_value(ladder: JumpLadder, r: int, compensate: bool = False) -> Trimm
     compensate : bool
         Add the conditional mean of the unsimulated remainder,
         ``horizon * small_jump_mean(tail, J_floor)``, where ``J_floor`` is
-        the generating series' resolution floor.  Requires a summable
-        tail (index < 1).
+        the generating series' resolution floor.
 
     Returns
     -------

@@ -148,16 +148,6 @@ class TestConfigErrors:
         assert "decreasing" in payload["message"]
         assert not list(tmp_path.glob("*.csv"))
 
-    def test_right_levels_must_increase_when_r_holds_1(self, tmp_path, capsys):
-        rc, payload = self._run(
-            tmp_path, capsys, "[edge]\nr = 0, 1\nlevels = 2.0, 1.0\n[grids]\nlambda = 0.5, 1.0\n",
-            ("--output", str(tmp_path)), command="edge-right",
-        )
-        assert rc == 1
-        assert payload["error"] == "config"
-        assert "increasing level_grid" in payload["message"]
-        assert not list(tmp_path.glob("*.csv"))
-
     @pytest.mark.parametrize(
         "text",
         ["[grids]\nt = 1e-2, inf\n", "[edge]\nlevels = 1.0, nan\n[grids]\nlambda = 0.5, 1.0\n"],

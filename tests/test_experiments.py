@@ -36,7 +36,7 @@ from subortrim.experiments import (
     run_experiment,
     run_fidi_validation,
 )
-from subortrim.limits import FIDI_QUERY_GRID
+from subortrim.limits import FIDI_QUERY_GRID, FidiQuery, fidi_probability
 from subortrim.pointproc import (
     JumpLadder,
     derive_seed,
@@ -112,7 +112,7 @@ class TestConfig:
                 replicates=1000,
                 r_grid=(0, 1),
                 lambda_grid=(0.5, 1.0),
-                level_grid=(2.0, 1.0),
+                level_grid=(2.0, 0.0),
             ),
             dict(edge="left", t_grid=(1e-2, math.inf)),
             dict(edge="right", t_grid=(math.nan,)),
@@ -555,6 +555,21 @@ class TestEdgeRight:
         with pytest.raises(ValueError, match="expected 'right'"):
             run_edge_right(_tiny("fidi"))
 
+    def test_joint_check_covers_every_r(self):
+        # Levels in any order, at every rank: one right:fidi row and verdict per r.
+        cfg = _tiny(
+            "right", t_grid=(1e-3,), lambda_grid=(0.5, 1.0), level_grid=(2.0, 1.0),
+            r_grid=(0, 1, 2),
+        )
+        report = run_edge_right(cfg)
+        rows = [row for row in report.rows if row.edge == "right:fidi"]
+        assert [row.r for row in rows] == [0, 1, 2]
+        query = FidiQuery(cfg.lambda_grid, cfg.level_grid)
+        assert [row.aux1 for row in rows] == [fidi_probability(query, r + 1) for r in (0, 1, 2)]
+        joint = [v for v in report.verdicts if v.name.startswith("fidi_joint")]
+        assert [v.name for v in joint] == [f"fidi_joint r={r}" for r in (0, 1, 2)]
+        assert all(v.passed for v in joint)
+
     def test_every_row_prints_the_canonical_tail(self):
         # The spelled-out unit log-power tail prints as "log" on every row kind.
         cfg = _tiny(
@@ -760,11 +775,15 @@ class TestRestrictConsistency:
 # 0.026766583771753227), every verdict unchanged.  The bottom-multi-node
 # digest was recorded before the sorted log-sum-exp summed its row node by
 # node: its 1e5- and 2e5-term restricted ladders span several sum nodes.
+# The right-log and fidi-partial-block digests were re-recorded when one
+# rank-r recursion replaced the rank-2 one: the rank-2 analytic values
+# (aux1) and their distances to Monte Carlo (ks_stat) moved in the last
+# bits, at most 4.4e-16, with every verdict unchanged.
 PINNED_CSV_SHA256 = {
     "left-stable": "006d20b691b6f368a62099d20e5c2991b16199d3ca73cbb7b4257030676ead52",
     "left-rational": "45648938e5bd8b5bccbf26271631f651792665ad454f6f178f8a0135215ed9f3",
-    "right-log": "c3537ebd558cf6cfe152d487765be72a677799182c8dc613e5b966770778b925",
-    "fidi-partial-block": "32cfa0b2579967f9da8daf877651ae701a0c166521f50530ab49304a455e9c31",
+    "right-log": "75241ab4d805ee8eedb126056896cf9f5ea6097b81c2ea978885b18f1413dc38",
+    "fidi-partial-block": "d88aff057ee68f5826caeaf214ef907257605b6faadd6f74b5d2e810d3e211e0",
     "bottom-mixed-r": "c349a55757de97a1be54bd5699d86b12f4e0b0b0afd52e529ce09df146edc5f0",
     "bottom-multi-node": "28731a29f5687f5bb3c3fb1bcda2686a6412ad82083041957db1be8f87433cf8",
     "diagnostics": "f471703ff210ae8088720c64ae130ead5929d031108db205e52810170a8ffcdf",

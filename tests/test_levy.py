@@ -27,7 +27,6 @@ from subortrim.levy import (
     RationalPerturb,
     StableExact,
     TailFunction,
-    cauchy_tail,
     constant_tail,
     log_power_tail,
     log_small_jump_mean,
@@ -75,7 +74,7 @@ def _oracle_root(tail, u, lo=1e-290, hi=1e290):
 
 class TestConstruction:
     @pytest.mark.parametrize(
-        "spec", ["stable(0.5)", "rational(0.25)", "log", "logpow(2)", "cauchy", "const(2,0.5)"]
+        "spec", ["stable(0.5)", "rational(0.25)", "log", "logpow(2)", "const(2,0.5)"]
     )
     def test_parse_str_round_trip(self, spec):
         tail = parse_tail(spec)
@@ -86,7 +85,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "spec",
-        ["", "stable", "stable(a)", "stable(0.5,1)", "gauss(1)", "log(2)", "const(2)"],
+        ["", "stable", "stable(a)", "stable(0.5,1)", "gauss(1)", "log(2)", "const(2)", "cauchy"],
     )
     def test_parse_rejects_malformed(self, spec):
         with pytest.raises(ValueError):
@@ -99,10 +98,10 @@ class TestConstruction:
             stable_tail(-0.1)
 
     def test_index_one_only_for_pure_powers(self):
-        assert cauchy_tail().alpha == 1.0
-        assert constant_tail(3.0, 1.0).alpha == 1.0
-        with pytest.raises(ValueError):
-            rational_tail(1.0)
+        # Index one is admitted for no factor, the pure powers included.
+        for build in (stable_tail, rational_tail, lambda a: constant_tail(3.0, a)):
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                build(1.0)
         with pytest.raises(ValueError):
             TailFunction(alpha=1.0, factor=LogPower(1.0))
 
@@ -139,17 +138,13 @@ class TestConstruction:
         with pytest.raises(TypeError):
             TailFunction(alpha=0.5, factor="bogus")
 
-    def test_summability_reads_index(self):
-        assert stable_tail(0.99).is_summable
-        assert not cauchy_tail().is_summable
-
 
 class TestEval:
     @pytest.mark.parametrize(
         "tail, x, expected",
         [
             (stable_tail(0.5), 4.0, 0.5),
-            (cauchy_tail(), 2.0, 0.5),
+            (constant_tail(2.0**-0.5, 0.5), 2.0, 0.5),
             (constant_tail(2.0, 0.5), 4.0, 1.0),
             (log_power_tail(), math.exp(-3.0), 3.0),
             (log_power_tail(2.0), math.exp(-3.0), 9.0),
@@ -262,7 +257,7 @@ class TestInverse:
         "tail, u, expected_log",
         [
             (stable_tail(0.5), 0.5, math.log(4.0)),
-            (cauchy_tail(), 0.25, math.log(4.0)),
+            (constant_tail(0.5, 0.5), 0.25, math.log(4.0)),
             (constant_tail(2.0, 0.5), 1.0, math.log(4.0)),
         ],
     )
@@ -789,8 +784,9 @@ class TestSmallJumpMean:
         assert small_jump_mean(log_power_tail(2.5), 0.3) == pytest.approx(want, rel=4.0 * EPS)
 
     def test_index_one_rejected(self):
+        # Index one is rejected where the tail is built, before any mean.
         with pytest.raises(ValueError):
-            small_jump_mean(cauchy_tail(), 0.5)
+            small_jump_mean(stable_tail(1.0), 0.5)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_eps(self, bad):
@@ -891,8 +887,9 @@ class TestLogSmallJumpMean:
         assert log_small_jump_mean(tail, -500.0) == pytest.approx(-250.0)
 
     def test_index_one_rejected(self):
+        # Index one is rejected where the tail is built, before any mean.
         with pytest.raises(ValueError):
-            log_small_jump_mean(cauchy_tail(), -1.0)
+            log_small_jump_mean(stable_tail(1.0), -1.0)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

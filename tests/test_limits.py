@@ -4,7 +4,8 @@ The joint-CDF evaluators are checked against a brute-force combinatorial
 oracle: the restriction grid cuts the plane into independent Poisson
 cells, and the joint event is a finite sum over cell occupation patterns.
 That enumeration shares no code (and no algebra beyond the Poisson pmf)
-with the product/recursion implementations under test.
+with the recursion under test, and cuts its cells on the levels as given,
+so it does not reuse the recursion's level reduction either.
 """
 
 import math
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from subortrim import pointproc
-from subortrim.levy import parse_tail, stable_tail, tail_eval
 from subortrim.limits import (
     FIDI_QUERY_GRID,
     FidiQuery,
@@ -39,21 +39,30 @@ def _pois_pmf(mean, k):
 
 
 def _cells(q):
-    """Constrained Poisson cells (ell <= j) of a reciprocal-tail query."""
+    """Poisson cells of a reciprocal-tail query, on its levels as given.
+
+    The distinct levels, sorted, cut the level axis into bands.  A jump in
+    time slice ``ell`` and in the band that starts at level ``u`` exceeds
+    ``y_i`` by ``lam_i`` iff ``ell <= i`` and ``y_i <= u``.  Each cell is
+    (the constraints it hits, its Poisson mean); a cell that hits none is
+    left out, as its count does not matter.
+    """
     n = len(q)
     lams = (0.0,) + q.lambdas
-    ys = q.levels
+    bands = sorted(set(q.levels))
     out = []
     for ell in range(1, n + 1):
-        for j in range(ell, n + 1):
-            time_mass = lams[ell] - lams[ell - 1]
-            level_mass = 1.0 / ys[j - 1] - (1.0 / ys[j] if j < n else 0.0)
-            out.append((ell, j, time_mass * level_mass))
+        for j, lo in enumerate(bands):
+            hits = [i for i in range(ell, n + 1) if q.levels[i - 1] <= lo]
+            if hits:
+                time_mass = lams[ell] - lams[ell - 1]
+                level_mass = 1.0 / lo - (1.0 / bands[j + 1] if j + 1 < len(bands) else 0.0)
+                out.append((hits, time_mass * level_mass))
     return out
 
 
 def _brute_force_fidi(q, r):
-    """Enumerate cell counts: jump (ell, j) hits constraint i iff ell <= i <= j.
+    """Enumerate cell counts: a cell's jumps count for each constraint it hits.
 
     Rank r means every constraint tolerates at most r - 1 exceedances, so
     any single cell holds at most r - 1 relevant jumps and the sum over
@@ -64,11 +73,11 @@ def _brute_force_fidi(q, r):
     total = 0.0
     for counts in product(range(r), repeat=len(cells)):
         if all(
-            sum(c for (ell, j, _m), c in zip(cells, counts) if ell <= i <= j) < r
+            sum(c for (hits, _m), c in zip(cells, counts) if i in hits) < r
             for i in range(1, n + 1)
         ):
             p = 1.0
-            for (_ell, _j, mass), c in zip(cells, counts):
+            for (_hits, mass), c in zip(cells, counts):
                 p *= _pois_pmf(mass, c)
             total += p
     return total
@@ -164,20 +173,12 @@ class TestExtremalFidi:
         q = FIDI_QUERY_GRID[qi]
         assert extremal_fidi_cdf(q) == pytest.approx(_brute_force_fidi(q, 1), abs=1e-12)
 
-    def test_measure_descriptors_agree(self):
-        q = FidiQuery(lambdas=(0.3, 0.8), levels=(0.5, 1.5))
-        tail = stable_tail(0.5)
-        by_string = extremal_fidi_cdf(q, "stable(0.5)")
-        by_object = extremal_fidi_cdf(q, tail)
-        by_callable = extremal_fidi_cdf(q, lambda y: float(tail_eval(tail, y)))
-        assert by_string == pytest.approx(by_object, abs=1e-15)
-        assert by_string == pytest.approx(by_callable, abs=1e-15)
 
 
 class TestSecondJumpFidi:
     def test_single_point_reduces_to_marginal(self):
         q = FidiQuery(lambdas=(0.6,), levels=(1.3,))
-        assert second_jump_fidi("cauchy", q) == pytest.approx(
+        assert second_jump_fidi(q) == pytest.approx(
             cauchy_rth_jump_cdf(2, 0.6, 1.3), abs=1e-13
         )
 
@@ -187,21 +188,23 @@ class TestSecondJumpFidi:
     )
     def test_closed_two_point_oracle(self, l1, l2, y1, y2):
         q = FidiQuery(lambdas=(l1, l2), levels=(y1, y2))
-        assert second_jump_fidi("cauchy", q) == pytest.approx(
+        assert second_jump_fidi(q) == pytest.approx(
             _closed_n2_second(l1, l2, y1, y2), abs=1e-13
         )
 
     @pytest.mark.parametrize("qi", range(len(FIDI_QUERY_GRID)))
     def test_combinatorial_oracle(self, qi):
         q = FIDI_QUERY_GRID[qi]
-        assert second_jump_fidi("cauchy", q) == pytest.approx(
+        assert second_jump_fidi(q) == pytest.approx(
             _brute_force_fidi(q, 2), abs=1e-12
         )
 
-    def test_needs_increasing_levels(self):
+    def test_unordered_levels_act_as_their_reduction(self):
+        # A later, lower level forces the earlier one at rank 2 as well.
         q = FidiQuery(lambdas=(0.5, 1.0), levels=(2.0, 1.0))
-        with pytest.raises(ValueError, match="increasing"):
-            second_jump_fidi("cauchy", q)
+        forced = FidiQuery(lambdas=(0.5, 1.0), levels=(1.0, 1.0))
+        assert second_jump_fidi(q) == second_jump_fidi(forced)
+        assert second_jump_fidi(q) == pytest.approx(cauchy_rth_jump_cdf(2, 1.0, 1.0), abs=1e-15)
 
     def test_second_dominates_first(self):
         # Largest jump below y implies second largest below y.
@@ -213,10 +216,31 @@ class TestFidiDispatchAndParse:
     def test_dispatch(self):
         q = FidiQuery(lambdas=(0.5, 1.0), levels=(1.0, 2.0))
         assert fidi_probability(q, 1) == extremal_fidi_cdf(q)
-        assert fidi_probability(q, 2) == second_jump_fidi("cauchy", q)
-        with pytest.raises(ValueError):
-            fidi_probability(q, 3)
+        assert fidi_probability(q, 2) == second_jump_fidi(q)
+        assert fidi_probability(q, 2) < fidi_probability(q, 3) < 1.0
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            fidi_probability(q, 0)
+        with pytest.raises(TypeError, match="rank must be an integer"):
+            fidi_probability(q, 3.0)
         assert fidi_probability(q, np.int64(2)) == fidi_probability(q, 2)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("qi", range(len(FIDI_QUERY_GRID)))
+    def test_combinatorial_oracle_at_ranks_one_to_three(self, qi, r):
+        q = FIDI_QUERY_GRID[qi]
+        assert fidi_probability(q, r) == pytest.approx(_brute_force_fidi(q, r), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_unordered_and_tied_levels_match_the_cell_oracle(self, data):
+        # The oracle cuts cells on the levels as given, with no reduction.
+        n = data.draw(st.integers(1, 3))
+        lams = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n, unique=True))
+        pool = data.draw(st.lists(st.floats(0.05, 5.0), min_size=1, max_size=n))
+        ys = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        q = FidiQuery(tuple(sorted(lams)), tuple(ys))
+        for r in (1, 2, 3):
+            assert fidi_probability(q, r) == pytest.approx(_brute_force_fidi(q, r), abs=1e-12)
 
     @pytest.mark.parametrize("r", [1.0, 2.0, 1.5, np.float64(1.0)])
     def test_float_rank_raises_type_error(self, r):
@@ -549,32 +573,19 @@ class TestQueryGrid:
 
     def test_probabilities_proper(self):
         for q in FIDI_QUERY_GRID:
-            for r in (1, 2):
+            for r in (1, 2, 3):
                 p = fidi_probability(q, r)
                 assert 0.0 < p <= 1.0
-
-    def test_measure_string_families_usable(self):
-        q = FidiQuery(lambdas=(0.5, 1.0), levels=(1.0, 2.0))
-        for measure in ("cauchy", "stable(0.5)", "rational(0.5)"):
-            assert 0.0 < second_jump_fidi(measure, q) <= 1.0
-            parse_tail(measure)  # descriptor is a valid family spec
 
 
 @st.composite
 def _raised_level_queries(draw):
-    """An increasing fidi query (n <= 5) and a copy with one level raised.
-
-    The raised level stays below the next one, so both queries keep the
-    strictly increasing levels that the rank-2 recursion needs.
-    """
+    """A fidi query (n <= 5) with levels in any order, and a copy with one level raised."""
     n = draw(st.integers(1, 5))
     lams = sorted(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n, unique=True)))
-    ys = sorted(draw(st.lists(st.floats(0.05, 50.0), min_size=n, max_size=n, unique=True)))
+    ys = draw(st.lists(st.floats(0.05, 50.0), min_size=n, max_size=n))
     i = draw(st.integers(0, n - 1))
-    top = ys[i + 1] if i + 1 < n else 4.0 * ys[i]
-    raised = ys[i] + draw(st.floats(0.0, 1.0, exclude_max=True)) * (top - ys[i])
-    assume(raised < top)
-    higher = ys[:i] + [raised] + ys[i + 1 :]
+    higher = ys[:i] + [ys[i] * draw(st.floats(1.0, 4.0))] + ys[i + 1 :]
     return FidiQuery(tuple(lams), tuple(ys)), FidiQuery(tuple(lams), tuple(higher))
 
 
@@ -582,12 +593,12 @@ class TestFidiMonotoneInLevels:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_raised_level_queries())
     def test_raising_a_level_never_lowers_the_cdf(self, queries):
-        # The rank-2 recursion rounds at each step, so orderings hold to a
-        # few ulps of 1 (a 1e-11 raise has been seen to lower it by one ulp).
+        # The recursion rounds at each step, so orderings hold to a few
+        # ulps of 1 (a 1e-11 raise has been seen to lower it by one ulp).
         q, higher = queries
         tol = 1e-14
         for query in (q, higher):
-            p1, p2 = fidi_probability(query, 1), fidi_probability(query, 2)
-            assert 0.0 <= p1 <= p2 + tol and p2 <= 1.0
-        for r in (1, 2):
+            p1, p2, p3 = (fidi_probability(query, r) for r in (1, 2, 3))
+            assert 0.0 <= p1 <= p2 + tol and p2 <= p3 + tol and p3 <= 1.0
+        for r in (1, 2, 3):
             assert fidi_probability(higher, r) >= fidi_probability(q, r) - tol

@@ -485,14 +485,6 @@ class TestTrimmedValue:
         assert trimmed_value(ladder, 0, compensate=True).value == pytest.approx(9.0)
         assert trimmed_value(ladder, 2, compensate=True).value == pytest.approx(3.0)
 
-    def test_compensation_needs_summable_tail(self):
-        from subortrim.levy import cauchy_tail
-
-        ladder = _hand_ladder(np.log([4.0, 2.0]), tail=cauchy_tail())
-        with pytest.raises(ValueError):
-            trimmed_value(ladder, 0, compensate=True)
-        assert trimmed_value(ladder, 0).value == pytest.approx(6.0)
-
     def test_underflow_keeps_log_companion(self):
         ladder = _hand_ladder([-1000.0, -1000.0 - math.log(2.0)])
         tv = trimmed_value(ladder, 0)
