@@ -802,29 +802,33 @@ def _fidi_task(args):
 
     Replicates are stacked ``_FIDI_BLOCK`` rows at a time.  Per row, a
     query holds at rank ``k`` when no (lam, y) pair has ``k`` or more jumps
-    above ``y`` by ``lam``.  Arrivals increase along a row, so a block is
-    counted only over its reachable prefix: the columns where some row
-    still has an arrival below ``1 / y`` for the grid's smallest level ``y``.
+    above ``y`` by ``lam``.  A block counts every pair of the grid in one
+    (pairs, rows, columns) mask, takes each query's largest count over its
+    pairs with one ``np.maximum.reduceat``, and compares it with each rank.
+    Arrivals increase along a row, so a block is counted only over its
+    reachable prefix: the columns where some row still has an arrival below
+    ``1 / y`` for the grid's smallest level ``y``.
     """
     cfg, rep_lo, rep_hi = args
     root = _edge_root(cfg)
     hits = np.zeros((len(FIDI_QUERY_GRID), len(_FIDI_RANKS)), dtype=np.int64)
     depth_ok = True
     task_seeds = derive_seed(root, np.arange(rep_lo, rep_hi))
-    reach = 1.0 / min(y for q in FIDI_QUERY_GRID for y in q.levels)
+    lams = np.array([lam for q in FIDI_QUERY_GRID for lam in q.lambdas])[:, None, None]
+    reaches = 1.0 / np.array([y for q in FIDI_QUERY_GRID for y in q.levels])[:, None, None]
+    starts = np.cumsum([0] + [len(q) for q in FIDI_QUERY_GRID[:-1]])
+    ranks = np.array(_FIDI_RANKS)[:, None, None]
     for lo in range(0, len(task_seeds), _FIDI_BLOCK):
         seeds = task_seeds[lo : lo + _FIDI_BLOCK]
         arrivals, marks = _stream_matrix(seeds, _FIDI_DEPTH)
         depth_ok &= bool(np.all(arrivals[:, -1] >= 8.0))
         # Column minima are nondecreasing, as each row increases.
-        width = int(np.searchsorted(arrivals.min(axis=0), reach))
-        arrivals, marks = arrivals[:, :width], marks[:, :width]
-        for qi, q in enumerate(FIDI_QUERY_GRID):
-            most = np.zeros(len(seeds), dtype=np.intp)  # largest count over the pairs
-            for lam, y in zip(q.lambdas, q.levels):
-                count = np.count_nonzero((marks <= lam) & (arrivals < 1.0 / y), axis=1)
-                np.maximum(most, count, out=most)
-            hits[qi] += [np.count_nonzero(most < rank) for rank in _FIDI_RANKS]
+        width = int(np.searchsorted(arrivals.min(axis=0), reaches.max()))
+        counts = np.count_nonzero(
+            (marks[:, :width] <= lams) & (arrivals[:, :width] < reaches), axis=2
+        )
+        most = np.maximum.reduceat(counts, starts, axis=0)  # largest count over the pairs
+        hits += np.count_nonzero(most < ranks, axis=2).T
     return hits, depth_ok
 
 

@@ -289,13 +289,17 @@ def tail_inverse_log(tail: TailFunction, u) -> float | np.ndarray:
 
     Exact in the exponent for the closed-form families; in particular the
     unit log-power tail gives ``-u`` exactly, so arbitrarily large rate
-    arguments stay representable.  The rational family is solved by
-    Newton's method (see :func:`_newton_inverse_log_rational`), each
-    element to within ``max(log1p(2**-40), spacing(|y|))`` of its last
-    step.  Every branch guarantees ``tail_eval_from_log(tail, result) <=
-    u``, for array and scalar queries alike: a computed inverse is nudged
-    up when its recomposition overshoots (never triggered where the round
-    trip is exact, so the unit log-power identity is untouched).
+    arguments stay representable.  For the rational family (see
+    :func:`_newton_inverse_log_rational`) a fixed-point contraction bound
+    settles the deep roots, those with ``L = u**(-1/a) / a <= 2**-18``,
+    within ``2**-54`` in one or two steps: ``k`` steps from the anchor
+    ``-log(u)/a`` leave a root within ``L**(k + 1)``.  Newton's method
+    solves only the other roots, each to within ``max(log1p(2**-40),
+    spacing(|y|))`` of its last step.  Every branch guarantees
+    ``tail_eval_from_log(tail, result) <= u``, for array and scalar queries
+    alike: a computed inverse is nudged up when its recomposition overshoots
+    (never triggered where the round trip is exact, so the unit log-power
+    identity is untouched).
 
     The solvers work on ``u`` flattened to 1-D, and the nudge drops an
     element once its recomposed tail is ``<= u``.  A query longer than
@@ -346,29 +350,43 @@ def _inverse_log_flat(tail: TailFunction, flat: np.ndarray) -> np.ndarray:
 #: Newton's absolute step tolerance on the log abscissa.
 _NEWTON_ATOL = math.log1p(_SOLVE_RTOL)
 
+#: Largest ``L = exp(y0) / a`` at which one, and two, fixed-point steps from
+#: the anchor ``y0 = -log(u)/a`` settle a rational root: ``k`` steps leave it
+#: within ``L**(k + 1)``, and ``L**2`` and ``L**3`` are then ``<= 2**-54``.
+_SETTLED_BY_ONE_STEP = 2.0**-27
+_SETTLED_BY_TWO_STEPS = 2.0**-18
+
 
 def _newton_inverse_log_rational(a: float, u: np.ndarray) -> np.ndarray:
-    """Newton solve of ``-a*y - log1p(exp(y)) = log(u)`` for ``y``, 1-D ``u``.
+    """Solve ``-a*y - log1p(exp(y)) = log(u)`` for ``y``, 1-D ``u``.
 
     The left side is strictly decreasing and concave in ``y``, and
     ``tail(x) <= x**-a`` and ``tail(x) <= x**(-a-1)``, so both power
     anchors ``-log(u)/a`` and ``-log(u)/(1+a)`` lie on the safe side of the
-    root; the start is the closer one.  Where ``exp(y) < a/4`` the
-    fixed-point map ``y -> -log(u)/a - log1p(exp(y))/a`` contracts (its
-    slope is ``sigmoid(y)/a < 1/4``), and one application of it from the
-    anchor ``-log(u)/a`` leaves deep elements within rounding of the root.
-    That step may cross the root, but a Newton step on a concave decreasing
+    root; the start is the closer one.
+
+    Deep roots are settled by a bound, without Newton.  For ``u >= 1`` let
+    ``y0 = -log(u)/a`` and ``L = exp(y0)/a``.  The root ``y*`` is the fixed
+    point of ``F(y) = y0 - log1p(exp(y))/a``, which is decreasing on
+    ``(-inf, y0]`` with slope ``sigmoid(y)/a``, at most ``L`` in size; and
+    ``0 < y0 - y* = log1p(exp(y*))/a <= exp(y0)/a = L``.  So ``k`` steps of
+    ``F`` from ``y0`` leave ``|y_k - y*| <= L**(k + 1)``.  Where ``L <=
+    2**-27`` one step, and where ``L <= 2**-18`` two, leave a root within
+    ``2**-54``, below one ulp of any such ``y`` (``|y| > 12``).  ``u =
+    inf`` has the anchor ``-inf``, which is its root, and settles with it.
+
+    Newton runs only on the other roots.  Where ``exp(y) < a/4`` (slope
+    below 1/4) they first take one step of ``F`` from the anchor.  That
+    step may cross the root, but a Newton step on a concave decreasing
     function lands on the safe side from either side, so the iteration
     converges quadratically without a finite bracket, and arbitrarily deep
-    queries stay exact in the exponent.
-
-    The first Newton pass runs over every element; an element leaves the
-    active set once its own step is below ``max(log1p(2**-40),
-    spacing(|y|))`` (the ``spacing`` is formed only for steps above the
-    absolute tolerance).  From ``|y| >= 4096`` on, one ulp of ``y`` exceeds
-    the absolute tolerance and the rounded iteration could otherwise cycle
-    between adjacent floats.  A final step may end on the unsafe side of
-    the root; the caller's nudge restores the sandwich.
+    queries stay exact in the exponent.  A root leaves Newton once its own
+    step is below ``max(log1p(2**-40), spacing(|y|))`` (the ``spacing`` is
+    formed only for steps above the absolute tolerance).  From ``|y| >=
+    4096`` on, one ulp of ``y`` exceeds the absolute tolerance and the
+    rounded iteration could otherwise cycle between adjacent floats.  A
+    final step may end on the unsafe side of the root; the caller's nudge
+    restores the sandwich.
     """
     tau = np.log(u)
     y = np.divide(tau, -a)
@@ -376,21 +394,29 @@ def _newton_inverse_log_rational(a: float, u: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         fixed = np.exp(y)
     contracts = fixed < 0.25 * a
+    settled = fixed < _SETTLED_BY_TWO_STEPS * a
+    moving = np.flatnonzero(~settled)  # Newton's roots
+    again = np.greater_equal(fixed, _SETTLED_BY_ONE_STEP * a)
+    again &= settled  # the roots that take a second step
+    del settled
     np.log1p(fixed, out=fixed)
     fixed /= a
     np.subtract(y, fixed, out=y, where=contracts)
-    del fixed, contracts
-    with np.errstate(invalid="ignore"):
-        step = _newton_step(a, y, tau)
-    step[np.isinf(tau)] = 0.0  # u = inf: y = -inf is exact, and its step inf - inf is NaN
-    y += step
-    moving = _unsettled(y, step)
-    del step
+    del contracts
+    if again.any():
+        # Masked passes, not a gather: the tier is a run of columns of each
+        # ladder row, and on shallow horizons most of the query.
+        np.exp(y, out=fixed, where=again)
+        np.log1p(fixed, out=fixed, where=again)
+        np.divide(fixed, a, out=fixed, where=again)
+        np.divide(tau, -a, out=y, where=again)
+        np.subtract(y, fixed, out=y, where=again)
+    del fixed, again
     tau = tau[moving]
     ya = y[moving]
-    for _ in range(_SOLVE_ITERS - 1):
+    for _ in range(_SOLVE_ITERS):
         if moving.size == 0:
-            return y
+            break
         step = _newton_step(a, ya, tau)
         ya += step
         y[moving] = ya

@@ -341,7 +341,11 @@ class TestInverse:
 # at 0.37 from ...38a0p-3 to ...389fp-3).  The rational "2d" entries were
 # re-recorded again when the Newton step's softplus moved from np.logaddexp
 # to vectorised exp and log1p: 29 (rational(0.5)) and 40 (rational(0.9)) of
-# 4000 roots moved, by at most 64 and 15 ulps; no "1d" root moved.
+# 4000 roots moved, by at most 64 and 15 ulps; no "1d" root moved.  The
+# rational(0.9) entries were re-recorded when the bound began to settle deep
+# roots with one or two fixed-point steps and no Newton step: 77 of 4000
+# ("2d") and 2 of 3000 ("1d") roots moved, each by 1 ulp; no rational(0.5)
+# root moved.
 PINNED_INVERSE_SHA256 = {
     ("stable(0.5)", "2d"): "80403327a4c71d3380b1a2e641895c1a0b9bd8ff97318cb9b066200396e14852",
     ("stable(0.5)", "1d"): "e3cee6beca4f94c271169aca76986428011543a8d3c7a66937b9d588df5932c5",
@@ -349,8 +353,8 @@ PINNED_INVERSE_SHA256 = {
     ("const(2,0.5)", "1d"): "d6164a23f96edc47b3be2b764dc4d685a70bb28ae785f6cd11efec3bab612342",
     ("rational(0.5)", "2d"): "c9c9f1ec8af442523c770c89137c96d1623f2ab6d3ba48d4010475c4f56d56a4",
     ("rational(0.5)", "1d"): "8e430b73f548c8d77c5ab50db9ad123a720c5a9e4ede4a578835aef35286e775",
-    ("rational(0.9)", "2d"): "7b517dfc1ee9fef0bb7c16e41e13658e59d604383a89c31fd8982f7f45d8f020",
-    ("rational(0.9)", "1d"): "7b73fb89ce741e083844028ae6cbb98cba18bea265ced1c6e8072487298487c4",
+    ("rational(0.9)", "2d"): "0693e4e2ea4f2b580d9b7690b3be5de3ca1f890b062a1fcbd765fe959910b104",
+    ("rational(0.9)", "1d"): "4a8c203ce93d1846bb14ba57bc7745db51e9898e270a3b7027991651bf620e01",
     ("log", "2d"): "f0205d06791b083fedee3b7e0fc6ff1e020c99b14949ca0ed546ede3e9cc7381",
     ("log", "1d"): "1f667c9aff715170366b04d488a1acc8cc369dd58ab7cf5e123be13e553289ca",
     ("logpow(2.5)", "2d"): "60fcbb6f7e6bb42c901922df192a493d2b83cceec5178093f2f5803410adfc8b",
@@ -418,13 +422,16 @@ SEAM_FAMILIES = [
 # recorded before long queries were solved in blocks.  The rational entries
 # were re-recorded when the Newton step's softplus moved from np.logaddexp to
 # vectorised exp and log1p: 7, 13 and 11 of 57 344 roots moved (rational
-# 0.05, 0.5, 0.9), by at most 6, 8 and 2 ulps.
+# 0.05, 0.5, 0.9), by at most 6, 8 and 2 ulps.  The rational(0.05) and
+# rational(0.9) entries were re-recorded when the bound began to settle deep
+# roots without Newton: 5 and 32 of 57 344 roots moved, each by 1 ulp; no
+# rational(0.5) root moved.
 PINNED_SEAM_SHA256 = {
     "stable(0.5)": "c1bf85f27c98f7758877bf5b4fcd949120aded98d095d5428806a640b54fce32",
     "const(2,0.5)": "0e406e6097c0f30c55ab6f87603cf275da06d3a97c2f28d5e56aee0c0fee9b05",
-    "rational(0.05)": "be655833fec4d3ca1074202c504313df2f3e292f96c732fa743fddce423f4330",
+    "rational(0.05)": "5a40afb7b20ea1ca1c8c21bb26a2bef55e4989b1748beb5f3019720bffa78d36",
     "rational(0.5)": "31ac74051a1a1b94c15d5e0c58aba1c82456e227f5b13c79f2b701aebcb99b1b",
-    "rational(0.9)": "2c4ceff5650e7792b1c8234857f465807f8b577f337b91e828a2a0149d16891d",
+    "rational(0.9)": "f5b5ac497cf44bca43ca54f8195b08f03ef4de580254ab53a36dddf9b4b80b2e",
     "log": "a4bb463e68c7f402f793c61484125e3072bb1a26bc5c0a11fe365e228d06953b",
     "logpow(2.5)": "efc3f7d7cd070720e57324fe86b7d2a6070f5f6f59d32749eb622a6ef15e7ad0",
 }
@@ -684,6 +691,56 @@ class TestInverseProperties:
         y = log_x[finite]
         back = np.asarray(tail_eval_from_log(tail, y - 2.0**-30 * np.maximum(1.0, np.abs(y))))
         assert np.all(back > np.asarray(u)[finite])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.05, 0.95),
+    hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats(0.0, 300.0)),
+)
+# At a = 0.5 these put L = exp(y0)/a near 2**-12 and 2**-18.5: Newton's roots
+# under the bound's thresholds, the bound's roots under a loosened one.
+@example(0.5, np.array([1.9567, 2.935]))
+def _check_bound_meets_the_stop_rule(a, log10_u):
+    """Each root the bound settles takes a Newton step below Newton's own stop rule."""
+    u = 10.0**log10_u
+    tau = np.log(u)
+    settled = np.exp(np.divide(tau, -a)) < levy._SETTLED_BY_TWO_STEPS * a
+    y = levy._newton_inverse_log_rational(a, u)[settled]
+    step = levy._newton_step(a, y, tau[settled])
+    assert levy._unsettled(y, step).size == 0
+
+
+class TestSettledByTheBound:
+    def test_settled_roots_meet_the_stop_rule(self):
+        _check_bound_meets_the_stop_rule()
+
+    @pytest.mark.parametrize("name", ["_SETTLED_BY_ONE_STEP", "_SETTLED_BY_TWO_STEPS"])
+    def test_a_loosened_bound_fails(self, name, monkeypatch):
+        # The property can fail: with L up to 2**-10 one or two fixed-point
+        # steps leave roots far outside Newton's stop rule.
+        monkeypatch.setattr(levy, name, 2.0**-10)
+        with pytest.raises(AssertionError):
+            _check_bound_meets_the_stop_rule()
+
+    def test_deep_queries_take_no_newton_step(self, monkeypatch):
+        sizes = []
+        newton_step = levy._newton_step
+
+        def spy(a, y, tau):
+            sizes.append(y.size)
+            return newton_step(a, y, tau)
+
+        monkeypatch.setattr(levy, "_newton_step", spy)
+        tail = rational_tail(0.5)
+        u = 10.0 ** np.random.default_rng(20261020).uniform(8.0, 300.0, 5000)
+        u[17] = math.inf
+        log_x = tail_inverse_log(tail, u)
+        assert sizes == []
+        assert log_x[17] == -math.inf
+        assert np.all(np.asarray(tail_eval_from_log(tail, log_x)) <= u)
+        tail_inverse_log(tail, np.array([2.0, 1e8]))  # a shallow root does take Newton steps
+        assert sizes and sizes[0] == 1
 
 
 class TestSmallJumpMean:

@@ -202,6 +202,15 @@ class TestSampleArrivals:
             _hand_series([1.0, 2.0, 3.0], [0.5, math.nan, 1.0])
         with pytest.raises(ValueError):
             _hand_series([1.0, math.nan, 3.0], [0.5, 0.5, 1.0])
+        with pytest.raises(ValueError, match="increasing"):
+            _hand_series([1.0, 2.0, 2.0], [0.5, 0.5, 1.0])  # tied arrivals
+        with pytest.raises(ValueError, match="positive"):
+            _hand_series([0.0, 2.0, 3.0], [0.5, 0.5, 1.0])
+        with pytest.raises(ValueError, match="positive"):
+            _hand_series([math.nan, 2.0, 3.0], [0.5, 0.5, 1.0])
+        with pytest.raises(ValueError, match="marks"):
+            _hand_series([1.0, 2.0, 3.0], [0.5, 1.0 + 2.0**-52, 1.0])
+        _hand_series([1.0, 2.0, 3.0], [2.0**-53, 0.5, 1.0])  # the closed end (0, 1]
 
     def test_arrays_are_frozen(self):
         arr = sample_arrivals(3, 10)
