@@ -16,7 +16,7 @@ Configuration file (INI syntax, all sections optional)::
     levels = 1.0, 2.0       ; edge-right joint levels, one per lambda, in any order
 
     [tail]
-    family = log            ; const(c,a) | stable(a) | cauchy | log | logpow(p<=100) | rational(a)
+    family = log            ; stable(a) | rational(a) | const(c,a) | log | logpow(p<=100)
 
     [grids]
     t = 1e-2, 1e-4, 1e-6, 1e-8
@@ -32,6 +32,13 @@ Configuration file (INI syntax, all sections optional)::
     format = both           ; csv | json | both
     output = .
     plot = false
+
+``cauchy`` is an alias for ``stable``.  Edge-left builds the family at
+each value of the alpha grid, so ``stable``, ``cauchy``, ``rational`` and
+``const(c)`` may leave out the index, and a written index is superseded
+by the grid's.  Edge-right needs a zero-index family (``log`` or
+``logpow(p)``).  The other edges run a fixed family and reject any
+other: edge-bottom and fidi ``cauchy``, diagnostics ``log``.
 
 Edge-right checks the joint law of its levels for every ``r`` of the
 trim grid; the levels need not be monotone at any ``r``.  Unknown
@@ -51,6 +58,7 @@ import os
 import re
 import sys
 import tempfile
+from typing import Callable
 
 from .experiments import (
     DEFAULT_MASTER_SEED,
@@ -72,22 +80,6 @@ _EDGE_COMMANDS = {
 # at alpha = 0.01 needs a deep series before the 2% terminal check is fair.
 _EDGE_DEFAULTS: dict[str, dict] = {
     "bottom": {"replicates": 200, "n_terms": 100_000},
-}
-
-_CONFIG_SCHEMA: dict[str, set[str]] = {
-    "edge": {"name", "r", "levels"},
-    "tail": {"family"},
-    "grids": {"t", "lambda", "alpha"},
-    "run": {
-        "seed",
-        "replicates",
-        "seed_blocks",
-        "n_terms",
-        "jobs",
-        "format",
-        "output",
-        "plot",
-    },
 }
 
 _FORMATS = ("csv", "json", "both")
@@ -139,7 +131,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_config(path: str) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can name the empty section, so [DEFAULT] is a section like
+    # any other (and unknown) instead of keys merged into every section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle, source=path)
@@ -156,19 +150,19 @@ def _load_config(path: str) -> dict[str, dict[str, str]]:
         ) from exc
     sections: dict[str, dict[str, str]] = {}
     for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
+        keys = sorted(key for known, key in _CONFIG_KEYS if known == section)
+        if not keys:
             raise CliError(
                 "config",
                 f"unknown config section [{section}] (expected "
-                f"{sorted(_CONFIG_SCHEMA)})",
+                f"{sorted({known for known, _ in _CONFIG_KEYS})})",
                 path=path,
             )
         for key in parser.options(section):
-            if key not in _CONFIG_SCHEMA[section]:
+            if key not in keys:
                 raise CliError(
                     "config",
-                    f"unknown key {key!r} in section [{section}] (expected "
-                    f"{sorted(_CONFIG_SCHEMA[section])})",
+                    f"unknown key {key!r} in section [{section}] (expected {keys})",
                     path=path,
                 )
         sections[section] = dict(parser.items(section))
@@ -195,10 +189,9 @@ def _floats(text: str, label: str) -> tuple[float, ...]:
 
 def _ints(text: str, label: str) -> tuple[int, ...]:
     floats = _floats(text, label)
-    values = tuple(int(v) for v in floats)
-    if any(float(i) != f for i, f in zip(values, floats)):
+    if not all(f.is_integer() for f in floats):  # nan and inf are not
         raise CliError("config", f"{label} must be integers, got {text!r}")
-    return values
+    return tuple(int(f) for f in floats)
 
 
 def _int(text: str, label: str) -> int:
@@ -217,6 +210,40 @@ def _bool(text: str, label: str) -> bool:
     raise CliError("config", f"{label} must be a boolean, got {text!r}")
 
 
+def _text(text: str, label: str) -> str:
+    return text.strip()
+
+
+def _format(text: str, label: str) -> str:
+    fmt = text.strip().lower()
+    if fmt not in _FORMATS:
+        raise CliError("config", f"{label} must be one of {_FORMATS}, got {fmt!r}")
+    return fmt
+
+
+#: Every config key: (section, key) -> (``ExperimentConfig`` field, parser).
+#: ``[edge] name`` must match the command and ``[run] format`` picks the
+#: report files; neither reaches the config.  A config with several bad
+#: values reports the first in this order.
+_CONFIG_KEYS: dict[tuple[str, str], tuple[str, Callable[[str, str], object]]] = {
+    ("edge", "name"): ("edge", _text),
+    ("edge", "r"): ("r_grid", _ints),
+    ("edge", "levels"): ("level_grid", _floats),
+    ("tail", "family"): ("tail", _text),
+    ("grids", "t"): ("t_grid", _floats),
+    ("grids", "lambda"): ("lambda_grid", _floats),
+    ("grids", "alpha"): ("alpha_grid", _floats),
+    ("run", "replicates"): ("replicates", _int),
+    ("run", "seed_blocks"): ("seed_blocks", _int),
+    ("run", "n_terms"): ("n_terms", _int),
+    ("run", "jobs"): ("jobs", _int),
+    ("run", "plot"): ("plot", _bool),
+    ("run", "output"): ("output", _text),
+    ("run", "seed"): ("master_seed", _int),
+    ("run", "format"): ("format", _format),
+}
+
+
 def _effective_config(
     edge: str,
     sections: dict[str, dict[str, str]],
@@ -224,69 +251,28 @@ def _effective_config(
     environ: dict[str, str],
 ) -> tuple[ExperimentConfig, str]:
     kwargs: dict = dict(_EDGE_DEFAULTS.get(edge, {}))
-    run = sections.get("run", {})
-
-    edge_section = sections.get("edge", {})
-    declared = edge_section.get("name")
-    if declared is not None and declared.strip() != edge:
+    for (section, key), (name, parse) in _CONFIG_KEYS.items():
+        text = sections.get(section, {}).get(key)
+        if text is not None:
+            kwargs[name] = parse(text, f"[{section}] {key}")
+    declared = kwargs.pop("edge", edge)
+    if declared != edge:
         raise CliError(
-            "config", f"config section [edge] names {declared.strip()!r} but the command runs {edge!r}"
+            "config", f"config section [edge] names {declared!r} but the command runs {edge!r}"
         )
-    if "r" in edge_section:
-        kwargs["r_grid"] = _ints(edge_section["r"], "[edge] r")
-    if "levels" in edge_section:
-        kwargs["level_grid"] = _floats(edge_section["levels"], "[edge] levels")
-    if "family" in sections.get("tail", {}):
-        kwargs["tail"] = sections["tail"]["family"].strip()
-    grids = sections.get("grids", {})
-    if "t" in grids:
-        kwargs["t_grid"] = _floats(grids["t"], "[grids] t")
-    if "lambda" in grids:
-        kwargs["lambda_grid"] = _floats(grids["lambda"], "[grids] lambda")
-    if "alpha" in grids:
-        kwargs["alpha_grid"] = _floats(grids["alpha"], "[grids] alpha")
-
-    for key in ("replicates", "seed_blocks", "n_terms", "jobs"):
-        if key in run:
-            kwargs[key] = _int(run[key], f"[run] {key}")
-    if "plot" in run:
-        kwargs["plot"] = _bool(run["plot"], "[run] plot")
-    if "output" in run:
-        kwargs["output"] = run["output"].strip()
-
+    # command-line flags override config values
+    for flag in ("seed", "replicates", "jobs", "output", "plot", "format"):
+        value = getattr(args, flag)
+        if value is not None:
+            kwargs["master_seed" if flag == "seed" else flag] = value
     # seed priority: flag > config > environment > built-in default
-    if args.seed is not None:
-        seed = args.seed
-    elif "seed" in run:
-        seed = _int(run["seed"], "[run] seed")
-    elif _SEED_ENV in environ:
-        try:
-            seed = int(environ[_SEED_ENV])
-        except ValueError as exc:
-            raise CliError(
-                "config", f"{_SEED_ENV} must be an integer, got {environ[_SEED_ENV]!r}"
-            ) from exc
-    else:
-        seed = DEFAULT_MASTER_SEED
-
-    if args.replicates is not None:
-        kwargs["replicates"] = args.replicates
-    if args.jobs is not None:
-        kwargs["jobs"] = args.jobs
-    if args.output is not None:
-        kwargs["output"] = args.output
-    if args.plot is not None:
-        kwargs["plot"] = True
-
-    fmt = run.get("format", "both").strip().lower()
-    if args.format is not None:
-        fmt = args.format
-    if fmt not in _FORMATS:
-        raise CliError("config", f"[run] format must be one of {_FORMATS}, got {fmt!r}")
-
+    if "master_seed" not in kwargs and _SEED_ENV in environ:
+        kwargs["master_seed"] = _int(environ[_SEED_ENV], _SEED_ENV)
+    kwargs.setdefault("master_seed", DEFAULT_MASTER_SEED)
     kwargs.setdefault("output", ".")
+    fmt = kwargs.pop("format", "both")
     try:
-        config = ExperimentConfig(edge=edge, master_seed=seed, **kwargs)
+        config = ExperimentConfig(edge=edge, **kwargs)
     except (TypeError, ValueError) as exc:
         raise CliError("config", str(exc)) from exc
     return config, fmt
@@ -429,9 +415,9 @@ def parse_and_dispatch(argv=None, environ=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise CliError("usage", "missing subcommand")
+        sections = _load_config(args.config) if args.config else {}
         if args.command == "all":
             edges = list(_EDGE_COMMANDS.values())
-            sections = _load_config(args.config) if args.config else {}
             for section in sections:
                 if section != "run":
                     raise CliError(
@@ -441,7 +427,6 @@ def parse_and_dispatch(argv=None, environ=None) -> int:
                     )
         else:
             edges = [_EDGE_COMMANDS[args.command]]
-            sections = _load_config(args.config) if args.config else {}
         all_pass = True
         for edge in edges:
             all_pass &= _run_edge(edge, sections, args, environ)

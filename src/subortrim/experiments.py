@@ -121,6 +121,8 @@ _PILOT_ANCHOR_N = 10_000
 #: Measured worst 1.6 eps per unit (alpha 0.01-0.8, r 0-2, t down to 1e-12).
 _DRIFT_TOL = 16.0 * float(np.finfo(float).eps)
 
+#: Default tail of each edge.  Only the KS edges read the configured tail;
+#: the others run this fixed family and reject any other.
 _DEFAULT_TAILS = {
     "left": "stable",
     "right": "log",
@@ -154,6 +156,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown edge {self.edge!r}; expected one of {_EDGES}")
         if not self.tail:
             object.__setattr__(self, "tail", _DEFAULT_TAILS[self.edge])
+        elif self.edge not in _KS_EDGES and self.tail != _DEFAULT_TAILS[self.edge]:
+            fixed = _DEFAULT_TAILS[self.edge]
+            raise ValueError(f"edge {self.edge} runs the fixed {fixed!r} family, got {self.tail!r}")
         for name in ("alpha_grid", "t_grid", "lambda_grid", "r_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
@@ -188,13 +193,13 @@ class ExperimentConfig:
                 raise ValueError("level_grid must match lambda_grid in length")
             if any(not y > 0.0 for y in self.level_grid):  # NaN fails too
                 raise ValueError("level_grid values must be positive")
-            _family_tail(self.tail, 0.0)  # edge-right needs a zero-index family
+            levy.parse_tail(self.tail, 0.0)  # edge-right needs a zero-index family
         alphas = self.alpha_grid
         if self.edge == "bottom" and any(b >= a for a, b in zip(alphas, alphas[1:])):
             raise ValueError("edge-bottom expects a strictly decreasing alpha_grid")
         if self.edge == "left":
             for a in self.alpha_grid:
-                if _family_tail(self.tail, a).alpha <= 0.0:
+                if levy.parse_tail(self.tail, a).alpha <= 0.0:
                     raise ValueError("edge-left needs a positive-index tail family")
 
     def echo(self) -> dict:
@@ -214,27 +219,6 @@ def _integer(name: str, value) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _family_tail(tail_str: str, alpha: float) -> TailFunction:
-    """Build the configured tail family at a grid index value.
-
-    The string picks the family; an explicit index inside it is
-    superseded by ``alpha`` so sweep grids stay orthogonal to the family
-    choice.  Zero-index families ignore ``alpha``.
-    """
-    s = "".join(tail_str.split()).lower()
-    name = s.partition("(")[0]
-    if name in ("stable", "cauchy"):
-        return levy.stable_tail(alpha)
-    if name == "rational":
-        return levy.rational_tail(alpha)
-    if name in ("log", "logpow"):
-        return levy.parse_tail("log" if name == "log" else s)
-    if name == "const":
-        c = levy.parse_tail(s).factor.c if "(" in s else 1.0
-        return levy.constant_tail(c, alpha)
-    raise ValueError(f"unknown tail family: {tail_str!r}")
 
 
 @dataclass(frozen=True)
@@ -471,7 +455,7 @@ def _slice_rows(blocks: list, k: int) -> list[ReportRow]:
 def _left_task(args):
     """One (alpha, block) slice: shared arrivals across every (r, lambda)."""
     cfg, alpha_idx, block = args
-    tail = _family_tail(cfg.tail, cfg.alpha_grid[alpha_idx])
+    tail = levy.parse_tail(cfg.tail, cfg.alpha_grid[alpha_idx])
     root = _combo_root(cfg, block, alpha_idx)
     slices = list(product(cfg.r_grid, cfg.lambda_grid))
     z_all, _ = _z_sweep(
@@ -532,8 +516,7 @@ def run_edge_left(cfg: ExperimentConfig) -> ExperimentReport:
     by_alpha = _slice_tasks(cfg, _left_task, len(cfg.alpha_grid))
 
     report = ExperimentReport(edge="left", config=cfg)
-    factor = _family_tail(cfg.tail, cfg.alpha_grid[0]).factor
-    pure_power = isinstance(factor, (levy.Constant, levy.StableExact))
+    pure_power = isinstance(levy.parse_tail(cfg.tail, cfg.alpha_grid[0]).factor, levy.Constant)
     for alpha, blocks in zip(cfg.alpha_grid, by_alpha):
         _, (z0, z1), plots = blocks[0]
         report.plots.extend(plots)
@@ -568,7 +551,7 @@ def run_edge_left(cfg: ExperimentConfig) -> ExperimentReport:
 def _right_task(args):
     """One (r, block) slice: shared arrivals across the whole lambda grid."""
     cfg, r_idx, block = args
-    tail = _family_tail(cfg.tail, 0.0)
+    tail = levy.parse_tail(cfg.tail, 0.0)
     r = cfg.r_grid[r_idx]
     root = _combo_root(cfg, block, r_idx)
     levels = np.asarray(cfg.level_grid)
@@ -678,7 +661,7 @@ def run_edge_right(cfg: ExperimentConfig) -> ExperimentReport:
         report.rows.append(
             ReportRow(
                 edge="right:fidi",
-                tail=str(_family_tail(cfg.tail, 0.0)),
+                tail=str(levy.parse_tail(cfg.tail, 0.0)),
                 alpha=0.0,
                 t=min(cfg.t_grid),
                 lam=cfg.lambda_grid[-1],

@@ -10,10 +10,9 @@ All families in this module factor as ``tail(x) = x**-alpha * L(x)`` with
 tail index ``alpha in [0, 1)`` and a factor ``L`` that varies slowly at 0,
 so that small jumps dominate and the process is a.s. finite.
 
-Four families are provided:
+Three families are provided:
 
-``Constant``         ``c * x**-alpha`` (exact power law, ``c > 0``)
-``StableExact``      ``x**-alpha`` (the ``c == 1`` power law)
+``Constant``         ``c * x**-alpha`` (exact power law, ``c > 0``; stable at ``c == 1``)
 ``LogPower``         ``log(1/x)**p`` on ``(0, 1)``, zero beyond (index 0, ``p <= 100``)
 ``RationalPerturb``  ``x**-alpha / (1 + x)``
 
@@ -44,7 +43,6 @@ from .stats import poisson_below
 __all__ = [
     "TailFunction",
     "Constant",
-    "StableExact",
     "LogPower",
     "RationalPerturb",
     "constant_tail",
@@ -83,11 +81,6 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class StableExact:
-    """Unit constant factor: the tail is exactly ``x**-alpha``."""
-
-
-@dataclass(frozen=True)
 class LogPower:
     """Factor ``log(1/x)**p`` on (0, 1), ``0 < p <= 100``; tail vanishes at 1."""
 
@@ -99,7 +92,7 @@ class RationalPerturb:
     """Factor ``1 / (1 + x)``: algebraic perturbation of a pure power."""
 
 
-_FACTORS = (Constant, StableExact, LogPower, RationalPerturb)
+_FACTORS = (Constant, LogPower, RationalPerturb)
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,7 @@ class TailFunction:
     ----------
     alpha : float
         Tail index in ``[0, 1)``.
-    factor : Constant | StableExact | LogPower | RationalPerturb
+    factor : Constant | LogPower | RationalPerturb
         The slowly varying factor ``L``.
 
     Notes
@@ -123,7 +116,7 @@ class TailFunction:
     """
 
     alpha: float
-    factor: Constant | StableExact | LogPower | RationalPerturb
+    factor: Constant | LogPower | RationalPerturb
 
     def __post_init__(self):
         a = self.alpha
@@ -147,10 +140,8 @@ class TailFunction:
 
     def __str__(self):
         f = self.factor
-        if isinstance(f, StableExact):
-            return f"stable({self.alpha:g})"
         if isinstance(f, Constant):
-            return f"const({f.c:g},{self.alpha:g})"
+            return f"stable({self.alpha:g})" if f.c == 1.0 else f"const({f.c:g},{self.alpha:g})"
         if isinstance(f, LogPower):
             return "log" if f.p == 1.0 else f"logpow({f.p:g})"
         return f"rational({self.alpha:g})"
@@ -163,7 +154,7 @@ def constant_tail(c: float, alpha: float) -> TailFunction:
 
 def stable_tail(alpha: float) -> TailFunction:
     """Tail ``x**-alpha`` of the normalised stable subordinator."""
-    return TailFunction(alpha=float(alpha), factor=StableExact())
+    return constant_tail(1.0, alpha)
 
 
 def log_power_tail(p: float = 1.0) -> TailFunction:
@@ -176,35 +167,48 @@ def rational_tail(alpha: float) -> TailFunction:
     return TailFunction(alpha=float(alpha), factor=RationalPerturb())
 
 
-def parse_tail(text: str) -> TailFunction:
+#: Tail families by config name: builder, argument count of the written
+#: form, and whether its last argument is the tail index.
+_FAMILIES = {
+    "stable": (stable_tail, 1, True),
+    "cauchy": (stable_tail, 1, True),
+    "rational": (rational_tail, 1, True),
+    "const": (constant_tail, 2, True),
+    "log": (log_power_tail, 0, False),
+    "logpow": (log_power_tail, 1, False),
+}
+
+
+def parse_tail(text: str, index: float | None = None) -> TailFunction:
     """Parse a tail-family config string.
 
     Accepted forms: ``stable(A)``, ``rational(A)``, ``log``, ``logpow(P)``,
-    ``const(C,A)``.  Whitespace-insensitive.
+    ``const(C,A)``; ``cauchy`` is an alias for ``stable``.
+    Whitespace-insensitive.  Given a grid ``index``, the index-bearing
+    families may omit their index (``stable``, ``cauchy``, ``rational``,
+    ``const(C)``), and a written one is superseded by ``index``; the
+    zero-index ``log`` and ``logpow(P)`` ignore it.
 
     >>> str(parse_tail("stable(0.5)"))
     'stable(0.5)'
+    >>> str(parse_tail("const(2, 0.9)", 0.25))
+    'const(2,0.25)'
     """
     s = "".join(text.split()).lower()
-    if s == "log":
-        return log_power_tail()
     name, sep, rest = s.partition("(")
-    if not sep or not rest.endswith(")"):
+    if sep and not rest.endswith(")"):
         raise ValueError(f"unparseable tail spec: {text!r}")
-    args = rest[:-1].split(",")
     try:
-        vals = [float(a) for a in args]
+        vals = [float(a) for a in rest[:-1].split(",")] if sep else []
     except ValueError:
         raise ValueError(f"non-numeric argument in tail spec: {text!r}") from None
-    if name == "stable" and len(vals) == 1:
-        return stable_tail(vals[0])
-    if name == "rational" and len(vals) == 1:
-        return rational_tail(vals[0])
-    if name == "logpow" and len(vals) == 1:
-        return log_power_tail(p=vals[0])
-    if name == "const" and len(vals) == 2:
-        return constant_tail(vals[0], vals[1])
-    raise ValueError(f"unknown tail family or arity: {text!r}")
+    build, arity, indexed = _FAMILIES.get(name, (None, -1, False))
+    if indexed and index is not None and arity - 1 <= len(vals) <= arity:
+        vals[arity - 1 :] = [index]
+    if build is None or len(vals) != arity:
+        kind = "unknown tail family or arity" if sep else "unparseable tail spec"
+        raise ValueError(f"{kind}: {text!r}")
+    return build(*vals)
 
 
 def _validated(x, name: str):
@@ -261,9 +265,8 @@ def _eval_from_log(tail: TailFunction, log_x: np.ndarray) -> np.ndarray:
         return np.where(log_x < 0.0, vals, 0.0)
     power = np.multiply(log_x, -tail.alpha)
     np.exp(power, out=power)
-    if isinstance(f, (Constant, StableExact)):
-        c = f.c if isinstance(f, Constant) else 1.0
-        return c * power
+    if isinstance(f, Constant):
+        return f.c * power
     # RationalPerturb
     scale = np.exp(log_x)
     scale += 1.0
@@ -335,9 +338,8 @@ _INVERSE_BLOCK = 2**14
 def _inverse_log_flat(tail: TailFunction, flat: np.ndarray) -> np.ndarray:
     """:func:`tail_inverse_log` of a 1-D query of validated rates."""
     a, f = tail.alpha, tail.factor
-    if isinstance(f, (Constant, StableExact)):
-        c = f.c if isinstance(f, Constant) else 1.0
-        return _nudge_inverse_log(tail, (math.log(c) - np.log(flat)) / a, flat)
+    if isinstance(f, Constant):
+        return _nudge_inverse_log(tail, (math.log(f.c) - np.log(flat)) / a, flat)
     if isinstance(f, LogPower):
         # 0.0 - x, not -x: a root that underflows to zero stays +0.0.  One
         # that overflows to -inf is rejected by the nudge.
@@ -553,9 +555,8 @@ def small_jump_mean(tail: TailFunction, eps) -> float | np.ndarray:
 def _small_jump_mean(tail: TailFunction, e: np.ndarray) -> np.ndarray:
     """:func:`small_jump_mean` of a summable tail at 1-D positive levels."""
     a, f = tail.alpha, tail.factor
-    if isinstance(f, (Constant, StableExact)):
-        c = f.c if isinstance(f, Constant) else 1.0
-        return c * a / (1.0 - a) * e ** (1.0 - a)
+    if isinstance(f, Constant):
+        return f.c * a / (1.0 - a) * e ** (1.0 - a)
     if isinstance(f, LogPower):
         # integral_0^e log(1/x)^p dx - e log(1/e)^p  ==  Gamma(p+1, z) - e z^p
         # at z = log(1/e), and the recurrence Gamma(p+1, z) = p Gamma(p, z) +
@@ -643,9 +644,8 @@ def log_small_jump_mean(tail: TailFunction, log_eps) -> float | np.ndarray:
 def _log_small_jump_mean(tail: TailFunction, z: np.ndarray) -> np.ndarray:
     """:func:`log_small_jump_mean` of a summable tail at 1-D levels without NaN."""
     a, f = tail.alpha, tail.factor
-    if isinstance(f, (Constant, StableExact)):
-        c = f.c if isinstance(f, Constant) else 1.0
-        return math.log(c * a / (1.0 - a)) + (1.0 - a) * z
+    if isinstance(f, Constant):
+        return math.log(f.c * a / (1.0 - a)) + (1.0 - a) * z
     if isinstance(f, RationalPerturb):
         out = math.log(a / (1.0 - a)) + (1.0 - a) * z
         shallow = z >= -40.0

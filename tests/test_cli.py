@@ -84,6 +84,11 @@ class TestConfigErrors:
         assert rc == 1
         assert payload["error"] == "config"
         assert "[misc]" in payload["message"]
+        # [DEFAULT] is an unknown section, not keys merged into every section.
+        for text in ("[DEFAULT]\nseed = 5\n", "[DEFAULT]\nseed = 5\n[run]\njobs = 1\n"):
+            rc, payload = self._run(tmp_path, capsys, text)
+            assert rc == 1
+            assert "[DEFAULT]" in payload["message"]
 
     def test_unknown_key(self, tmp_path, capsys):
         rc, payload = self._run(tmp_path, capsys, "[run]\nspeed = 9\n")
@@ -119,9 +124,12 @@ class TestConfigErrors:
         assert "numbers" in payload["message"]
 
     def test_non_integer_trim_grid(self, tmp_path, capsys):
-        rc, payload = self._run(tmp_path, capsys, "[edge]\nr = 0.5\n")
-        assert rc == 1
-        assert "integers" in payload["message"]
+        # Non-finite depths are config errors, not tracebacks from int().
+        for depth in ("0.5", "nan", "inf", "1e400"):
+            rc, payload = self._run(tmp_path, capsys, f"[edge]\nr = 0, {depth}\n")
+            assert rc == 1
+            assert payload["error"] == "config"
+            assert "integers" in payload["message"]
 
     def test_bad_bool(self, tmp_path, capsys):
         rc, payload = self._run(tmp_path, capsys, "[run]\nplot = maybe\n")
@@ -137,6 +145,16 @@ class TestConfigErrors:
         rc, payload = self._run(tmp_path, capsys, "[grids]\nalpha = 1.5\n")
         assert rc == 1
         assert payload["error"] == "config"
+        rc, payload = self._run(
+            tmp_path, capsys, "[tail]\nfamily = stable(abc)\n", ("--output", str(tmp_path)),
+            command="edge-left",
+        )
+        assert rc == 1
+        assert payload["error"] == "config"
+        assert "stable(abc)" in payload["message"]
+        rc, payload = self._run(tmp_path, capsys, "[tail]\nfamily = stable\n")
+        assert rc == 1
+        assert "fixed 'cauchy' family" in payload["message"]
 
     def test_bottom_alpha_grid_must_decrease(self, tmp_path, capsys):
         rc, payload = self._run(

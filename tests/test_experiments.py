@@ -26,7 +26,6 @@ from subortrim.experiments import (
     _FIDI_DEPTH,
     _downsample,
     _edge_root,
-    _family_tail,
     _fidi_task,
     _stream_matrix,
     _weakly_nonincreasing,
@@ -161,21 +160,46 @@ class TestConfig:
 
 
 class TestFamilyTail:
+    """The edges build their tail with ``parse_tail`` at a grid index."""
+
     def test_alpha_supersedes_embedded_index(self):
-        assert _family_tail("stable(0.9)", 0.25) == levy.stable_tail(0.25)
-        assert _family_tail("rational(0.9)", 0.25) == levy.rational_tail(0.25)
-        assert _family_tail("const(3.0, 0.9)", 0.25) == levy.constant_tail(3.0, 0.25)
+        stable, rational = levy.stable_tail(0.25), levy.rational_tail(0.25)
+        cases = [
+            ("stable(0.9)", stable),
+            ("rational(0.9)", rational),
+            ("const(3.0, 0.9)", levy.constant_tail(3.0, 0.25)),
+            ("const(1, 0.9)", stable),
+            ("stable", stable),
+            ("rational", rational),
+            ("const(3)", levy.constant_tail(3.0, 0.25)),
+        ]
+        for spec, want in cases:
+            assert levy.parse_tail(spec, 0.25) == want, spec
 
     def test_cauchy_alias(self):
-        assert _family_tail("cauchy", 0.5) == levy.stable_tail(0.5)
+        assert levy.parse_tail("cauchy", 0.5) == levy.stable_tail(0.5)
+        assert levy.parse_tail("cauchy(0.9)", 0.5) == levy.stable_tail(0.5)
 
     def test_zero_index_families_ignore_alpha(self):
-        assert _family_tail("log", 0.5) == levy.log_power_tail()
-        assert _family_tail("logpow(2.0)", 0.5) == levy.log_power_tail(2.0)
+        assert levy.parse_tail("log", 0.5) == levy.log_power_tail()
+        assert levy.parse_tail("logpow(2.0)", 0.5) == levy.log_power_tail(2.0)
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown tail family"):
-            _family_tail("gauss", 0.5)
+        # The whole spec is parsed, not only its family name.
+        for spec in ("gauss(1)", "gauss", "stable(abc)", "stable(0.5", "log(3)", "rational(x,y)",
+                     "const"):
+            with pytest.raises(ValueError, match="tail spec|tail family"):
+                levy.parse_tail(spec, 0.5)
+            with pytest.raises(ValueError, match="tail spec|tail family"):
+                ExperimentConfig(edge="left", tail=spec)
+
+    @pytest.mark.parametrize("edge", ["bottom", "fidi", "diagnostics"])
+    def test_fixed_family_edges_reject_other_tails(self, edge):
+        label = experiments._DEFAULT_TAILS[edge]
+        assert ExperimentConfig(edge=edge, tail=label).tail == label
+        for other in ("nonsense", "stable", "log" if label != "log" else "cauchy"):
+            with pytest.raises(ValueError, match="fixed"):
+                ExperimentConfig(edge=edge, tail=other)
 
 
 class TestCsvShape:

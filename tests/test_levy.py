@@ -25,7 +25,6 @@ from subortrim.levy import (
     Constant,
     LogPower,
     RationalPerturb,
-    StableExact,
     TailFunction,
     constant_tail,
     log_power_tail,
@@ -74,10 +73,13 @@ def _oracle_root(tail, u, lo=1e-290, hi=1e290):
 
 class TestConstruction:
     @pytest.mark.parametrize(
-        "spec", ["stable(0.5)", "rational(0.25)", "log", "logpow(2)", "const(2,0.5)"]
+        "spec",
+        ["stable(0.5)", "rational(0.25)", "log", "logpow(2)", "const(2,0.5)", "const(1,0.5)"],
     )
     def test_parse_str_round_trip(self, spec):
+        # The unit constant is the stable tail and prints as one.
         tail = parse_tail(spec)
+        assert str(tail) == {"const(1,0.5)": "stable(0.5)"}.get(spec, spec)
         assert parse_tail(str(tail)) == tail
 
     def test_parse_is_whitespace_insensitive(self):
@@ -85,7 +87,10 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "spec",
-        ["", "stable", "stable(a)", "stable(0.5,1)", "gauss(1)", "log(2)", "const(2)", "cauchy"],
+        [
+            "", "stable", "stable(a)", "stable(0.5,1)", "gauss(1)", "log(2)", "const(2)", "cauchy",
+            "stable(abc)", "stable(0.5", "log(3)", "rational(x,y)",
+        ],
     )
     def test_parse_rejects_malformed(self, spec):
         with pytest.raises(ValueError):
@@ -962,9 +967,8 @@ def _libm_log_small_jump_mean(tail, z):
     a, f = tail.alpha, tail.factor
     if z == -math.inf:
         return -math.inf
-    if isinstance(f, (Constant, StableExact)):
-        c = f.c if isinstance(f, Constant) else 1.0
-        return math.log(c * a / (1.0 - a)) + (1.0 - a) * z
+    if isinstance(f, Constant):
+        return math.log(f.c * a / (1.0 - a)) + (1.0 - a) * z
     if isinstance(f, RationalPerturb):
         if z < -40.0:
             return math.log(a / (1.0 - a)) + (1.0 - a) * z
@@ -1032,7 +1036,7 @@ class TestLogSmallJumpMeanArrays:
         # the move.  Branches of plain arithmetic keep every bit.
         tail, z = query
         got = np.asarray(log_small_jump_mean(tail, z))
-        plain = isinstance(tail.factor, (Constant, StableExact))
+        plain = isinstance(tail.factor, Constant)
         frozen = isinstance(tail.factor, RationalPerturb)  # below -40: a line, plain arithmetic
         for v, level in zip(got, z):
             ref = _libm_log_small_jump_mean(tail, float(level))
