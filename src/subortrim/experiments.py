@@ -36,13 +36,15 @@ CSV is byte-identical for any ``jobs`` value.  The ``ms_elapsed`` column
 is fixed at 0 to keep that guarantee; wall time lives in the JSON summary.
 
 One horizon sweep (``_z_sweep``) serves both edges and the diagnostics'
-ratio trend.  It draws the replicates' streams ``_ROW_BLOCK`` rows at a
-time and inverts and reduces each block at every horizon before drawing
-the next, so memory holds one block of the stream matrix, not the whole
-(replicates x n_terms) matrix.  It fills a (horizons x slices x
-replicates) array of trimmed z-statistics, slice ``k`` being the ``k``-th
-(r, lambda) pair in ``product(r_grid, lambda_grid)`` order, plus a
-(horizons x replicates) array of trimmed ratios on request.
+ratio trend.  It draws the replicates' streams in blocks of at most
+``_BLOCK_BYTES`` per matrix (one row when a row alone is larger) and
+inverts and reduces each block at every horizon before drawing the next,
+so memory holds a few such blocks, not the whole (replicates x n_terms)
+matrix, and does not grow with the replicates or the ladder depth.  It
+fills a (horizons x slices x replicates) array of trimmed z-statistics,
+slice ``k`` being the ``k``-th (r, lambda) pair in ``product(r_grid,
+lambda_grid)`` order, plus a (horizons x replicates) array of trimmed
+ratios on request.
 
 Trend runs use the same arrivals at every horizon of the grid (coupled
 comparison): the sampled vectors then converge pathwise as the
@@ -105,11 +107,12 @@ _FIDI_DEPTH = 128
 _FIDI_RANKS = (1, 2)
 #: Replicate rows per fidi count; fixed, so memory does not grow with the chunk.
 _FIDI_BLOCK = 128
-#: Replicate rows drawn, inverted and reduced together by the horizon sweep
-#: of edge-left, edge-right and the ratio trend: 256 rows of a 1000-term
-#: ladder are 2 MB per stream block or temporary, whatever the replicate
-#: count, and the CSV does not depend on the block.
-_ROW_BLOCK = 256
+#: Bytes per block matrix of the horizon sweep of edge-left, edge-right and
+#: the ratio trend: a block holds ``max(1, _BLOCK_BYTES // (8 * n_terms))``
+#: replicate rows (131 of a 1000-term ladder, 6 of a 20 000-term one), so its
+#: working set is the same whatever the replicate count and ladder depth, and
+#: the CSV does not depend on the block.
+_BLOCK_BYTES = 2**20
 _PLOT_POINTS = 512
 #: Edge-right's terminal KS-median floor, pilot-calibrated at ``_PILOT_ANCHOR_N``
 #: replicates; for other counts the verdict rescales it by the 1/sqrt(n) KS rate.
@@ -334,20 +337,34 @@ def _z_sweep(tail: TailFunction, seeds, n_terms: int, t_grid, slices, ratio_r=No
     Returns ``(z, w)``: ``z[j, k]`` holds the replicates' trimmed
     z-statistics at ``t_grid[j]`` for slice ``slices[k] = (r, lam)``, and
     ``w[j]`` their trimmed ratios at trim ``ratio_r`` (``w`` is ``None``
-    without one).  The streams are drawn ``_ROW_BLOCK`` rows at a time, and
-    each block is inverted and reduced at every horizon before the next is
-    drawn; the whole stream matrix is never built.  Drawing, inversion and
-    the reductions are per row, so the block does not reach the bits.
+    without one).  The streams are drawn in blocks of at most ``_BLOCK_BYTES``
+    per matrix, or one row, and each block is inverted and reduced at every
+    horizon before the next is drawn.  Each horizon's ladder is freed before
+    the next is built, so an inversion runs with four block matrices alive:
+    the arrivals, the marks, the rates and its ladder.  Drawing, inversion
+    and the reductions are per row, so the block does not reach the bits.
     """
     replicates = len(seeds)
     z = np.empty((len(t_grid), len(slices), replicates))
     w = None if ratio_r is None else np.empty((len(t_grid), replicates))
-    for lo in range(0, replicates, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
+    step = max(1, _BLOCK_BYTES // (8 * n_terms))
+    for lo in range(0, replicates, step):
+        rows = slice(lo, lo + step)
         arrivals, marks = _stream_matrix(seeds[rows], n_terms)
+        # A ladder is freed only once the next block matrix is live: the last
+        # block's once this block is drawn, and each horizon's once the next
+        # horizon's rates are built, so the next ladder reuses its memory.
+        # Freed right after the reductions instead, the ladder joined the free
+        # heap top, glibc's malloc returned that to the OS, and every new
+        # ladder faulted it in again (left-rational: 6-9x the minor page
+        # faults, about 10% more time).
+        log_j = None
         for j, t in enumerate(t_grid):
             with np.errstate(over="ignore"):  # Gamma / t = inf is a zero jump
-                log_j = np.asarray(levy.tail_inverse_log(tail, arrivals / t))
+                rates = arrivals / t
+            log_j = None
+            log_j = np.asarray(levy.tail_inverse_log(tail, rates))
+            del rates
             for k, (r, lam) in enumerate(slices):
                 z[j, k, rows] = trimmed_z_rows(tail, t, log_j, marks, lam, r, log_j[:, -1])
             if w is not None:

@@ -11,6 +11,7 @@ import hashlib
 import io
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from subortrim.experiments import (
     _fidi_task,
     _stream_matrix,
     _weakly_nonincreasing,
+    _z_sweep,
     run_edge_bottom,
     run_edge_left,
     run_edge_right,
@@ -454,17 +456,18 @@ def _traced_peak(run, cfg) -> int:
         tracemalloc.stop()
 
 
-def _left_peak(replicates: int) -> int:
+def _left_peak(replicates: int, n_terms: int = 1000) -> int:
     cfg = ExperimentConfig(
         edge="left", tail="rational", alpha_grid=(0.5,), t_grid=(1e-1, 1e-6),
-        lambda_grid=(1.0,), r_grid=(0,), replicates=replicates, n_terms=1000, seed_blocks=1,
+        lambda_grid=(1.0,), r_grid=(0,), replicates=replicates, n_terms=n_terms, seed_blocks=1,
     )
     return _traced_peak(run_edge_left, cfg)
 
 
 class TestRowBlocks:
-    # The streams are drawn, inverted and reduced in blocks of replicate rows;
-    # every step is per row, so the block size must not reach the CSV.
+    # The streams are drawn, inverted and reduced in blocks of replicate rows
+    # that fill a byte budget; every step is per row, so the budget must not
+    # reach the CSV.
     CONFIGS = {
         "left": dict(
             edge="left", tail="rational", alpha_grid=(0.5,), r_grid=(0, 1), t_grid=(1e-2, 1e-5),
@@ -479,11 +482,59 @@ class TestRowBlocks:
     @pytest.mark.parametrize("edge", sorted(CONFIGS))
     def test_csv_does_not_depend_on_the_row_block(self, edge, monkeypatch):
         cfg = ExperimentConfig(**self.CONFIGS[edge])
+        row = 8 * cfg.n_terms
+        assert cfg.replicates % 7
         texts = [run_experiment(cfg).csv_text()]
-        for rows in (7, cfg.replicates):
-            monkeypatch.setattr(experiments, "_ROW_BLOCK", rows)
+        # One row per block; 7 rows, which do not divide the replicates;
+        # every replicate in one block.
+        for budget in (row - 1, 7 * row + row // 2, cfg.replicates * row):
+            monkeypatch.setattr(experiments, "_BLOCK_BYTES", budget)
             texts.append(run_experiment(cfg).csv_text())
-        assert texts[1] == texts[0] and texts[2] == texts[0]
+        assert texts[1:] == [texts[0]] * 3
+
+    @pytest.mark.parametrize(
+        "n_terms, replicates, budget",
+        [(1000, 300, None), (20_000, 10, None), (1000, 5, 7999), (3000, 9, 5 * 24_000)],
+    )
+    def test_sweep_blocks_fill_the_byte_budget(self, n_terms, replicates, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(experiments, "_BLOCK_BYTES", budget)
+        budget = experiments._BLOCK_BYTES
+        shapes = []
+
+        def spy(seeds, n):
+            arrivals, marks = _stream_matrix(seeds, n)
+            shapes.append(arrivals.shape)
+            return arrivals, marks
+
+        monkeypatch.setattr(experiments, "_stream_matrix", spy)
+        seeds = derive_seed(5, np.arange(replicates))
+        z, w = _z_sweep(
+            levy.parse_tail("rational(0.5)"), seeds, n_terms, (1e-2,), ((0, 1.0),), ratio_r=0
+        )
+        assert z.shape == (1, 1, replicates) and w.shape == (1, replicates)
+        assert sum(rows for rows, _ in shapes) == replicates
+        assert all(n == n_terms for _, n in shapes)
+        assert all(8 * rows * n <= budget or rows == 1 for rows, n in shapes)
+        # Every block but the last is as full as the budget allows.
+        full = max(1, budget // (8 * n_terms))
+        assert [rows for rows, _ in shapes[:-1]] == [full] * (len(shapes) - 1)
+
+    def test_sweep_frees_each_ladder_before_the_next_inversion(self, monkeypatch):
+        # One ladder at a time, across horizons and across blocks.
+        ladders = []
+        inverse = levy.tail_inverse_log
+
+        def spy(tail, u):
+            assert all(ladder() is None for ladder in ladders)
+            log_j = inverse(tail, u)
+            ladders.append(weakref.ref(log_j))
+            return log_j
+
+        monkeypatch.setattr(levy, "tail_inverse_log", spy)
+        seeds = derive_seed(5, np.arange(300))
+        _z_sweep(levy.parse_tail("rational(0.5)"), seeds, 1000, (1e-2, 1e-4), ((0, 1.0),), 0)
+        assert len(ladders) == 6  # three blocks at two horizons
 
     @pytest.mark.parametrize("count", [0, 1, 40])
     def test_stream_matrix_stacks_the_series(self, count):
@@ -496,26 +547,35 @@ class TestRowBlocks:
             assert np.array_equal(marks[i], series.marks)
 
     def test_edge_left_peak_memory(self):
-        # The sweep draws 256 stream rows at a time and reduces them at every
-        # horizon before drawing the next block: 11.3 MiB here.  The whole
-        # 2000 x 1000 arrival and mark matrices alone take 30.5 MiB, so the
-        # gate fails if the sweep builds them again.
+        # The sweep draws 1 MiB stream blocks (131 rows), reduces them at
+        # every horizon before drawing the next and frees each horizon's
+        # ladder before building the next: 5.2 MiB here, against 10.4 MiB
+        # with 256-row blocks that kept the last ladder.  The whole 2000 x
+        # 1000 arrival and mark matrices alone take 30.5 MiB, so the gate
+        # fails if the sweep builds them again.
         peak = _left_peak(2000)
-        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_edge_left_peak_memory_is_flat_in_replicates(self):
-        # 10.9 MiB at 8000 replicates: the peak does not grow with them.
+        # 5.5 MiB at 8000 replicates: the peak does not grow with them.
         peak = _left_peak(8000)
-        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_edge_left_peak_memory_is_flat_in_ladder_depth(self):
+        # 5.3 MiB at 20 000 terms, where 256-row blocks took 196 MiB:
+        # the block holds fewer rows of a deeper ladder.
+        peak = _left_peak(1000, n_terms=20_000)
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_edge_right_peak_memory(self):
-        # The same sweep: 10.3 MiB, where whole stream matrices take 30.5 MiB.
+        # The same sweep: 5.2 MiB, against 10.3 MiB with 256-row blocks,
+        # where whole stream matrices take 30.5 MiB.
         cfg = ExperimentConfig(
             edge="right", t_grid=(1e-2, 1e-4), lambda_grid=(0.5, 1.0), level_grid=(1.0, 2.0),
             r_grid=(0,), replicates=2000, n_terms=1000, seed_blocks=1,
         )
         peak = _traced_peak(run_edge_right, cfg)
-        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_edge_bottom_peak_memory(self):
         # The power sums share one 0.5 MiB sum-node scratch: 24.1 MiB here,
