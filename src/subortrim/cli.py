@@ -222,9 +222,10 @@ def _format(text: str, label: str) -> str:
 
 
 #: Every config key: (section, key) -> (``ExperimentConfig`` field, parser).
-#: ``[edge] name`` must match the command and ``[run] format`` picks the
-#: report files; neither reaches the config.  A config with several bad
-#: values reports the first in this order.
+#: ``[edge] name`` must match the command, and ``[run] format`` and
+#: ``[run] output`` pick the report files and their directory; none of the
+#: three reaches the config.  A config with several bad values reports the
+#: first in this order.
 _CONFIG_KEYS: dict[tuple[str, str], tuple[str, Callable[[str, str], object]]] = {
     ("edge", "name"): ("edge", _text),
     ("edge", "r"): ("r_grid", _ints),
@@ -249,7 +250,7 @@ def _effective_config(
     sections: dict[str, dict[str, str]],
     args: argparse.Namespace,
     environ: dict[str, str],
-) -> tuple[ExperimentConfig, str]:
+) -> tuple[ExperimentConfig, str, str]:
     kwargs: dict = dict(_EDGE_DEFAULTS.get(edge, {}))
     for (section, key), (name, parse) in _CONFIG_KEYS.items():
         text = sections.get(section, {}).get(key)
@@ -269,13 +270,13 @@ def _effective_config(
     if "master_seed" not in kwargs and _SEED_ENV in environ:
         kwargs["master_seed"] = _int(environ[_SEED_ENV], _SEED_ENV)
     kwargs.setdefault("master_seed", DEFAULT_MASTER_SEED)
-    kwargs.setdefault("output", ".")
     fmt = kwargs.pop("format", "both")
+    out_dir = kwargs.pop("output", None) or "."
     try:
         config = ExperimentConfig(edge=edge, **kwargs)
     except (TypeError, ValueError) as exc:
         raise CliError("config", str(exc)) from exc
-    return config, fmt
+    return config, fmt, out_dir
 
 
 # --------------------------------------------------------------------------
@@ -390,8 +391,7 @@ def _run_edge(
     args: argparse.Namespace,
     environ: dict[str, str],
 ) -> bool:
-    config, fmt = _effective_config(edge, sections, args, environ)
-    out_dir = config.output or "."
+    config, fmt, out_dir = _effective_config(edge, sections, args, environ)
     if not os.path.isdir(out_dir):
         raise CliError("output", f"output directory does not exist: {out_dir}")
     report = run_experiment(config)

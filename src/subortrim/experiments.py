@@ -1,6 +1,8 @@
 """Seeded experiment runners for the convergence checks and diagnostics.
 
-Five runners share one reporting shape:
+``run_experiment`` is the one entry point: it builds the report, hands it
+to the edge's runner, which fills in the rows, verdicts and plots, and
+times the whole run.  The edges:
 
 ``edge-left``
     Small-horizon limit at positive tail index: trimmed reciprocal-rate
@@ -84,11 +86,6 @@ __all__ = [
     "Verdict",
     "PlotSlice",
     "ExperimentReport",
-    "run_edge_left",
-    "run_edge_right",
-    "run_edge_bottom",
-    "run_fidi_validation",
-    "run_diagnostics",
     "run_experiment",
 ]
 
@@ -150,7 +147,6 @@ class ExperimentConfig:
     n_terms: int = 1000
     seed_blocks: int = 5
     master_seed: int = DEFAULT_MASTER_SEED
-    output: str | None = None
     jobs: int = 1
     plot: bool = False
 
@@ -162,9 +158,6 @@ class ExperimentConfig:
         elif self.edge not in _KS_EDGES and self.tail != _DEFAULT_TAILS[self.edge]:
             fixed = _DEFAULT_TAILS[self.edge]
             raise ValueError(f"edge {self.edge} runs the fixed {fixed!r} family, got {self.tail!r}")
-        for name in ("alpha_grid", "t_grid", "lambda_grid", "r_grid"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
         if any(not 0.0 < a < 1.0 for a in self.alpha_grid):
             raise ValueError("alpha_grid values must lie in (0, 1)")
         if any(not 0.0 < t < math.inf for t in self.t_grid):
@@ -180,6 +173,10 @@ class ExperimentConfig:
         object.__setattr__(self, "r_grid", r_grid)
         if any(r < 0 for r in r_grid):
             raise ValueError("r_grid values must be nonnegative")
+        for name in ("alpha_grid", "t_grid", "lambda_grid", "r_grid"):
+            values = getattr(self, name)  # a repeat would repeat verdict names
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{name} must be nonempty and without repeats")
         floor = 1000 if self.edge in _KS_EDGES else 1
         if self.replicates < floor:
             raise ValueError(f"edge {self.edge} needs replicates >= {floor}")
@@ -525,14 +522,9 @@ def _left_task(args):
     return rows, endpoints, plots
 
 
-def run_edge_left(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_left(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     """Positive-index small-horizon limit: trimmed statistics vs references."""
-    if cfg.edge != "left":
-        raise ValueError(f"config edge is {cfg.edge!r}, expected 'left'")
-    start = perf_counter()
     by_alpha = _slice_tasks(cfg, _left_task, len(cfg.alpha_grid))
-
-    report = ExperimentReport(edge="left", config=cfg)
     pure_power = isinstance(levy.parse_tail(cfg.tail, cfg.alpha_grid[0]).factor, levy.Constant)
     for alpha, blocks in zip(cfg.alpha_grid, by_alpha):
         _, (z0, z1), plots = blocks[0]
@@ -557,8 +549,6 @@ def run_edge_left(cfg: ExperimentConfig) -> ExperimentReport:
                     )
                 )
             report.verdicts.append(_ks_trend(cfg, label, combo_rows)[0])
-    report.total_ms = int((perf_counter() - start) * 1000)
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -638,14 +628,9 @@ def _right_task(args):
     return rows, ratio_rows, joint_hits, plots
 
 
-def run_edge_right(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_right(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     """Zero-index small-horizon limit: ranked-jump laws, joint fidi, ratio trend."""
-    if cfg.edge != "right":
-        raise ValueError(f"config edge is {cfg.edge!r}, expected 'right'")
-    start = perf_counter()
     by_r = _slice_tasks(cfg, _right_task, len(cfg.r_grid))
-
-    report = ExperimentReport(edge="right", config=cfg)
     t_desc = sorted(cfg.t_grid, reverse=True)
     floor = _PILOT_KS_THRESHOLD * math.sqrt(_PILOT_ANCHOR_N / cfg.replicates)
     for r, blocks in zip(cfg.r_grid, by_r):
@@ -694,8 +679,6 @@ def run_edge_right(cfg: ExperimentConfig) -> ExperimentReport:
         report.verdicts.append(_mc_agreement(f"fidi_joint r={r}", analytic, mc, n))
     for blocks in by_r:
         report.plots.extend(blocks[0][3])
-    report.total_ms = int((perf_counter() - start) * 1000)
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -722,17 +705,12 @@ def _bottom_task(args):
     return errors, path_ok
 
 
-def run_edge_bottom(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_bottom(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     """Index-to-zero coupling: per-seed error trends on shared randomness."""
-    if cfg.edge != "bottom":
-        raise ValueError(f"config edge is {cfg.edge!r}, expected 'bottom'")
-    start = perf_counter()
     alphas = cfg.alpha_grid
     results = _run_pool(cfg, _bottom_task, _replicate_chunks(cfg))
     errors = np.concatenate([res[0] for res in results], axis=0)
     path_ok = all(res[1] for res in results)
-
-    report = ExperimentReport(edge="bottom", config=cfg)
     root = _edge_root(cfg)
     for li, lam in enumerate(cfg.lambda_grid):
         for ri, r in enumerate(cfg.r_grid):
@@ -789,8 +767,6 @@ def run_edge_bottom(cfg: ExperimentConfig) -> ExperimentReport:
             detail="both coupled quantities shrink as trimming deepens",
         )
     )
-    report.total_ms = int((perf_counter() - start) * 1000)
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -832,17 +808,12 @@ def _fidi_task(args):
     return hits, depth_ok
 
 
-def run_fidi_validation(cfg: ExperimentConfig) -> ExperimentReport:
+def _run_fidi(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     """Analytic fidi formulas vs Monte Carlo over ranked-jump ladders."""
-    if cfg.edge != "fidi":
-        raise ValueError(f"config edge is {cfg.edge!r}, expected 'fidi'")
-    start = perf_counter()
     results = _run_pool(cfg, _fidi_task, _replicate_chunks(cfg))
     hits = np.sum([res[0] for res in results], axis=0)
     if not all(res[1] for res in results):
         raise RuntimeError("fidi ladder depth bound violated; increase the fixed depth")
-
-    report = ExperimentReport(edge="fidi", config=cfg)
     root = _edge_root(cfg)
     n = cfg.replicates
     for qi, q in enumerate(FIDI_QUERY_GRID):
@@ -880,8 +851,6 @@ def run_fidi_validation(cfg: ExperimentConfig) -> ExperimentReport:
             detail=f"worst |fidi - marginal| = {worst:.3g}",
         )
     )
-    report.total_ms = int((perf_counter() - start) * 1000)
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -891,153 +860,141 @@ def run_fidi_validation(cfg: ExperimentConfig) -> ExperimentReport:
 _DIAG_FAMILIES = ("const(2,0.5)", "stable(0.5)", "rational(0.5)", "log")
 
 
-def _potter_cap(tail: TailFunction) -> float:
-    """Largest abscissa below which the slowly varying factor is monotone."""
-    if isinstance(tail.factor, levy.LogPower):
-        return math.exp(-tail.factor.p)
-    return 1.0
+def _no_violations(name: str, viol: int, over: str) -> Verdict:
+    return Verdict(name=name, passed=viol == 0, detail=f"{viol} violations over {over}")
 
 
-def _slow_factor(tail: TailFunction, x: np.ndarray) -> np.ndarray:
-    """The slowly varying factor L(x) = tail(x) * x**alpha."""
-    return np.asarray(levy.tail_eval(tail, x)) * x**tail.alpha
-
-
-def _diag_task(args):
-    cfg, name = args
+def _diag_sandwich(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[Verdict]]:
+    """Inverse sandwich tail(inverse(u)) <= u of each family, in the log domain."""
     root = _edge_root(cfg)
-    if name == "sandwich":
-        # Log-domain composition: covers u whose inverse underflows linearly.
-        out = {}
-        for spec_str in _DIAG_FAMILIES:
-            tail = levy.parse_tail(spec_str)
-            rng = np.random.default_rng(derive_seed(root, 1))
-            u = 10.0 ** rng.uniform(-8.0, 8.0, 10_000)
-            log_x = np.asarray(levy.tail_inverse_log(tail, u))
-            back = np.asarray(levy.tail_eval_from_log(tail, log_x))
-            out[spec_str] = int(np.sum(back > u))
-        return name, out
-    if name == "potter":
-        out = {}
-        for spec_str in _DIAG_FAMILIES:
-            tail = levy.parse_tail(spec_str)
-            cap = _potter_cap(tail)
-            rng = np.random.default_rng(derive_seed(root, 2))
-            u = rng.uniform(0.0, cap, 10_000) + 1e-300
-            v = rng.uniform(0.0, cap, 10_000) + 1e-300
-            ratio = _slow_factor(tail, u) / _slow_factor(tail, v)
-            lo = np.minimum(u / v, v / u)
-            hi = np.maximum(u / v, v / u)
-            out[spec_str] = int(np.sum((ratio < lo) | (ratio > hi)))
-        return name, out
-    if name == "power_ratio":
-        tail = levy.rational_tail(0.5)
-        x = 1e-8
-        out = {}
-        for c in (0.5, 1.0, 2.0, 5.0):
-            ratio = float(levy.tail_eval(tail, x)) / float(levy.tail_eval(tail, c * x))
-            out[c] = (ratio, c**tail.alpha)
-        return name, out
-    if name == "slowvar":
-        tail = levy.log_power_tail()
-        out = []
-        for x in (1e-8, 1e-15, 1e-23, 1e-31):
-            dev = abs(
-                float(levy.tail_eval(tail, 2 * x)) / float(levy.tail_eval(tail, x))
-                - 1.0
-            )
-            out.append((x, dev))
-        return name, out
-    if name == "ratio_trend":
-        t_grid = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-        seeds = _replicate_seeds(root, 3, 100)
-        _, w = _z_sweep(levy.log_power_tail(), seeds, cfg.n_terms, t_grid, (), ratio_r=0)
-        return name, [(t, _median(w_t)) for t, w_t in zip(t_grid, w)]
-    raise ValueError(name)
-
-
-def run_diagnostics(cfg: ExperimentConfig) -> ExperimentReport:
-    """Tail-function property suites and the trimmed-ratio trend study."""
-    if cfg.edge != "diagnostics":
-        raise ValueError(f"config edge is {cfg.edge!r}, expected 'diagnostics'")
-    start = perf_counter()
-    names = ["sandwich", "potter", "power_ratio", "slowvar", "ratio_trend"]
-    results = dict(_run_pool(cfg, _diag_task, [(cfg, n) for n in names]))
-    report = ExperimentReport(edge="diagnostics", config=cfg)
-    root = _edge_root(cfg)
-
-    for spec_str, viol in results["sandwich"].items():
+    rows, verdicts = [], []
+    for spec_str in _DIAG_FAMILIES:
         tail = levy.parse_tail(spec_str)
-        report.rows.append(
+        rng = np.random.default_rng(derive_seed(root, 1))
+        u = 10.0 ** rng.uniform(-8.0, 8.0, 10_000)
+        log_x = np.asarray(levy.tail_inverse_log(tail, u))  # covers u whose inverse underflows
+        back = np.asarray(levy.tail_eval_from_log(tail, log_x))
+        viol = int(np.sum(back > u))
+        rows.append(
             ReportRow(
                 edge="diag:sandwich", tail=spec_str, alpha=tail.alpha, t=math.nan,
                 lam=math.nan, r=0, n=10_000, ks_stat=math.nan, p_value=math.nan,
                 aux1=float(viol), aux2=0.0, seed=root,
             )
         )
-        report.verdicts.append(
-            Verdict(
-                name=f"inverse_sandwich {spec_str}",
-                passed=viol == 0,
-                detail=f"{viol} violations over 10000 points",
-            )
-        )
-    for spec_str, viol in results["potter"].items():
-        report.verdicts.append(
-            Verdict(
-                name=f"potter_bounds {spec_str}",
-                passed=viol == 0,
-                detail=f"{viol} violations over 10000 pairs",
-            )
-        )
-    worst = 0.0
-    for c, (ratio, target) in sorted(results["power_ratio"].items()):
+        verdicts.append(_no_violations(f"inverse_sandwich {spec_str}", viol, "10000 points"))
+    return rows, verdicts
+
+
+def _diag_potter(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[Verdict]]:
+    """Potter bounds on each family's slowly varying factor L(x) = tail(x) * x**alpha."""
+    root = _edge_root(cfg)
+    verdicts = []
+    for spec_str in _DIAG_FAMILIES:
+        tail = levy.parse_tail(spec_str)
+        # Below this abscissa L is monotone.
+        cap = math.exp(-tail.factor.p) if isinstance(tail.factor, levy.LogPower) else 1.0
+        rng = np.random.default_rng(derive_seed(root, 2))
+        u = rng.uniform(0.0, cap, 10_000) + 1e-300
+        v = rng.uniform(0.0, cap, 10_000) + 1e-300
+        slow_u, slow_v = (np.asarray(levy.tail_eval(tail, x)) * x**tail.alpha for x in (u, v))
+        ratio = slow_u / slow_v
+        lo = np.minimum(u / v, v / u)
+        hi = np.maximum(u / v, v / u)
+        viol = int(np.sum((ratio < lo) | (ratio > hi)))
+        verdicts.append(_no_violations(f"potter_bounds {spec_str}", viol, "10000 pairs"))
+    return [], verdicts
+
+
+def _diag_power_ratio(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[Verdict]]:
+    """Regular variation of the rational tail: tail(x) / tail(cx) against c**alpha."""
+    root = _edge_root(cfg)
+    tail = levy.rational_tail(0.5)
+    x = 1e-8
+    rows, worst = [], 0.0
+    for c in (0.5, 1.0, 2.0, 5.0):
+        ratio = float(levy.tail_eval(tail, x)) / float(levy.tail_eval(tail, c * x))
+        target = c**tail.alpha
         worst = max(worst, abs(ratio / target - 1.0))
-        report.rows.append(
+        rows.append(
             ReportRow(
                 edge="diag:power_ratio", tail="rational(0.5)", alpha=0.5, t=math.nan,
                 lam=math.nan, r=0, n=1, ks_stat=math.nan, p_value=math.nan,
                 aux1=ratio, aux2=target, seed=root,
             )
         )
-    report.verdicts.append(
-        Verdict(
-            name="power_ratio_limit",
-            passed=worst < 1e-3,
-            detail=f"worst relative deviation {worst:.3g} at x=1e-08",
-        )
+    verdict = Verdict(
+        name="power_ratio_limit",
+        passed=worst < 1e-3,
+        detail=f"worst relative deviation {worst:.3g} at x=1e-08",
     )
-    devs = [dev for _, dev in results["slowvar"]]
-    report.verdicts.append(
-        Verdict(
-            name="slow_variation_trend",
-            passed=all(b < a for a, b in zip(devs, devs[1:])) and devs[-1] < 1e-2,
-            detail="deviations " + " ".join(f"{d:.4g}" for d in devs),
-        )
+    return rows, [verdict]
+
+
+def _diag_slowvar(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[Verdict]]:
+    """Slow variation of the log tail: |tail(2x) / tail(x) - 1| shrinks toward 0."""
+    tail = levy.log_power_tail()
+    devs = [
+        abs(float(levy.tail_eval(tail, 2 * x)) / float(levy.tail_eval(tail, x)) - 1.0)
+        for x in (1e-8, 1e-15, 1e-23, 1e-31)
+    ]
+    verdict = Verdict(
+        name="slow_variation_trend",
+        passed=all(b < a for a, b in zip(devs, devs[1:])) and devs[-1] < 1e-2,
+        detail="deviations " + " ".join(f"{d:.4g}" for d in devs),
     )
-    meds = [m for _, m in results["ratio_trend"]]
-    for t, m in results["ratio_trend"]:
-        report.rows.append(
-            ReportRow(
-                edge="diag:ratio", tail="log", alpha=0.0, t=t, lam=1.0, r=0,
-                n=100, ks_stat=math.nan, p_value=math.nan, aux1=m, aux2=math.nan,
-                seed=root,
-            )
+    return [], [verdict]
+
+
+def _diag_ratio_trend(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[Verdict]]:
+    """Median trimmed ratio of the log tail as the horizon shrinks."""
+    root = _edge_root(cfg)
+    t_grid = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    seeds = _replicate_seeds(root, 3, 100)
+    _, w = _z_sweep(levy.log_power_tail(), seeds, cfg.n_terms, t_grid, (), ratio_r=0)
+    meds = [_median(w_t) for w_t in w]
+    rows = [
+        ReportRow(
+            edge="diag:ratio", tail="log", alpha=0.0, t=t, lam=1.0, r=0,
+            n=100, ks_stat=math.nan, p_value=math.nan, aux1=m, aux2=math.nan,
+            seed=root,
         )
-    report.verdicts.append(_ratio_trend(meds))
-    report.total_ms = int((perf_counter() - start) * 1000)
-    return report
+        for t, m in zip(t_grid, meds)
+    ]
+    return rows, [_ratio_trend(meds)]
+
+
+#: The diagnostics' checks, in the order of their rows and verdicts.
+_DIAG_CHECKS = (
+    _diag_sandwich, _diag_potter, _diag_power_ratio, _diag_slowvar, _diag_ratio_trend,
+)
+
+
+def _diag_task(args):
+    check, cfg = args
+    return check(cfg)
+
+
+def _run_diagnostics(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+    """Tail-function property suites and the trimmed-ratio trend study."""
+    for rows, verdicts in _run_pool(cfg, _diag_task, [(c, cfg) for c in _DIAG_CHECKS]):
+        report.rows.extend(rows)
+        report.verdicts.extend(verdicts)
 
 
 _RUNNERS = {
-    "left": run_edge_left,
-    "right": run_edge_right,
-    "bottom": run_edge_bottom,
-    "fidi": run_fidi_validation,
-    "diagnostics": run_diagnostics,
+    "left": _run_left,
+    "right": _run_right,
+    "bottom": _run_bottom,
+    "fidi": _run_fidi,
+    "diagnostics": _run_diagnostics,
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Dispatch a config to its edge runner."""
-    return _RUNNERS[cfg.edge](cfg)
+    """Run ``cfg``'s edge: its runner fills the report, and the whole run is timed."""
+    start = perf_counter()
+    report = ExperimentReport(edge=cfg.edge, config=cfg)
+    _RUNNERS[cfg.edge](cfg, report)
+    report.total_ms = int((perf_counter() - start) * 1000)
+    return report

@@ -21,14 +21,7 @@ import pytest
 from scipy import special as sc
 from scipy import stats as sps
 
-from subortrim.experiments import (
-    ExperimentConfig,
-    run_diagnostics,
-    run_edge_bottom,
-    run_edge_left,
-    run_edge_right,
-    run_fidi_validation,
-)
+from subortrim.experiments import ExperimentConfig, run_experiment
 from subortrim.levy import parse_tail, stable_tail, tail_eval, tail_eval_from_log, tail_inverse_log
 from subortrim.limits import cauchy_ordered_jump_sample
 from subortrim.pointproc import (
@@ -97,7 +90,7 @@ def _chi_square_poisson(counts, mean):
 @pytest.fixture(scope="module")
 def right_report():
     start = perf_counter()
-    report = run_edge_right(RIGHT_CFG)
+    report = run_experiment(RIGHT_CFG)
     return report, perf_counter() - start
 
 
@@ -205,7 +198,7 @@ def test_criterion_05_coupled_route_error_trend(capsys):
         replicates=100,
         n_terms=10**6,
     )
-    report = run_edge_bottom(cfg)
+    report = run_experiment(cfg)
     failing = [v.name for v in report.verdicts if not v.passed]
     detail = (
         f"{len(report.verdicts) - len(failing)}/{len(report.verdicts)} verdicts "
@@ -231,7 +224,7 @@ def test_criterion_06_trimmed_small_horizon_left(capsys):
         replicates=10_000,
         seed_blocks=1,
     )
-    stable_report = run_edge_left(stable_cfg)
+    stable_report = run_experiment(stable_cfg)
     selfsim = [
         v for v in stable_report.verdicts if v.name.startswith("self_similarity")
     ]
@@ -245,7 +238,7 @@ def test_criterion_06_trimmed_small_horizon_left(capsys):
         replicates=10_000,
         seed_blocks=5,
     )
-    rational_report = run_edge_left(rational_cfg)
+    rational_report = run_experiment(rational_cfg)
     trends = [
         v
         for v in rational_report.verdicts
@@ -324,7 +317,7 @@ def test_criterion_07_strict_decrease_clause(capsys, right_report):
 def test_criterion_08_joint_cdf_grid_mc(capsys):
     start = perf_counter()
     cfg = ExperimentConfig(edge="fidi", replicates=100_000)
-    report = run_fidi_validation(cfg)
+    report = run_experiment(cfg)
     failing = [v.name for v in report.verdicts if not v.passed]
     worst_gap = max(row.ks_stat for row in report.rows)
     n1 = next(v for v in report.verdicts if v.name == "n1_reduction_exact")
@@ -341,7 +334,7 @@ def test_criterion_08_joint_cdf_grid_mc(capsys):
 
 def test_criterion_09_variation_diagnostics(capsys):
     start = perf_counter()
-    report = run_diagnostics(ExperimentConfig(edge="diagnostics"))
+    report = run_experiment(ExperimentConfig(edge="diagnostics"))
     by_name = {v.name: v for v in report.verdicts}
     ratio = by_name["power_ratio_limit"]
     trend = by_name["ratio_trend_to_one"]
@@ -366,11 +359,10 @@ def test_criterion_10_parallel_determinism(capsys, right_report):
     parallel_cfg = ExperimentConfig(
         **{**{f: getattr(RIGHT_CFG, f) for f in (
             "edge", "tail", "alpha_grid", "t_grid", "lambda_grid", "r_grid",
-            "level_grid", "replicates", "n_terms", "seed_blocks", "master_seed",
-            "output", "plot",
+            "level_grid", "replicates", "n_terms", "seed_blocks", "master_seed", "plot",
         )}, "jobs": 4}
     )
-    parallel_report = run_edge_right(parallel_cfg)
+    parallel_report = run_experiment(parallel_cfg)
     serial_csv = serial_report.csv_text()
     parallel_csv = parallel_report.csv_text()
     same = serial_csv == parallel_csv

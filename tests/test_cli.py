@@ -324,6 +324,27 @@ class TestEndToEnd:
         ).read_bytes()
 
 
+    def test_summary_does_not_depend_on_the_output_directory(self, tmp_path, capsys):
+        # The summary echoes the run's config; the report directory is not part
+        # of it, whether it comes from the flag or from [run] output.
+        flag_dir, ini_dir = tmp_path / "a", tmp_path / "longer_directory_name"
+        flag_dir.mkdir(), ini_dir.mkdir()
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\noutput = {ini_dir}\n")
+        argv = ["fidi", "--replicates", "100"]
+        assert cli.parse_and_dispatch(argv + ["--output", str(flag_dir)], environ={}) == 0
+        assert cli.parse_and_dispatch(argv + ["--config", str(ini)], environ={}) == 0
+        capsys.readouterr()
+        summaries = []
+        for out_dir in (flag_dir, ini_dir):
+            summary = json.loads((out_dir / "subortrim_fidi.json").read_text())
+            del summary["total_ms"]
+            summaries.append(summary)
+        assert "output" not in summaries[0]["config"]
+        assert "format" not in summaries[0]["config"]
+        assert summaries[0] == summaries[1]
+
+
 class TestFailurePaths:
     def _failing_stub(self, record=None):
         def stub(config):

@@ -7,6 +7,7 @@ deliberately small grids so the whole module stays fast.
 """
 
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -31,11 +32,7 @@ from subortrim.experiments import (
     _stream_matrix,
     _weakly_nonincreasing,
     _z_sweep,
-    run_edge_bottom,
-    run_edge_left,
-    run_edge_right,
     run_experiment,
-    run_fidi_validation,
 )
 from subortrim.limits import FIDI_QUERY_GRID, FidiQuery, fidi_probability
 from subortrim.pointproc import (
@@ -118,6 +115,11 @@ class TestConfig:
             dict(edge="left", t_grid=(1e-2, math.inf)),
             dict(edge="right", t_grid=(math.nan,)),
             dict(edge="right", lambda_grid=(0.5, 1.0), level_grid=(1.0, math.nan)),
+            # A repeated grid value would repeat its verdicts under one name.
+            dict(edge="right", r_grid=(0, 0)),
+            dict(edge="left", alpha_grid=(0.5, 0.5)),
+            dict(edge="left", t_grid=(1e-2, 1e-4, 1e-2)),
+            dict(edge="bottom", r_grid=(1, 0, 1)),
         ],
     )
     def test_rejected_configs(self, kw):
@@ -353,7 +355,7 @@ class TestEdgeLeft:
             seed_blocks=1,
             plot=True,
         )
-        report = run_edge_left(cfg)
+        report = run_experiment(cfg)
         assert report.edge == "left"
         # one row per (alpha, r, lam, block, t)
         assert len(report.rows) == 2
@@ -367,10 +369,6 @@ class TestEdgeLeft:
         assert any(n.startswith("ks_trend_nonincreasing") for n in names)
         assert report.plots and report.plots[0].name == "left_a0.5_r0_lam1"
         assert len(report.plots[0].curve_x) > 0
-
-    def test_wrong_edge_guard(self):
-        with pytest.raises(ValueError, match="expected 'left'"):
-            run_edge_left(_tiny("fidi"))
 
     def test_self_similarity_fails_on_pathwise_drift(self, monkeypatch):
         # A drift of 1e-11 per decade of t leaves the cross-horizon KS fit at
@@ -388,10 +386,10 @@ class TestEdgeLeft:
             lambda_grid=(1.0,), r_grid=(0,), replicates=1000, seed_blocks=1,
         )
         name = "self_similarity a=0.5 r=0 lam=1"
-        (honest,) = [v for v in run_edge_left(cfg).verdicts if v.name == name]
+        (honest,) = [v for v in run_experiment(cfg).verdicts if v.name == name]
         assert honest.passed, honest.detail
         monkeypatch.setattr(experiments, "trimmed_z_rows", drifting)
-        (drifted,) = [v for v in run_edge_left(cfg).verdicts if v.name == name]
+        (drifted,) = [v for v in run_experiment(cfg).verdicts if v.name == name]
         assert not drifted.passed
         assert " p=1," in drifted.detail
 
@@ -402,7 +400,7 @@ class TestEdgeLeft:
             lambda_grid=(1.0,), r_grid=(0,), replicates=1000, seed_blocks=1,
         )
         (selfsim,) = [
-            v for v in run_edge_left(cfg).verdicts if v.name.startswith("self_similarity")
+            v for v in run_experiment(cfg).verdicts if v.name.startswith("self_similarity")
         ]
         assert selfsim.name == "self_similarity a=0.5 r=0 lam=1"
         assert selfsim.passed, selfsim.detail
@@ -414,11 +412,11 @@ class TestEdgeLeft:
             edge="left", tail="rational", alpha_grid=(0.5, 0.3), t_grid=(1e-2, 1e-4),
             replicates=1000, seed_blocks=2,
         )
-        full = run_edge_left(ExperimentConfig(**base, r_grid=(0, 2), lambda_grid=(0.5, 1.0)))
+        full = run_experiment(ExperimentConfig(**base, r_grid=(0, 2), lambda_grid=(0.5, 1.0)))
         full_lines = full.csv_text().splitlines()[1:]
         for r in (0, 2):
             for lam in (0.5, 1.0):
-                alone = run_edge_left(ExperimentConfig(**base, r_grid=(r,), lambda_grid=(lam,)))
+                alone = run_experiment(ExperimentConfig(**base, r_grid=(r,), lambda_grid=(lam,)))
                 lam_r = [repr(lam), str(r)]
                 sliced = [line for line in full_lines if line.split(",")[4:6] == lam_r]
                 assert sliced == alone.csv_text().splitlines()[1:]
@@ -433,24 +431,24 @@ class TestEdgeLeft:
             edge="left", tail="rational", alpha_grid=(0.5,), t_grid=(1e-2, 1e-306),
             lambda_grid=(1.0,), r_grid=(0,), replicates=1000, seed_blocks=1,
         )
-        report = run_edge_left(cfg)
+        report = run_experiment(cfg)
         assert len(report.rows) == 2
         assert all(0.0 <= row.p_value <= 1.0 for row in report.rows)
         cfg = ExperimentConfig(
             edge="right", t_grid=(1e-2, 1e-306), lambda_grid=(1.0,), level_grid=(1.0,),
             r_grid=(0,), replicates=1000, seed_blocks=1,
         )
-        report = run_edge_right(cfg)
+        report = run_experiment(cfg)
         assert [row.t for row in report.rows if row.edge == "right"] == [1e-2, 1e-306]
         assert all(0.0 <= row.p_value <= 1.0 for row in report.rows if row.edge == "right")
         assert report.all_pass
 
 
-def _traced_peak(run, cfg) -> int:
-    """Peak traced allocation, in bytes, of ``run(cfg)``."""
+def _traced_peak(cfg) -> int:
+    """Peak traced allocation, in bytes, of ``run_experiment(cfg)``."""
     tracemalloc.start()
     try:
-        run(cfg)
+        run_experiment(cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -461,7 +459,7 @@ def _left_peak(replicates: int, n_terms: int = 1000) -> int:
         edge="left", tail="rational", alpha_grid=(0.5,), t_grid=(1e-1, 1e-6),
         lambda_grid=(1.0,), r_grid=(0,), replicates=replicates, n_terms=n_terms, seed_blocks=1,
     )
-    return _traced_peak(run_edge_left, cfg)
+    return _traced_peak(cfg)
 
 
 class TestRowBlocks:
@@ -574,7 +572,7 @@ class TestRowBlocks:
             edge="right", t_grid=(1e-2, 1e-4), lambda_grid=(0.5, 1.0), level_grid=(1.0, 2.0),
             r_grid=(0,), replicates=2000, n_terms=1000, seed_blocks=1,
         )
-        peak = _traced_peak(run_edge_right, cfg)
+        peak = _traced_peak(cfg)
         assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_edge_bottom_peak_memory(self):
@@ -585,7 +583,7 @@ class TestRowBlocks:
         cfg = ExperimentConfig(
             edge="bottom", r_grid=(0, 1, 2), lambda_grid=(1.0,), replicates=3, n_terms=1_000_000,
         )
-        peak = _traced_peak(run_edge_bottom, cfg)
+        peak = _traced_peak(cfg)
         assert peak <= 27 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -601,7 +599,7 @@ def right_report():
         n_terms=1000,
         seed_blocks=1,
     )
-    return run_edge_right(cfg)
+    return run_experiment(cfg)
 
 
 class TestEdgeRight:
@@ -635,17 +633,13 @@ class TestEdgeRight:
         assert "ratio_trend_to_one" in names
         assert any(n.startswith("fidi_joint") for n in names)
 
-    def test_wrong_edge_guard(self):
-        with pytest.raises(ValueError, match="expected 'right'"):
-            run_edge_right(_tiny("fidi"))
-
     def test_joint_check_covers_every_r(self):
         # Levels in any order, at every rank: one right:fidi row and verdict per r.
         cfg = _tiny(
             "right", t_grid=(1e-3,), lambda_grid=(0.5, 1.0), level_grid=(2.0, 1.0),
             r_grid=(0, 1, 2),
         )
-        report = run_edge_right(cfg)
+        report = run_experiment(cfg)
         rows = [row for row in report.rows if row.edge == "right:fidi"]
         assert [row.r for row in rows] == [0, 1, 2]
         query = FidiQuery(cfg.lambda_grid, cfg.level_grid)
@@ -660,7 +654,7 @@ class TestEdgeRight:
             "right", tail="logpow(1)", t_grid=(1e-2,), lambda_grid=(1.0,), level_grid=(1.0,),
             r_grid=(0,),
         )
-        tails = {row.edge: row.tail for row in run_edge_right(cfg).rows}
+        tails = {row.edge: row.tail for row in run_experiment(cfg).rows}
         assert tails == {"right": "log", "right:ratio": "log", "right:fidi": "log"}
 
 
@@ -676,7 +670,7 @@ class TestEdgeBottom:
             seed_blocks=1,
             plot=True,
         )
-        report = run_edge_bottom(cfg)
+        report = run_experiment(cfg)
         # one aggregated row per (r, lam, alpha): 2 * 1 * 3
         assert len(report.rows) == 6
         for row in report.rows:
@@ -701,7 +695,7 @@ class TestEdgeBottom:
             replicates=2, n_terms=1000, seed_blocks=1,
         )
         name = "pathwise_r_decreasing"
-        (honest,) = [v for v in run_edge_bottom(cfg).verdicts if v.name == name]
+        (honest,) = [v for v in run_experiment(cfg).verdicts if v.name == name]
         assert honest.passed
         real = getattr(limits, sample)
 
@@ -711,7 +705,7 @@ class TestEdgeBottom:
             return out * (10.0 ** r).reshape(r.shape + (1,) * (np.ndim(out) - r.ndim))
 
         monkeypatch.setattr(limits, sample, scaled)
-        (grown,) = [v for v in run_edge_bottom(cfg).verdicts if v.name == name]
+        (grown,) = [v for v in run_experiment(cfg).verdicts if v.name == name]
         assert not grown.passed
 
     def test_needs_decreasing_alpha(self):
@@ -729,7 +723,7 @@ class TestEdgeBottom:
 class TestFidiEdge:
     def test_small_run(self):
         cfg = ExperimentConfig(edge="fidi", replicates=300, n_terms=1000)
-        report = run_fidi_validation(cfg)
+        report = run_experiment(cfg)
         # 12 grid queries x 2 ranks
         assert len(report.rows) == 24
         for row in report.rows:
@@ -768,14 +762,14 @@ class TestFidiEdge:
         monkeypatch.setattr(experiments, "_FIDI_DEPTH", 4)
         cfg = ExperimentConfig(edge="fidi", replicates=50, n_terms=1000)
         with pytest.raises(RuntimeError, match="fidi ladder depth bound violated"):
-            run_fidi_validation(cfg)
+            run_experiment(cfg)
 
 
 class TestDeterminismAndParallel:
     def test_rerun_is_bitwise_identical(self):
         cfg = ExperimentConfig(edge="fidi", replicates=100, n_terms=1000)
-        a = run_fidi_validation(cfg)
-        b = run_fidi_validation(cfg)
+        a = run_experiment(cfg)
+        b = run_experiment(cfg)
         assert a.csv_text() == b.csv_text()
         assert [v.name for v in a.verdicts] == [v.name for v in b.verdicts]
 
@@ -789,8 +783,8 @@ class TestDeterminismAndParallel:
             n_terms=1000,
             seed_blocks=1,
         )
-        serial = run_edge_bottom(ExperimentConfig(**base, jobs=1))
-        parallel = run_edge_bottom(ExperimentConfig(**base, jobs=2))
+        serial = run_experiment(ExperimentConfig(**base, jobs=1))
+        parallel = run_experiment(ExperimentConfig(**base, jobs=2))
         assert serial.csv_text() == parallel.csv_text()
 
     def test_left_jobs_do_not_change_bytes(self):
@@ -798,8 +792,8 @@ class TestDeterminismAndParallel:
             edge="left", alpha_grid=(0.5, 0.3), r_grid=(0, 1), t_grid=(1.0, 1e-3),
             lambda_grid=(1.0,), replicates=1000, seed_blocks=1,
         )
-        serial = run_edge_left(ExperimentConfig(**base, jobs=1))
-        parallel = run_edge_left(ExperimentConfig(**base, jobs=2))
+        serial = run_experiment(ExperimentConfig(**base, jobs=1))
+        parallel = run_experiment(ExperimentConfig(**base, jobs=2))
         assert serial.csv_text() == parallel.csv_text()
         assert serial.verdicts == parallel.verdicts
 
@@ -807,13 +801,20 @@ class TestDeterminismAndParallel:
         # 600 replicates: chunks of 150 (jobs=1: a full counting block and a
         # partial one) and 75 (jobs=2: one partial block).
         base = dict(edge="fidi", replicates=600, n_terms=1000)
-        serial = run_fidi_validation(ExperimentConfig(**base, jobs=1))
-        parallel = run_fidi_validation(ExperimentConfig(**base, jobs=2))
+        serial = run_experiment(ExperimentConfig(**base, jobs=1))
+        parallel = run_experiment(ExperimentConfig(**base, jobs=2))
         assert serial.csv_text() == parallel.csv_text()
+
+    def test_diagnostics_jobs_do_not_change_bytes(self):
+        # Each check builds its rows and verdicts in a pool worker at jobs > 1.
+        serial = run_experiment(_tiny("diagnostics", jobs=1))
+        parallel = run_experiment(_tiny("diagnostics", jobs=2))
+        assert serial.csv_text() == parallel.csv_text()
+        assert serial.verdicts == parallel.verdicts
 
     def test_csv_parses_back(self):
         cfg = ExperimentConfig(edge="fidi", replicates=50, n_terms=1000)
-        report = run_fidi_validation(cfg)
+        report = run_experiment(cfg)
         reader = csv.DictReader(io.StringIO(report.csv_text()))
         rows = list(reader)
         assert reader.fieldnames == CSV_HEADER.split(",")
@@ -823,13 +824,24 @@ class TestDeterminismAndParallel:
         assert math.isnan(float(rows[0]["p_value"]))  # analytic rows carry no KS p
 
 
+_DISPATCH_CONFIGS = {
+    "left": dict(alpha_grid=(0.5,), t_grid=(1e-2,), lambda_grid=(1.0,), r_grid=(0,)),
+    "right": dict(t_grid=(1e-2,), lambda_grid=(1.0,), level_grid=(1.0,), r_grid=(0,)),
+    "bottom": dict(alpha_grid=(0.4, 0.2), lambda_grid=(1.0,), r_grid=(0,)),
+    "fidi": dict(replicates=60),
+    "diagnostics": {},
+}
+
+
 class TestDispatch:
-    def test_run_experiment_routes_by_edge(self):
-        cfg = ExperimentConfig(edge="fidi", replicates=60, n_terms=1000)
-        direct = run_fidi_validation(cfg)
-        routed = run_experiment(cfg)
-        assert routed.edge == "fidi"
-        assert routed.csv_text() == direct.csv_text()
+    @pytest.mark.parametrize("edge", sorted(_DISPATCH_CONFIGS))
+    def test_each_edge_is_routed_filled_and_timed(self, edge):
+        cfg = _tiny(edge, **_DISPATCH_CONFIGS[edge])
+        report = run_experiment(cfg)
+        assert report.edge == cfg.edge and report.config is cfg
+        assert report.rows and report.verdicts
+        assert all(row.edge.split(":")[0] in (edge, "diag") for row in report.rows)
+        assert isinstance(report.total_ms, int) and report.total_ms >= 0
 
 
 class TestRestrictConsistency:
@@ -904,12 +916,23 @@ PINNED_PLOTS_SHA256 = {
 }
 
 
+@functools.cache
+def _pinned_report(name: str) -> ExperimentReport:
+    return run_experiment(ExperimentConfig(**PINNED_CSV_CONFIGS[name]))
+
+
 class TestPinnedCsv:
     @pytest.mark.parametrize("name", sorted(PINNED_CSV_SHA256))
     def test_csv_digest(self, name):
-        report = run_experiment(ExperimentConfig(**PINNED_CSV_CONFIGS[name]))
+        report = _pinned_report(name)
         digest = hashlib.sha256(report.csv_text().encode("utf-8")).hexdigest()
         assert digest == PINNED_CSV_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CSV_SHA256))
+    def test_verdict_names_are_unique(self, name):
+        # Readers key verdicts by name, so a repeated name hides a verdict.
+        names = [v.name for v in _pinned_report(name).verdicts]
+        assert names and len(set(names)) == len(names)
 
     @pytest.mark.parametrize("name", sorted(PINNED_PLOTS_SHA256))
     def test_plot_digest(self, name):
