@@ -83,7 +83,9 @@ def cauchy_rth_jump_cdf(r: int, lam: float, x) -> float | np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.size and (np.any(np.isnan(arr)) or np.any(arr <= 0.0)):
         raise ValueError("jump level must be positive")
-    out = poisson_below(r, lam / arr.reshape(-1))
+    with np.errstate(over="ignore"):  # lam / x past the largest double is inf: the CDF is 0
+        means = lam / arr.reshape(-1)
+    out = poisson_below(r, means)
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(arr.shape)
 
 
@@ -101,6 +103,14 @@ def fidi_probability(q: FidiQuery, r: int) -> float:
     ``exp(-sum_s gap_s / y_s')`` on every path, which is taken out.  The
     rest is a dynamic program over the slices whose state is the sorted
     tuple of the bands of the at most ``r - 1`` jumps that still count.
+
+    Its weights sum to at most ``sum_{j <= J} E**j / j!``, with ``E`` the
+    exponent and ``J = (r - 1) len(q)`` the most jumps a path can count, so
+    they overflow only at a tiny level (below about 1e-154 at ``r = 3``, a
+    subnormal one at ``r = 2``).  For ``J <= 170`` the probability is then
+    below ``exp(-3000)`` and 0 is returned, as :func:`stats.poisson_below`
+    does; for a larger ``J`` it need not be, and ``ArithmeticError`` is
+    raised.
     """
     r = _rank(r)
     if r < 1:
@@ -124,8 +134,16 @@ def fidi_probability(q: FidiQuery, r: int) -> float:
             key = held[held.count(s) :]
             kept[key] = kept.get(key, 0.0) + p
         states = kept
+    try:
+        total = math.fsum(states.values())
+    except OverflowError:  # finite weights whose sum overflows
+        total = math.inf
+    if not total < math.inf:  # inf, or NaN from inf - inf between two bands
+        if (r - 1) * len(q) > 170:
+            raise ArithmeticError(f"fidi weights overflow at rank {r} beyond the exact range")
+        return 0.0
     exponent = math.fsum(g * m for g, m in zip(gaps, above))
-    return min(1.0, math.fsum(states.values()) * math.exp(-exponent))
+    return min(1.0, total * math.exp(-exponent))
 
 
 def extremal_fidi_cdf(q: FidiQuery) -> float:
@@ -160,8 +178,10 @@ def trimmed_stable_power_sample(arr: ArrivalSeries, alpha, r, lam: float) -> flo
     arrivals increase and ``log`` is monotone), so ``L`` is
     :func:`pointproc.log_sum_exp_sorted` of its suffix past rank ``r``:
     the bits of :func:`pointproc.log_sum_exp_rows` on that row, with
-    ``exp`` formed only on the prefix above the subnormal cut, which at a
-    small ``alpha`` is a few of the terms.  Sharing ``arr`` with
+    ``exp`` formed only on the terms above the subnormal cut that lie in
+    pairwise nodes whose sum can move a bit.  On a 1e6-term series that is
+    the whole row at ``alpha = 0.4``, a few thousand to a quarter of it at
+    0.2, and a few hundred terms at 0.1 or less.  Sharing ``arr`` with
     :func:`cauchy_ordered_jump_sample` couples the two statistics on the
     same randomness: as ``alpha`` drops, this value sinks to that ranked
     jump realisation by realisation.

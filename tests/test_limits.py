@@ -10,6 +10,7 @@ so it does not reuse the recursion's level reduction either.
 
 import math
 import types
+import warnings
 from itertools import product
 
 import numpy as np
@@ -140,6 +141,15 @@ class TestCauchyRthJumpCdf:
         with pytest.raises(ValueError):
             cauchy_rth_jump_cdf(1, 1.0, np.array([1.0, math.nan]))
 
+    def test_subnormal_level_is_zero_without_a_warning(self):
+        # lam / x overflows to inf below about 1e-308: the CDF's limit 0,
+        # which used to come with numpy's overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cauchy_rth_jump_cdf(2, 1.0, 5e-324) == 0.0
+            got = cauchy_rth_jump_cdf(3, 1.0, np.array([1e-309, 1.0]))
+        assert got.tolist() == [0.0, cauchy_rth_jump_cdf(3, 1.0, 1.0)]
+
     @pytest.mark.parametrize("r", [1.5, 2.0, np.float64(1.0)])
     def test_float_rank_raises_type_error(self, r):
         # 1.5 used to fail only inside range(); 2.0 was taken as 2.
@@ -241,6 +251,21 @@ class TestFidiDispatchAndParse:
         q = FidiQuery(tuple(sorted(lams)), tuple(ys))
         for r in (1, 2, 3):
             assert fidi_probability(q, r) == pytest.approx(_brute_force_fidi(q, r), abs=1e-12)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_tiny_levels_give_the_marginal(self, r):
+        # The weights overflow to inf at the smallest levels, and inf * 0
+        # used to clamp to 1.0 where the joint CDF is 0.
+        for y in (1e-3, 1e-10, 1e-100, 1e-154, 1e-155, 1e-200, 1e-300, 1e-308, 1e-320, 5e-324):
+            assert fidi_probability(FidiQuery((1.0,), (y,)), r) == cauchy_rth_jump_cdf(r, 1.0, y)
+        assert fidi_probability(FidiQuery((0.5, 1.0), (1e-200, 1.0)), r) == 0.0
+        assert fidi_probability(FidiQuery((0.5, 1.0), (5e-324, 1e-323)), r) == 0.0
+
+    def test_overflow_past_the_exact_rank_range_raises(self):
+        # At rank 800 the weights overflow where P(Poisson(1000) < 800) is
+        # 2.6e-11, not 0.
+        with pytest.raises(ArithmeticError, match="overflow"):
+            fidi_probability(FidiQuery((1.0,), (1e-3,)), 800)
 
     @pytest.mark.parametrize("r", [1.0, 2.0, 1.5, np.float64(1.0)])
     def test_float_rank_raises_type_error(self, r):
@@ -514,15 +539,18 @@ class TestSortedLadderReduction:
         assert ranked.tobytes() == _reference_ranked(arr, ranks, lam).tobytes()
 
     def test_live_prefix_is_shorter_than_the_row(self):
-        # At alpha = 0.01 on 4000 terms only the terms within 708 * alpha of
-        # the head in log are exponentiated; in the node-sized scratch (one
-        # node here) the terms past them are zeroed.
+        # At alpha = 0.01 on 4000 terms about 600 lie within 708 * alpha of
+        # the head in log, but past the first pairwise leaf (at most 128
+        # terms) every right node sums below half an ulp, so only that leaf
+        # is exponentiated and the rest of the scratch is never written.
         arr = sample_arrivals(derive_seed(9096, 0), 4000)
         log_jumps = -np.log(arr.arrivals)
         scratch = np.full(min(log_jumps.size, pointproc._SUM_NODE), np.nan)
         value = pointproc.log_sum_exp_sorted(log_jumps, 0.01, scratch)
-        live = np.count_nonzero(scratch)
-        assert 0 < live < log_jumps.size and not np.isnan(scratch).any()
+        written = np.count_nonzero(~np.isnan(scratch))
+        live = np.count_nonzero(log_jumps / 0.01 - log_jumps[0] / 0.01 >= pointproc._EXP_NORMAL_FROM)
+        assert 0 < written <= pointproc._PAIRWISE_BLOCK < live < log_jumps.size
+        assert not np.isnan(scratch[:written]).any() and np.isnan(scratch[written:]).all()
         want = log_sum_exp_rows(log_jumps[None, :] / 0.01, -np.inf)[0]
         assert float(value).hex() == float(want).hex()
 

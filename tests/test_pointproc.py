@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from subortrim import pointproc
+from subortrim.experiments import ExperimentConfig
 from subortrim.levy import (
     log_power_tail,
     rational_tail,
@@ -803,6 +804,24 @@ def _sorted_rows(draw):
     return row, alpha
 
 
+@st.composite
+def _half_ulp_rows(draw):
+    """A nonincreasing row of 129-1100 terms whose drops past a short head lie in 30-45.
+
+    After division by ``alpha`` each term past the first few lies below the
+    head by a drop in a band of 30-45 in log: its exponential is 9e-14 to
+    3e-20 of the head's, about half an ulp of a sum near 1 (1.1e-16), so the
+    right nodes of numpy's pairwise split sit on both sides of the bound
+    under which :func:`log_sum_exp_sorted` skips them.
+    """
+    terms, alpha = draw(st.integers(129, 1100)), draw(st.floats(1e-3, 1.0))
+    head = draw(hnp.arrays(np.float64, draw(st.integers(1, 8)), elements=st.floats(0.0, 3.0)))
+    low = draw(st.floats(30.0, 45.0))
+    band = draw(hnp.arrays(np.float64, terms - head.size, elements=st.floats(low, 45.0)))
+    offsets = np.sort(np.concatenate([head, band]))
+    return draw(st.floats(-50.0, 50.0)) - offsets * alpha, alpha
+
+
 class TestLogSumExpSorted:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(_sorted_rows())
@@ -835,19 +854,60 @@ class TestLogSumExpSorted:
         "terms", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5, 1_000_000], ids=str
     )
     def test_long_rows_keep_the_full_row_bits(self, terms):
-        # A node-sized scratch: alpha = 0.4 keeps the whole row live, 0.016
-        # ends the live prefix near 1e5 terms on the longer rows, 0.01 within
-        # the first node, and the zero tail starts a third of the way in.
+        # A node-sized scratch, edge-bottom's default indices and 0.016: 0.4
+        # keeps the whole row live, 0.016 ends the live prefix near 1e5 terms
+        # on the longer rows, 0.01 within the first node, and the zero tail
+        # starts a third of the way in.  Below 0.4 the right subtrees past
+        # the first few hundred terms sit under half an ulp of the sum, and
+        # the suffixes past ranks 1 and 2 move the head that bounds them.
         assert pointproc._SUM_NODE == 2**16
         ladder = -np.log(sample_arrivals(derive_seed(4411, terms), terms).arrivals)
         tailed = ladder.copy()
         tailed[terms // 3 + 7 :] = -np.inf
         scratch = np.full(min(terms, pointproc._SUM_NODE), np.nan)
         for row in (ladder, tailed):
-            for alpha in (0.4, 0.016, 0.01):
-                got = log_sum_exp_sorted(row, alpha, scratch)
-                want = log_sum_exp_rows(row[None, :] / alpha, -np.inf)[0]
-                assert float(got).hex() == float(want).hex(), (alpha, row is tailed)
+            for r in (0, 1, 2):
+                for alpha in ExperimentConfig(edge="bottom").alpha_grid + (0.016,):
+                    got = log_sum_exp_sorted(row[r:], alpha, scratch)
+                    want = log_sum_exp_rows(row[None, r:] / alpha, -np.inf)[0]
+                    assert float(got).hex() == float(want).hex(), (alpha, r, row is tailed)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_half_ulp_rows())
+    def test_skipped_nodes_sit_below_half_an_ulp(self, query):
+        # A rule that skipped a right node on its first term alone (below
+        # one ulp of the left's) moves bits here.
+        row, alpha = query
+        got = log_sum_exp_sorted(row, alpha, np.full(row.size, np.nan))
+        want = log_sum_exp_rows(row[None, :] / alpha, -np.inf)[0]
+        assert float(got).hex() == float(want).hex()
+
+    def test_deep_rows_exponentiate_a_short_prefix(self, monkeypatch):
+        # On a 1e6-term ladder over edge-bottom's default indices, alpha =
+        # 0.4 reads the whole row: its terms past p sum to about p**-1.5 of
+        # the head's.  At 0.2 that share is about Gamma**5 p**-4 / 4, with
+        # Gamma the head's arrival (at most 2.83 on this row), and the bound
+        # skips only past p = 16000 Gamma**1.25, so a quarter of the row is
+        # read at most.  At 0.1 or less one pairwise leaf of at most 256.
+        widths = []
+        exp_prefix = pointproc._exp_prefix
+
+        def spy(row, width):
+            widths.append(width)
+            return exp_prefix(row, width)
+
+        monkeypatch.setattr(pointproc, "_exp_prefix", spy)
+        terms = 1_000_000
+        ladder = -np.log(sample_arrivals(derive_seed(4411, terms), terms).arrivals)
+        scratch = np.empty(pointproc._SUM_NODE)
+        for r in (0, 1, 2):
+            per_alpha = []
+            for alpha in ExperimentConfig(edge="bottom").alpha_grid:
+                widths.clear()
+                log_sum_exp_sorted(ladder[r:], alpha, scratch)
+                per_alpha.append(sum(widths))
+            assert per_alpha[0] == terms - r and per_alpha[1] <= terms // 4, (r, per_alpha)
+            assert max(per_alpha[2:]) <= 2 * pointproc._PAIRWISE_BLOCK, (r, per_alpha)
 
     def test_live_width_is_bisected_at_the_cut(self):
         # Terms at the cut stay live, one ulp below it they are zeroed.
