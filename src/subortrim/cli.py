@@ -4,9 +4,10 @@ Subcommands map one-to-one onto the experiment edges (``edge-left``,
 ``edge-right``, ``edge-bottom``, ``fidi``, ``diagnostics``) plus ``all``.
 Each run writes a CSV row dump and/or a JSON summary atomically (temp file
 + rename) into the output directory, prints one line per verdict, and exits
-0 when every verdict passed, 2 on a verdict failure, and 1 on usage or
-configuration errors.  Errors are mirrored to stderr as one JSON object per
-line so callers never have to scrape prose.
+0 when every verdict passed, 2 on a verdict failure, and 1 on a usage,
+configuration, run (a run that cannot complete) or output error.  Errors
+are mirrored to stderr as one JSON object per line so callers never have
+to scrape prose.
 
 Configuration file (INI syntax, all sections optional)::
 
@@ -87,7 +88,7 @@ _SEED_ENV = "SUBORTRIM_SEED"
 
 
 class CliError(Exception):
-    """Usage or configuration failure; carries the machine-readable payload."""
+    """Usage, configuration, run or output failure; carries the machine-readable payload."""
 
     def __init__(self, kind: str, message: str, **extra):
         super().__init__(message)
@@ -394,11 +395,18 @@ def _run_edge(
     config, fmt, out_dir = _effective_config(edge, sections, args, environ)
     if not os.path.isdir(out_dir):
         raise CliError("output", f"output directory does not exist: {out_dir}")
-    report = run_experiment(config)
+    try:
+        report = run_experiment(config)
+    except ValueError as exc:
+        raise CliError("run", str(exc), edge=edge) from exc
     for verdict in report.verdicts:
         flag = "PASS" if verdict.passed else "FAIL"
         print(f"[{flag}] {edge} {verdict.name}: {verdict.detail}")
-    for path in _write_reports(report, fmt, out_dir):
+    try:
+        written = _write_reports(report, fmt, out_dir)
+    except OSError as exc:
+        raise CliError("output", f"cannot write reports: {exc}", edge=edge) from exc
+    for path in written:
         print(f"wrote {path}")
     print(
         f"edge {edge}: {'PASS' if report.all_pass else 'FAIL'} "

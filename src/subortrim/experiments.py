@@ -25,17 +25,19 @@ times the whole run.  The edges:
     slowly-varying bounds) and the trimmed-ratio trend study.
 
 Randomness discipline: each report row carries a root seed derived from
-``(master_seed, edge tag, block, combo index)``, where the combo index is
-edge-left's alpha index and edge-right's r index; replicate streams
-derive from that root as ``derive_seed(root, stream, replicate)``, so a
-row can be regenerated in isolation and results are independent of
-scheduling.  A task takes its replicate range's seeds in one block call
-(``derive_seed`` with an index array), and each replicate draws its own
-series through ``sample_arrivals``; ``iter_arrivals`` hashes the PCG64
-state words of each block of seeds once, so that no row runs numpy's
-SeedSequence.  Rows are merged in grid order and the
-CSV is byte-identical for any ``jobs`` value.  The ``ms_elapsed`` column
-is fixed at 0 to keep that guarantee; wall time lives in the JSON summary.
+``(master_seed, edge tag, block, combo index)``, where the tag is the
+edge's entry in ``_EDGES`` (the one table of each edge's seed tag,
+default tail, KS flag and runner) and the combo index is edge-left's
+alpha index and edge-right's r index; replicate streams derive from that
+root as ``derive_seed(root, stream, replicate)``, so a row can be
+regenerated in isolation and results are independent of scheduling.  A
+task takes its replicate range's seeds in one block call (``derive_seed``
+with an index array), and each replicate draws its own series through
+``iter_arrivals``, which hashes the PCG64 state words of each block of
+seeds once, so that no row of any edge runs numpy's SeedSequence.  Rows
+are merged in grid order and the CSV is byte-identical for any ``jobs``
+value.  The ``ms_elapsed`` column is fixed at 0 to keep that guarantee;
+wall time lives in the JSON summary.
 
 One horizon sweep (``_z_sweep``) serves both edges and the diagnostics'
 ratio trend.  It draws the replicates' streams in blocks of at most
@@ -64,13 +66,14 @@ import operator
 from dataclasses import dataclass, field, fields
 from itertools import product
 from time import perf_counter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import levy, limits, stats
 from .levy import TailFunction
 from .limits import FIDI_QUERY_GRID, FidiQuery
-from .pointproc import (
+from .pointproc import (  # noqa: F401 - perfbench's tracer test rebinds sample_arrivals here
     derive_seed,
     iter_arrivals,
     sample_arrivals,
@@ -94,11 +97,8 @@ DEFAULT_MASTER_SEED = 20260815
 
 CSV_HEADER = "edge,tail,alpha,t,lambda,r,n,ks_stat,p_value,aux1,aux2,seed,ms_elapsed"
 
-_EDGES = ("left", "right", "bottom", "fidi", "diagnostics")
-_EDGE_TAGS = {"left": 1, "right": 2, "bottom": 3, "fidi": 4, "diagnostics": 5}
 _SAMPLE_STREAM = 0
 _REFERENCE_STREAM = 1
-_KS_EDGES = ("left", "right")
 _FIDI_DEPTH = 128
 #: Jump ranks of the fidi edge's Monte Carlo check (two per query: 24 CSV rows).
 _FIDI_RANKS = (1, 2)
@@ -121,16 +121,6 @@ _PILOT_ANCHOR_N = 10_000
 #: Measured worst 1.6 eps per unit (alpha 0.01-0.8, r 0-2, t down to 1e-12).
 _DRIFT_TOL = 16.0 * float(np.finfo(float).eps)
 
-#: Default tail of each edge.  Only the KS edges read the configured tail;
-#: the others run this fixed family and reject any other.
-_DEFAULT_TAILS = {
-    "left": "stable",
-    "right": "log",
-    "bottom": "cauchy",
-    "fidi": "cauchy",
-    "diagnostics": "log",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -152,11 +142,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.edge not in _EDGES:
-            raise ValueError(f"unknown edge {self.edge!r}; expected one of {_EDGES}")
+            raise ValueError(f"unknown edge {self.edge!r}; expected one of {tuple(_EDGES)}")
+        spec = _EDGES[self.edge]
         if not self.tail:
-            object.__setattr__(self, "tail", _DEFAULT_TAILS[self.edge])
-        elif self.edge not in _KS_EDGES and self.tail != _DEFAULT_TAILS[self.edge]:
-            fixed = _DEFAULT_TAILS[self.edge]
+            object.__setattr__(self, "tail", spec.tail)
+        elif not spec.ks and self.tail != spec.tail:
+            fixed = spec.tail
             raise ValueError(f"edge {self.edge} runs the fixed {fixed!r} family, got {self.tail!r}")
         if any(not 0.0 < a < 1.0 for a in self.alpha_grid):
             raise ValueError("alpha_grid values must lie in (0, 1)")
@@ -177,15 +168,14 @@ class ExperimentConfig:
             values = getattr(self, name)  # a repeat would repeat verdict names
             if not values or len(set(values)) < len(values):
                 raise ValueError(f"{name} must be nonempty and without repeats")
-        floor = 1000 if self.edge in _KS_EDGES else 1
+        floor = 1000 if spec.ks else 1
         if self.replicates < floor:
             raise ValueError(f"edge {self.edge} needs replicates >= {floor}")
-        if self.n_terms < 1000:
-            raise ValueError("n_terms must be >= 1000")
-        if self.seed_blocks < 1:
-            raise ValueError("seed_blocks must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        for name, least in (("n_terms", 1000), ("seed_blocks", 1), ("jobs", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+        if max(r_grid) >= self.n_terms:  # a trim leaves no jump to sum
+            raise ValueError(f"r_grid values must be below n_terms = {self.n_terms}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.edge == "right":
@@ -310,12 +300,9 @@ class ExperimentReport:
 # seed plumbing and arrival matrices
 
 
-def _edge_root(cfg: ExperimentConfig) -> int:
-    return derive_seed(cfg.master_seed, _EDGE_TAGS[cfg.edge])
-
-
-def _combo_root(cfg: ExperimentConfig, block: int, combo: int) -> int:
-    return derive_seed(cfg.master_seed, _EDGE_TAGS[cfg.edge], block, combo)
+def _edge_root(cfg: ExperimentConfig, *path: int) -> int:
+    """The seed of ``path`` (``(block, combo)`` for a KS-edge row) under the edge's tag."""
+    return derive_seed(cfg.master_seed, _EDGES[cfg.edge].tag, *path)
 
 
 def _stream_matrix(seeds: list[int], n_terms: int):
@@ -470,7 +457,7 @@ def _left_task(args):
     """One (alpha, block) slice: shared arrivals across every (r, lambda)."""
     cfg, alpha_idx, block = args
     tail = levy.parse_tail(cfg.tail, cfg.alpha_grid[alpha_idx])
-    root = _combo_root(cfg, block, alpha_idx)
+    root = _edge_root(cfg, block, alpha_idx)
     slices = list(product(cfg.r_grid, cfg.lambda_grid))
     z_all, _ = _z_sweep(
         tail, _replicate_seeds(root, _SAMPLE_STREAM, cfg.replicates), cfg.n_terms,
@@ -560,7 +547,7 @@ def _right_task(args):
     cfg, r_idx, block = args
     tail = levy.parse_tail(cfg.tail, 0.0)
     r = cfg.r_grid[r_idx]
-    root = _combo_root(cfg, block, r_idx)
+    root = _edge_root(cfg, block, r_idx)
     levels = np.asarray(cfg.level_grid)
     rows = [[] for _ in cfg.lambda_grid]
     ratio_rows = []
@@ -673,7 +660,7 @@ def _run_right(cfg: ExperimentConfig, report: ExperimentReport) -> None:
                 p_value=math.nan,
                 aux1=analytic,
                 aux2=mc,
-                seed=_combo_root(cfg, 0, r_idx),
+                seed=_edge_root(cfg, 0, r_idx),
             )
         )
         report.verdicts.append(_mc_agreement(f"fidi_joint r={r}", analytic, mc, n))
@@ -692,8 +679,11 @@ def _bottom_task(args):
     grids = (cfg.lambda_grid, cfg.r_grid, cfg.alpha_grid)
     errors = np.empty((rep_hi - rep_lo,) + tuple(len(g) for g in grids))
     path_ok = True
-    for k, seed in enumerate(derive_seed(root, np.arange(rep_lo, rep_hi))):
-        arr = sample_arrivals(seed, cfg.n_terms)
+    # next(), not enumerate: enumerate's cached result tuple would keep the
+    # last series alive while the next one is drawn.
+    series = iter_arrivals(derive_seed(root, np.arange(rep_lo, rep_hi)), cfg.n_terms)
+    for k in range(rep_hi - rep_lo):
+        arr = next(series)
         for li, lam in enumerate(cfg.lambda_grid):
             ranked = limits.cauchy_ordered_jump_sample(arr, cfg.r_grid, lam)
             powers = limits.trimmed_stable_power_sample(arr, cfg.alpha_grid, cfg.r_grid, lam)
@@ -982,12 +972,22 @@ def _run_diagnostics(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         report.verdicts.extend(verdicts)
 
 
-_RUNNERS = {
-    "left": _run_left,
-    "right": _run_right,
-    "bottom": _run_bottom,
-    "fidi": _run_fidi,
-    "diagnostics": _run_diagnostics,
+class _Edge(NamedTuple):
+    tag: int
+    tail: str
+    ks: bool
+    run: Callable[[ExperimentConfig, ExperimentReport], None]
+
+
+#: Every edge: its seed tag (part of the stream contract), its default tail,
+#: whether it is a KS edge (which reads the configured tail and needs 1000
+#: replicates; the others run their default family only), and its runner.
+_EDGES = {
+    "left": _Edge(1, "stable", True, _run_left),
+    "right": _Edge(2, "log", True, _run_right),
+    "bottom": _Edge(3, "cauchy", False, _run_bottom),
+    "fidi": _Edge(4, "cauchy", False, _run_fidi),
+    "diagnostics": _Edge(5, "log", False, _run_diagnostics),
 }
 
 
@@ -995,6 +995,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run ``cfg``'s edge: its runner fills the report, and the whole run is timed."""
     start = perf_counter()
     report = ExperimentReport(edge=cfg.edge, config=cfg)
-    _RUNNERS[cfg.edge](cfg, report)
+    _EDGES[cfg.edge].run(cfg, report)
     report.total_ms = int((perf_counter() - start) * 1000)
     return report

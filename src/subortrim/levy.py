@@ -309,21 +309,17 @@ def tail_inverse_log(tail: TailFunction, u) -> float | np.ndarray:
     ``_INVERSE_BLOCK`` (2**14) elements is solved one block of the
     flattened query at a time, so each of the solvers' elementwise passes
     runs over temporaries that stay in cache; every step is elementwise,
-    so the blocks give the bits of one call over the whole query, and a
-    query of at most one block takes the unblocked path unchanged.  A
+    so the blocks give the bits of one call over the whole query.  A
     query whose exact log inverse overflows a double (log-power tails with
     ``p < 1`` and huge ``u``) raises ``ValueError``.  ``u = inf`` gives
     ``-inf`` for every family.
     """
     arr = _validated(u, "u")
     flat = arr.reshape(-1)
-    if flat.size <= _INVERSE_BLOCK:
-        out = _inverse_log_flat(tail, flat)
-    else:
-        out = np.empty(flat.shape)
-        for lo in range(0, flat.size, _INVERSE_BLOCK):
-            hi = lo + _INVERSE_BLOCK
-            out[lo:hi] = _inverse_log_flat(tail, flat[lo:hi])
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.size, _INVERSE_BLOCK):
+        hi = lo + _INVERSE_BLOCK
+        out[lo:hi] = _inverse_log_flat(tail, flat[lo:hi])
     return _maybe_scalar(out.reshape(arr.shape), u)
 
 

@@ -19,13 +19,12 @@ per level band (:func:`fidi_probability`).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .levy import tail_eval  # noqa: F401 - perfbench's tracer test rebinds limits.tail_eval
-from .pointproc import _SUM_NODE, ArrivalSeries, log_sum_exp_sorted
+from .pointproc import _SUM_NODE, ArrivalSeries, _check_level, _trim_count, log_sum_exp_sorted
 from .stats import poisson_below
 
 __all__ = [
@@ -75,9 +74,7 @@ def cauchy_rth_jump_cdf(r: int, lam: float, x) -> float | np.ndarray:
     integer-order regularised upper incomplete gamma function); vectorised
     over ``x``.  ``r`` must be an integer; a float raises ``TypeError``.
     """
-    r = _rank(r)
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
+    r = _trim_count(r, 1, "rank")
     if not lam > 0.0 or math.isnan(lam):
         raise ValueError(f"restriction level must be positive, got {lam}")
     arr = np.asarray(x, dtype=float)
@@ -112,9 +109,7 @@ def fidi_probability(q: FidiQuery, r: int) -> float:
     does; for a larger ``J`` it need not be, and ``ArithmeticError`` is
     raised.
     """
-    r = _rank(r)
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
+    r = _trim_count(r, 1, "rank")
     reduced = np.minimum.accumulate(np.asarray(q.levels, dtype=float)[::-1])[::-1]
     gaps = np.diff(np.asarray(q.lambdas, dtype=float), prepend=0.0).tolist()
     above = [1.0 / y for y in reduced.tolist()]  # mass above each reduced level
@@ -156,14 +151,6 @@ def second_jump_fidi(q: FidiQuery) -> float:
     return fidi_probability(q, 2)
 
 
-def _rank(r) -> int:
-    """``r`` as a Python int; a float raises ``TypeError`` rather than passing for an int."""
-    try:
-        return operator.index(r)
-    except TypeError:
-        raise TypeError(f"rank must be an integer, got {r!r}") from None
-
-
 def trimmed_stable_power_sample(arr: ArrivalSeries, alpha, r, lam: float) -> float | np.ndarray:
     """One draw of the ``alpha``-power of an ``r``-trimmed stable value.
 
@@ -191,11 +178,11 @@ def trimmed_stable_power_sample(arr: ArrivalSeries, alpha, r, lam: float) -> flo
     one scratch row, and each entry has the bits of the scalar call.  An
     empty ``alpha`` or ``r`` gives an empty array.  Scalars give a float.
     """
-    alphas, ranks = np.asarray(alpha, dtype=float), _ranks(r)
-    alpha_list, rank_list = alphas.ravel().tolist(), ranks.ravel().tolist()
+    alphas, (ranks, rank_list) = np.asarray(alpha, dtype=float), _ranks(r)
+    alpha_list = alphas.ravel().tolist()
     if not all(0.0 < a < 1.0 for a in alpha_list):
         raise ValueError(f"index must lie in (0, 1), got {alpha}")
-    _check_restriction(lam, rank_list)
+    _check_level(lam)
     out = []
     if rank_list:
         if lam == 1.0:  # every mark lies in (0, 1]: the whole series is kept
@@ -224,9 +211,8 @@ def cauchy_ordered_jump_sample(arr: ArrivalSeries, r, lam: float) -> float | np.
     ``max(r) + 1`` are read: the scanned prefix doubles from ``2 (max(r) + 1)``
     arrivals until enough of its marks are ``<= lam``.
     """
-    ranks = _ranks(r)
-    rank_list = ranks.ravel().tolist()
-    _check_restriction(lam, rank_list)
+    ranks, rank_list = _ranks(r)
+    _check_level(lam)
     if not rank_list:
         return np.empty(ranks.shape)
     count, total = max(rank_list) + 1, arr.arrivals.size
@@ -242,25 +228,20 @@ def cauchy_ordered_jump_sample(arr: ArrivalSeries, r, lam: float) -> float | np.
     return float(out) if out.ndim == 0 else out
 
 
-def _ranks(r) -> np.ndarray:
-    """``r`` as an integer array; a float raises ``TypeError`` rather than an index error.
+def _ranks(r) -> tuple[np.ndarray, list[int]]:
+    """``r`` as an integer array of trim counts (``intp`` if empty) and their flat list.
 
-    An empty ``r`` is an empty integer array, whatever its dtype.
+    A float raises ``TypeError`` and a negative count ``ValueError``, not an index error.
     """
     ranks = np.asarray(r)
     if ranks.size == 0:
-        return ranks.astype(np.intp)
+        return ranks.astype(np.intp), []
     if ranks.dtype.kind not in "iu":
         raise TypeError(f"trim counts must be integers, got {r!r}")
-    return ranks
-
-
-def _check_restriction(lam: float, ranks: list[int]) -> None:
-    """Reject a restriction level outside ``(0, 1]`` and a negative trim count."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"restriction level must lie in (0, 1], got {lam}")
-    if ranks and min(ranks) < 0:
-        raise ValueError(f"trim count must be >= 0, got {ranks}")
+    rank_list = ranks.ravel().tolist()
+    if min(rank_list) < 0:
+        raise ValueError(f"trim count must be >= 0, got {r!r}")
+    return ranks, rank_list
 
 
 def _check_depth(kept: int, ranks: list[int]) -> None:

@@ -154,11 +154,6 @@ class JumpLadder:
     def __len__(self):
         return self.log_jumps.size
 
-    @property
-    def is_empty(self) -> bool:
-        """True when a restriction removed every simulated jump."""
-        return self.log_jumps.size == 0
-
 
 class TrimmedValue(NamedTuple):
     """A trimmed-sum value with its always-finite log companion.
@@ -413,11 +408,10 @@ def restrict_to(ladder: JumpLadder, lam: float) -> JumpLadder:
     """Keep the jumps falling in the first ``lam`` fraction of the horizon.
 
     Filters by marks; the result is distributed as a ladder with horizon
-    ``ladder.horizon * lam`` and may be empty (``is_empty``).  Ordering and
-    the compensation floor are preserved.
+    ``ladder.horizon * lam`` and may be empty.  Ordering and the
+    compensation floor are preserved.
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"restriction level must lie in (0, 1], got {lam}")
+    _check_level(lam)
     keep = ladder.marks <= lam
     return JumpLadder(
         horizon=ladder.horizon * lam,
@@ -426,6 +420,12 @@ def restrict_to(ladder: JumpLadder, lam: float) -> JumpLadder:
         tail=ladder.tail,
         floor_log_jump=ladder.floor_log_jump,
     )
+
+
+def _check_level(lam: float) -> None:
+    """Reject a restriction level outside ``(0, 1]`` (NaN included)."""
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"restriction level must lie in (0, 1], got {lam}")
 
 
 def _log_compensation(tail: TailFunction, horizon: float, floor_log_jumps, on: bool):
@@ -578,11 +578,14 @@ def trimmed_log_sums(log_j: np.ndarray, keep: np.ndarray, r: int, log_comp) -> n
     return log_sum_exp_rows(terms, log_comp)
 
 
-def _trim_count(r) -> int:
-    """``r`` as a Python int, checked ``>= 0``; a float raises ``TypeError``, not a slice error."""
-    r = operator.index(r)
-    if r < 0:
-        raise ValueError(f"trim count must be >= 0, got {r}")
+def _trim_count(r, least: int = 0, name: str = "trim count") -> int:
+    """``r`` as a Python int ``>= least``; a float raises ``TypeError``, not a slice error."""
+    try:
+        r = operator.index(r)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {r!r}") from None
+    if r < least:
+        raise ValueError(f"{name} must be >= {least}, got {r}")
     return r
 
 
@@ -679,9 +682,7 @@ def z_statistic(ladder: JumpLadder, lam: float, r: int) -> float:
     regime never exponentiates (unit log-power: the statistic is exactly
     the reciprocal ``r``-th retained arrival).
     """
-    r = operator.index(r)
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
+    r = _trim_count(r, 1, "rank")
     restricted = restrict_to(ladder, lam)
     if len(restricted) < r:
         raise ValueError(
@@ -703,8 +704,7 @@ def z_statistic_trimmed(ladder: JumpLadder, lam: float, r: int) -> float:
     ``r + 1`` (the trimmed sum exceeds the next jump, and the tail is
     nonincreasing).  A one-row call of :func:`trimmed_z_rows`.
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"restriction level must lie in (0, 1], got {lam}")
+    _check_level(lam)
     lj, mk = ladder.log_jumps[None, :], ladder.marks[None, :]
     z = trimmed_z_rows(ladder.tail, ladder.horizon, lj, mk, lam, r, [ladder.floor_log_jump])
     return float(z[0])

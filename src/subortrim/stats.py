@@ -1,8 +1,8 @@
-"""Empirical-distribution instruments: ECDFs, KS tests, Laplace means.
+"""Empirical-distribution instruments: KS tests, Laplace means.
 
 These are the measuring devices for every convergence-in-distribution
-claim checked by the experiment runners: empirical CDFs, one- and
-two-sample Kolmogorov-Smirnov statistics with asymptotic p-values, the
+claim checked by the experiment runners: one- and two-sample
+Kolmogorov-Smirnov statistics with asymptotic p-values, the
 empirical Laplace transform, binomial Monte Carlo error bars, and the
 Poisson lower tail that closed-form limit laws and small-jump means reduce
 to.
@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = [
-    "EmpiricalCdf",
     "KsResult",
     "LaplaceEstimate",
     "kolmogorov_sf",
@@ -29,32 +28,6 @@ __all__ = [
     "empirical_laplace",
     "mc_standard_error",
 ]
-
-
-class EmpiricalCdf:
-    """Right-continuous empirical distribution function of a sample.
-
-    Sorts once at construction; evaluation is a binary search, vectorised
-    over array arguments.
-    """
-
-    def __init__(self, samples):
-        arr = np.sort(np.asarray(samples, dtype=float).ravel())
-        if arr.size < 1:
-            raise ValueError("need at least one sample")
-        if np.any(np.isnan(arr)):
-            raise ValueError("samples must not contain NaN")
-        arr.flags.writeable = False
-        self.sorted_samples = arr
-        self.n = arr.size
-
-    def evaluate(self, x):
-        """Fraction of samples ``<= x`` (elementwise)."""
-        pos = np.searchsorted(self.sorted_samples, x, side="right")
-        out = pos / self.n
-        return float(out) if np.ndim(x) == 0 else out
-
-    __call__ = evaluate
 
 
 class KsResult(NamedTuple):
@@ -112,8 +85,14 @@ def poisson_below(n: int, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_ecdf(samples) -> EmpiricalCdf:
-    return samples if isinstance(samples, EmpiricalCdf) else EmpiricalCdf(samples)
+def _sample(samples, least: int) -> np.ndarray:
+    """``samples`` flattened to 1-D; raises unless it holds ``least`` or more points, none NaN."""
+    arr = np.asarray(samples, dtype=float).ravel()
+    if arr.size < least:
+        raise ValueError(f"need at least {least} sample points, got {arr.size}")
+    if np.isnan(arr).any():
+        raise ValueError("samples must not contain NaN")
+    return arr
 
 
 def ks_one_sample(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KsResult:
@@ -124,12 +103,10 @@ def ks_one_sample(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KsResult:
     asymptotic Kolmogorov survival function at ``sqrt(n) * statistic``.
     Requires ``n >= 10`` (the asymptotic p-value is meaningless below).
     """
-    ecdf = _as_ecdf(samples)
-    n = ecdf.n
-    if n < 10:
-        raise ValueError(f"one-sample KS needs n >= 10, got {n}")
-    f = np.asarray(cdf(ecdf.sorted_samples), dtype=float)
-    if f.shape != ecdf.sorted_samples.shape or np.any(np.isnan(f)):
+    xs = np.sort(_sample(samples, 10))
+    n = xs.size
+    f = np.asarray(cdf(xs), dtype=float)
+    if f.shape != xs.shape or np.any(np.isnan(f)):
         raise ValueError("cdf must map the sample grid to probabilities")
     if np.any(f < 0.0) or np.any(f > 1.0) or np.any(np.diff(f) < 0.0):
         raise ValueError("degenerate law: cdf values must be monotone within [0, 1]")
@@ -143,16 +120,18 @@ def ks_one_sample(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> KsResult:
 def ks_two_sample(a, b) -> KsResult:
     """Two-sample KS test; symmetric in its arguments.
 
-    Sup-gap between the two empirical CDFs over the pooled sample, with
-    effective size ``n*m/(n+m)`` in the asymptotic p-value.
+    Sup-gap between the two right-continuous empirical CDFs (the fraction
+    of a sample ``<= x``) over the pooled sample, with effective size
+    ``n*m/(n+m)`` in the asymptotic p-value.  Requires at least 10 points
+    per sample.
     """
-    ea, eb = _as_ecdf(a), _as_ecdf(b)
-    if ea.n < 10 or eb.n < 10:
-        raise ValueError("two-sample KS needs at least 10 points per sample")
-    pooled = np.concatenate([ea.sorted_samples, eb.sorted_samples])
-    gaps = np.abs(ea.evaluate(pooled) - eb.evaluate(pooled))
-    stat = float(np.max(gaps))
-    n_eff = ea.n * eb.n / (ea.n + eb.n)
+    xa, xb = np.sort(_sample(a, 10)), np.sort(_sample(b, 10))
+    n, m = xa.size, xb.size
+    pooled = np.concatenate([xa, xb])
+    cdf_a = np.searchsorted(xa, pooled, side="right") / n
+    cdf_b = np.searchsorted(xb, pooled, side="right") / m
+    stat = float(np.max(np.abs(cdf_a - cdf_b)))
+    n_eff = n * m / (n + m)
     return KsResult(statistic=stat, p_value=kolmogorov_sf(math.sqrt(n_eff) * stat))
 
 
@@ -165,11 +144,7 @@ def empirical_laplace(samples, s: float) -> LaplaceEstimate:
     """
     if not 0.0 < s < math.inf:
         raise ValueError(f"transform argument must be positive and finite, got {s}")
-    arr = np.asarray(samples, dtype=float).ravel()
-    if arr.size < 1:
-        raise ValueError("need at least one sample")
-    if np.isnan(arr).any():
-        raise ValueError("samples must not contain NaN")
+    arr = _sample(samples, 1)
     with np.errstate(under="ignore"):
         vals = np.exp(-s * arr)
     mean = float(np.mean(vals))

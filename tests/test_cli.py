@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from subortrim import cli
+from subortrim import cli, experiments
 from subortrim.experiments import (
     CSV_HEADER,
     DEFAULT_MASTER_SEED,
@@ -346,6 +346,53 @@ class TestEndToEnd:
 
 
 class TestFailurePaths:
+    def test_edge_commands_cover_the_edge_table(self):
+        assert set(cli._EDGE_COMMANDS.values()) == set(experiments._EDGES)
+
+    def test_trim_depth_past_the_series_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[edge]\nr = 1000\n")  # the default n_terms is 1000
+        rc = cli.parse_and_dispatch(
+            ["edge-left", "--config", str(path), "--output", str(tmp_path)], environ={}
+        )
+        assert rc == 1
+        payload = _first_json(capsys.readouterr().err)
+        assert payload["error"] == "config"
+        assert "n_terms" in payload["message"]
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_run_failure_is_a_json_error(self, tmp_path, capsys):
+        # A restriction to lam = 0.001 keeps about one of 1000 jumps, too few
+        # to trim five: the run fails, and says so in one JSON line.
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[edge]\nr = 5\n[grids]\nlambda = 0.001\nalpha = 0.5\nt = 1e-2\n"
+            "[run]\nseed_blocks = 1\n"
+        )
+        rc = cli.parse_and_dispatch(
+            ["edge-left", "--config", str(path), "--output", str(tmp_path)], environ={}
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        payload = _first_json(err)
+        assert payload["error"] == "run"
+        assert payload["edge"] == "left"
+        assert "deepen" in payload["message"]
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_report_write_failure_is_a_json_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli.tempfile, "mkstemp", refuse)
+        rc = cli.parse_and_dispatch(_fidi_argv(tmp_path), environ={})
+        assert rc == 1
+        payload = _first_json(capsys.readouterr().err)
+        assert payload["error"] == "output"
+        assert "Permission denied" in payload["message"]
+        assert os.listdir(tmp_path) == []
+
     def _failing_stub(self, record=None):
         def stub(config):
             if record is not None:

@@ -67,6 +67,20 @@ class TestConfig:
         for edge, tail in expected.items():
             assert _tiny(edge).tail == tail
 
+    def test_edge_seed_tags_are_pinned(self):
+        # Each edge's tag roots its seed tree: part of the stream contract.
+        tags = {edge: spec.tag for edge, spec in experiments._EDGES.items()}
+        assert tags == {"left": 1, "right": 2, "bottom": 3, "fidi": 4, "diagnostics": 5}
+
+    def test_trim_depth_must_leave_a_jump(self):
+        # r >= n_terms used to pass here and fail deep in the run.
+        for edge in ("left", "bottom"):
+            with pytest.raises(ValueError, match="below n_terms"):
+                _tiny(edge, r_grid=(0, 1000))
+            with pytest.raises(ValueError, match="below n_terms"):
+                _tiny(edge, r_grid=(2000,), n_terms=1500)
+            assert _tiny(edge, r_grid=(999,)).r_grid == (999,)
+
     def test_echo_round_trips_grids_as_lists(self):
         cfg = _tiny("fidi")
         echo = cfg.echo()
@@ -199,7 +213,7 @@ class TestFamilyTail:
 
     @pytest.mark.parametrize("edge", ["bottom", "fidi", "diagnostics"])
     def test_fixed_family_edges_reject_other_tails(self, edge):
-        label = experiments._DEFAULT_TAILS[edge]
+        label = experiments._EDGES[edge].tail
         assert ExperimentConfig(edge=edge, tail=label).tail == label
         for other in ("nonsense", "stable", "log" if label != "log" else "cauchy"):
             with pytest.raises(ValueError, match="fixed"):
@@ -707,6 +721,30 @@ class TestEdgeBottom:
         monkeypatch.setattr(limits, sample, scaled)
         (grown,) = [v for v in run_experiment(cfg).verdicts if v.name == name]
         assert not grown.passed
+
+    def test_every_row_draws_from_block_hashed_words(self, monkeypatch):
+        # Edge-bottom seeds through iter_arrivals like every other stream:
+        # each replicate's PCG64 words come hashed from its block.
+        from subortrim import pointproc
+
+        seen = []
+        real = pointproc.sample_arrivals
+
+        def spy(seed, n_terms, *, seed_words=None):
+            seen.append((seed, seed_words))
+            return real(seed, n_terms, seed_words=seed_words)
+
+        monkeypatch.setattr(pointproc, "sample_arrivals", spy)
+        cfg = ExperimentConfig(
+            edge="bottom", alpha_grid=(0.4, 0.2), lambda_grid=(1.0,), r_grid=(0,),
+            replicates=3, n_terms=1000, seed_blocks=1,
+        )
+        run_experiment(cfg)
+        assert [seed for seed, _ in seen] == derive_seed(_edge_root(cfg), np.arange(3))
+        for seed, words in seen:
+            assert words is not None
+            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert np.array_equal(words, want)
 
     def test_needs_decreasing_alpha(self):
         with pytest.raises(ValueError, match="decreasing"):

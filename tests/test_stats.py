@@ -15,7 +15,6 @@ from scipy import special as sc
 from scipy import stats as sps
 
 from subortrim.stats import (
-    EmpiricalCdf,
     empirical_laplace,
     kolmogorov_sf,
     ks_one_sample,
@@ -25,37 +24,6 @@ from subortrim.stats import (
 )
 
 EPS = np.finfo(float).eps
-
-
-class TestEmpiricalCdf:
-    def test_hand_values(self):
-        cdf = EmpiricalCdf(np.array([1.0, 2.0, 2.0, 3.0]))
-        assert cdf(0.5) == 0.0
-        assert cdf(1.0) == 0.25  # right-continuous: jump included at the atom
-        assert cdf(1.99) == 0.25
-        assert cdf(2.0) == 0.75
-        assert cdf(3.0) == 1.0
-        assert cdf(99.0) == 1.0
-
-    def test_vectorised(self):
-        cdf = EmpiricalCdf(np.array([3.0, 1.0, 2.0]))
-        got = cdf(np.array([0.0, 1.5, 2.5, 3.5]))
-        assert np.array_equal(got, np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]))
-
-    def test_input_left_untouched(self):
-        data = np.array([3.0, 1.0, 2.0])
-        cdf = EmpiricalCdf(data)
-        assert np.array_equal(data, [3.0, 1.0, 2.0])
-        assert np.array_equal(cdf.sorted_samples, [1.0, 2.0, 3.0])
-        assert cdf.n == 3
-        with pytest.raises(ValueError):
-            cdf.sorted_samples[0] = 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EmpiricalCdf(np.array([]))
-        with pytest.raises(ValueError):
-            EmpiricalCdf(np.array([1.0, math.nan]))
 
 
 class TestKolmogorovSf:
@@ -108,20 +76,24 @@ class TestKsOneSample:
         sample = np.linspace(0.05, 0.95, 19)
         res = ks_one_sample(sample, lambda x: np.asarray(x) ** 2)
         grid = np.linspace(0.0, 1.0, 200001)
-        emp = EmpiricalCdf(sample)
-        brute = np.max(np.abs(emp(grid) - grid**2))
+        emp = np.searchsorted(sample, grid, side="right") / sample.size
+        brute = np.max(np.abs(emp - grid**2))
         assert res.statistic >= brute - 1e-6
 
     def test_accepts_empirical_cdf_instance(self):
+        # A step target: the sample's own right-continuous ECDF.
         sample = self.rng.uniform(size=64)
-        res = ks_one_sample(sample, EmpiricalCdf(sample))
+        xs = np.sort(sample)
+        res = ks_one_sample(sample, lambda x: np.searchsorted(xs, x, side="right") / xs.size)
         assert res.statistic <= 1.0 / 64.0 + 1e-15
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ks_one_sample(np.arange(5.0), sps.norm.cdf)  # too few points
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="NaN"):
             ks_one_sample(np.full(20, math.nan), sps.norm.cdf)
+        with pytest.raises(ValueError, match="at least 10"):
+            ks_one_sample(np.array([]), sps.norm.cdf)
         with pytest.raises(ValueError):
             ks_one_sample(np.arange(20.0), lambda x: np.asarray(x) * 0.0 - 0.5)
         with pytest.raises(ValueError):
@@ -190,6 +162,27 @@ class TestKsTwoSample:
             ks_two_sample(np.arange(20.0), np.arange(5.0))
         with pytest.raises(ValueError):
             ks_two_sample(np.arange(20.0), np.array([math.nan] * 20))
+        for bad, match in (([], "at least 10"), ([1.0, math.nan] * 10, "NaN")):
+            with pytest.raises(ValueError, match=match):
+                ks_two_sample(np.array(bad), np.arange(20.0))
+            with pytest.raises(ValueError, match=match):
+                ks_two_sample(np.arange(20.0), np.array(bad))
+
+    def test_tied_atoms_hand_case(self):
+        # Right-continuous ECDFs (the fraction <= x) on both sides, so tied
+        # atoms count in full at their value: at 1 the gap is 5/10 - 2/10, at
+        # 2 it is 10/10 - 8/10, at 3 none.  A walk through the pooled order
+        # that steps one point at a time would read a larger gap inside a tie.
+        a = np.array([2.0, 1.0] * 5)
+        b = np.array([3.0, 2.0, 2.0, 1.0, 2.0, 2.0, 1.0, 2.0, 3.0, 2.0])
+        a_in, b_in = a.copy(), b.copy()
+        res = ks_two_sample(a, b)
+        assert res.statistic == pytest.approx(0.3, abs=1e-15)
+        assert res.p_value == kolmogorov_sf(math.sqrt(5.0) * res.statistic)
+        same = ks_two_sample(np.repeat([1.0, 2.0], 10), np.repeat([2.0, 1.0], 10))
+        assert same.statistic == 0.0
+        # The samples are sorted in copies, not in place.
+        assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
 
 
 class TestEmpiricalLaplace:
