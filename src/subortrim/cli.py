@@ -55,6 +55,7 @@ import argparse
 import configparser
 import contextlib
 import json
+import math
 import os
 import re
 import sys
@@ -304,13 +305,14 @@ def emit_plot(plot_slice: PlotSlice) -> str:
     curve (when the slice carries one).  Output depends only on the slice
     contents: fixed canvas, fixed two-decimal coordinates, no timestamps or
     external assets.  An empty slice yields the bare labeled axes; a single
-    sample yields one step.
+    sample yields one step.  The axis spans the finite values, and an
+    infinite sample is drawn at the axis end.
     """
     width, height = 640, 480
     left, right, top, bottom = 62.0, 18.0, 20.0, 46.0
     xs = sorted(float(v) for v in plot_slice.samples)
     curve = [(float(x), float(y)) for x, y in zip(plot_slice.curve_x, plot_slice.curve_y)]
-    span = xs + [x for x, _ in curve]
+    span = [x for x in xs + [x for x, _ in curve] if math.isfinite(x)]
     if span:
         lo, hi = min(span), max(span)
         if hi <= lo:
@@ -319,6 +321,7 @@ def emit_plot(plot_slice: PlotSlice) -> str:
         lo, hi = 0.0, 1.0
 
     def px(value: float) -> str:
+        value = min(max(value, lo), hi)  # an infinite value sits at the axis end
         return f"{left + (value - lo) / (hi - lo) * (width - left - right):.2f}"
 
     def py(prob: float) -> str:

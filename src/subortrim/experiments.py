@@ -50,6 +50,13 @@ slice ``k`` being the ``k``-th (r, lambda) pair in ``product(r_grid,
 lambda_grid)`` order, plus a (horizons x replicates) array of trimmed
 ratios on request.
 
+Both KS edges report through one path: ``_ks_rows`` turns a task's z
+samples into rows, ``_ks_plots`` plots them at the smallest horizon, and
+``_report_slice`` merges a slice's rows over the blocks and adds its
+KS-trend verdict.  ``_mc_check`` reports every analytic probability against
+its Monte Carlo estimate (edge-right's joint check and the fidi edge), and
+``_label`` writes every grid value that enters a verdict or plot name.
+
 Trend runs use the same arrivals at every horizon of the grid (coupled
 comparison): the sampled vectors then converge pathwise as the
 horizon shrinks, which turns distributional trends into near-deterministic
@@ -211,21 +218,24 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ReportRow:
-    """One CSV row; the seed column is the root of the row's streams."""
+    """One CSV row; the seed column is the root of the row's streams.
+
+    A column the row's kind does not use is NaN.
+    """
 
     edge: str
     tail: str
     alpha: float
-    t: float
-    lam: float
+    t: float = math.nan
+    lam: float = math.nan
     r: int
     n: int
-    ks_stat: float
-    p_value: float
+    ks_stat: float = math.nan
+    p_value: float = math.nan
     aux1: float
-    aux2: float
+    aux2: float = math.nan
     seed: int
 
     def csv_line(self) -> str:
@@ -400,18 +410,13 @@ def _weakly_nonincreasing(seq, tol: float = 0.0) -> bool:
     return all(b <= a + tol for a, b in zip(seq, seq[1:]))
 
 
-def _ks_trend(cfg: ExperimentConfig, label: str, rows: list) -> tuple[Verdict, list[float]]:
-    """The KS-median trend verdict of one grid point, and its medians by decreasing t."""
-    medians = [
-        _median([row.ks_stat for row in rows if row.t == t])
-        for t in sorted(cfg.t_grid, reverse=True)
-    ]
-    verdict = Verdict(
-        name=f"ks_trend_nonincreasing {label}",
-        passed=_weakly_nonincreasing(medians, tol=1.0 / cfg.replicates),
-        detail="medians " + " ".join(f"{m:.6g}" for m in medians),
-    )
-    return verdict, medians
+def _label(x) -> str:
+    """``x`` for a verdict or plot name: ``:g`` when that reads back as ``x``, else ``repr``.
+
+    Grid values that agree to six significant digits then keep distinct names.
+    """
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
 
 
 def _ratio_trend(medians: list[float]) -> Verdict:
@@ -423,20 +428,25 @@ def _ratio_trend(medians: list[float]) -> Verdict:
     )
 
 
-def _mc_agreement(name: str, analytic: float, mc: float, n: int) -> Verdict:
-    """An analytic probability against its Monte Carlo estimate over ``n`` draws."""
+def _mc_check(report: ExperimentReport, name: str, analytic: float, mc: float, n: int, **row):
+    """Report an analytic probability against its Monte Carlo estimate over ``n`` draws.
+
+    Adds a row (``ks_stat`` = |analytic - mc|, ``aux1`` = analytic, ``aux2`` =
+    mc, the other columns from ``row``) and a verdict that the two agree
+    within three standard errors plus 1e-3.
+    """
+    gap = abs(analytic - mc)
+    report.rows.append(ReportRow(n=n, ks_stat=gap, aux1=analytic, aux2=mc, **row))
     bound = 3.0 * stats.mc_standard_error(mc, n) + 1e-3
-    return Verdict(
-        name=name,
-        passed=abs(analytic - mc) <= bound,
-        detail=f"analytic {analytic:.6g} vs MC {mc:.6g} (bound {bound:.3g})",
+    report.verdicts.append(
+        Verdict(name, gap <= bound, f"analytic {analytic:.6g} vs MC {mc:.6g} (bound {bound:.3g})")
     )
 
 
 def _slice_tasks(cfg: ExperimentConfig, task, combos: int) -> list[list]:
     """Run ``task((cfg, combo, block))`` over the grid; results by combo, then block.
 
-    A task returns its report rows as a list per slice first; see :func:`_slice_rows`.
+    A task returns its report rows as a list per slice first; see :func:`_report_slice`.
     """
     blocks = cfg.seed_blocks
     tasks = [(cfg, combo, block) for combo in range(combos) for block in range(blocks)]
@@ -444,9 +454,61 @@ def _slice_tasks(cfg: ExperimentConfig, task, combos: int) -> list[list]:
     return [results[lo : lo + blocks] for lo in range(0, len(results), blocks)]
 
 
-def _slice_rows(blocks: list, k: int) -> list[ReportRow]:
-    """The rows of slice ``k`` from each block's result, in block order."""
-    return [row for res in blocks for row in res[0][k]]
+def _ks_rows(cfg: ExperimentConfig, edge: str, tail, root: int, slices, z_all, fit) -> list[list]:
+    """Each slice's rows by horizon, from the z samples ``z_all[j, k]`` of a KS-edge task.
+
+    ``fit(k, z)`` returns the KS result of slice ``k``'s sample ``z`` and the
+    row's ``aux2``; ``aux1`` is the median of z.
+    """
+    rows = [[] for _ in slices]
+    for t, z in zip(cfg.t_grid, z_all):
+        for k, (r, lam) in enumerate(slices):
+            ks, aux2 = fit(k, z[k])
+            rows[k].append(
+                ReportRow(
+                    edge=edge, tail=str(tail), alpha=tail.alpha, t=t, lam=lam, r=r,
+                    n=cfg.replicates, ks_stat=ks.statistic, p_value=ks.p_value,
+                    aux1=_median(z[k]), aux2=aux2, seed=root,
+                )
+            )
+    return rows
+
+
+def _ks_plots(cfg: ExperimentConfig, block: int, prefix: str, slices, z_all, curve) -> list:
+    """Block 0's plot of each slice's z sample at the smallest horizon.
+
+    ``curve(k, xs)`` returns the analytic or reference curve of slice ``k``
+    against its sorted, downsampled sample ``xs``.
+    """
+    if not cfg.plot or block != 0:
+        return []
+    z_tmin = z_all[cfg.t_grid.index(min(cfg.t_grid))]
+    plots = []
+    for k, (r, lam) in enumerate(slices):
+        xs = _downsample(z_tmin[k])
+        plots.append(PlotSlice(f"{prefix}_r{r}_lam{_label(lam)}", xs, *curve(k, xs)))
+    return plots
+
+
+def _report_slice(cfg: ExperimentConfig, report: ExperimentReport, blocks, k: int, label: str):
+    """Add slice ``k``'s rows from each block's result and its KS-median trend verdict.
+
+    Returns the slice's KS medians by decreasing t.
+    """
+    rows = [row for res in blocks for row in res[0][k]]
+    report.rows.extend(rows)
+    medians = [
+        _median([row.ks_stat for row in rows if row.t == t])
+        for t in sorted(cfg.t_grid, reverse=True)
+    ]
+    report.verdicts.append(
+        Verdict(
+            name=f"ks_trend_nonincreasing {label}",
+            passed=_weakly_nonincreasing(medians, tol=1.0 / cfg.replicates),
+            detail="medians " + " ".join(f"{m:.6g}" for m in medians),
+        )
+    )
+    return medians
 
 
 # --------------------------------------------------------------------------
@@ -473,39 +535,17 @@ def _left_task(args):
                 series, tail.alpha, cfg.r_grid, lam
             )
     reference = reference.reshape(len(slices), cfg.replicates)
-    rows = [[] for _ in slices]
-    for t, z in zip(cfg.t_grid, z_all):
-        for k, (r, lam) in enumerate(slices):
-            ks = stats.ks_two_sample(z[k], reference[k])
-            rows[k].append(
-                ReportRow(
-                    edge="left",
-                    tail=str(tail),
-                    alpha=tail.alpha,
-                    t=t,
-                    lam=lam,
-                    r=r,
-                    n=cfg.replicates,
-                    ks_stat=ks.statistic,
-                    p_value=ks.p_value,
-                    aux1=_median(z[k]),
-                    aux2=_median(reference[k]),
-                    seed=root,
-                )
-            )
+    rows = _ks_rows(
+        cfg, "left", tail, root, slices, z_all,
+        lambda k, z: (stats.ks_two_sample(z, reference[k]), _median(reference[k])),
+    )
     endpoints = (z_all[0], z_all[-1]) if block == 0 else None  # first and last horizon
-    plots = []
-    if cfg.plot and block == 0:
-        for k, (r, lam) in enumerate(slices):
-            ref_sorted = _downsample(reference[k])
-            plots.append(
-                PlotSlice(
-                    name=f"left_a{tail.alpha:g}_r{r}_lam{lam:g}",
-                    samples=_downsample(z_all[-1, k]),
-                    curve_x=ref_sorted,
-                    curve_y=tuple((i + 1) / len(ref_sorted) for i in range(len(ref_sorted))),
-                )
-            )
+
+    def ecdf(k, xs):
+        ref = _downsample(reference[k])
+        return ref, tuple((i + 1) / len(ref) for i in range(len(ref)))
+
+    plots = _ks_plots(cfg, block, f"left_a{_label(tail.alpha)}", slices, z_all, ecdf)
     return rows, endpoints, plots
 
 
@@ -517,9 +557,7 @@ def _run_left(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         _, (z0, z1), plots = blocks[0]
         report.plots.extend(plots)
         for k, (r, lam) in enumerate(product(cfg.r_grid, cfg.lambda_grid)):
-            combo_rows = _slice_rows(blocks, k)
-            report.rows.extend(combo_rows)
-            label = f"a={alpha:g} r={r} lam={lam:g}"
+            label = f"a={_label(alpha)} r={r} lam={_label(lam)}"
             if pure_power and len(cfg.t_grid) >= 2:
                 # z is invariant in t on shared arrivals, so the KS fit cannot
                 # fail; the pathwise drift bound can.
@@ -535,7 +573,7 @@ def _run_left(cfg: ExperimentConfig, report: ExperimentReport) -> None:
                         f"pathwise drift {drift:.3g} (bound {bound:.3g})",
                     )
                 )
-            report.verdicts.append(_ks_trend(cfg, label, combo_rows)[0])
+            _report_slice(cfg, report, blocks, k, label)
 
 
 # --------------------------------------------------------------------------
@@ -549,121 +587,69 @@ def _right_task(args):
     r = cfg.r_grid[r_idx]
     root = _edge_root(cfg, block, r_idx)
     levels = np.asarray(cfg.level_grid)
-    rows = [[] for _ in cfg.lambda_grid]
-    ratio_rows = []
     ratio_r = r if r == min(cfg.r_grid) else None
     slices = [(r, lam) for lam in cfg.lambda_grid]
     z_all, w_all = _z_sweep(
         tail, _replicate_seeds(root, _SAMPLE_STREAM, cfg.replicates), cfg.n_terms,
         cfg.t_grid, slices, ratio_r,
     )
+
+    def fit(k, z):
+        lam = cfg.lambda_grid[k]
+        ks = stats.ks_one_sample(z, lambda x: limits.cauchy_rth_jump_cdf(r + 1, lam, x))
+        return ks, float(np.mean(z <= levels[k]))
+
+    def cdf(k, xs):
+        # z = inf where the tail is 0 at X(t) (the log tail beyond 1): the curve
+        # spans the finite samples.
+        finite = [x for x in xs if x < math.inf]
+        grid = np.linspace(finite[0], finite[-1], 256) if finite else np.empty(0)
+        values = limits.cauchy_rth_jump_cdf(r + 1, cfg.lambda_grid[k], grid)
+        return tuple(float(x) for x in grid), tuple(float(v) for v in values)
+
+    rows = _ks_rows(cfg, "right", tail, root, slices, z_all, fit)
+    ratio_rows = [
+        ReportRow(
+            edge="right:ratio", tail=str(tail), alpha=0.0, t=t, lam=1.0, r=r,
+            n=cfg.replicates, aux1=_median(w), aux2=float(np.max(w)), seed=root,
+        )
+        for t, w in zip(cfg.t_grid, () if w_all is None else w_all)
+    ]
     z_tmin = z_all[cfg.t_grid.index(min(cfg.t_grid))]
-    for j, (t, z) in enumerate(zip(cfg.t_grid, z_all)):
-        for k, lam in enumerate(cfg.lambda_grid):
-            ks = stats.ks_one_sample(
-                z[k], lambda x: limits.cauchy_rth_jump_cdf(r + 1, lam, x)
-            )
-            rows[k].append(
-                ReportRow(
-                    edge="right",
-                    tail=str(tail),
-                    alpha=0.0,
-                    t=t,
-                    lam=lam,
-                    r=r,
-                    n=cfg.replicates,
-                    ks_stat=ks.statistic,
-                    p_value=ks.p_value,
-                    aux1=_median(z[k]),
-                    aux2=float(np.mean(z[k] <= levels[k])),
-                    seed=root,
-                )
-            )
-        if w_all is not None:
-            ratio_rows.append(
-                ReportRow(
-                    edge="right:ratio",
-                    tail=str(tail),
-                    alpha=0.0,
-                    t=t,
-                    lam=1.0,
-                    r=r,
-                    n=cfg.replicates,
-                    ks_stat=math.nan,
-                    p_value=math.nan,
-                    aux1=_median(w_all[j]),
-                    aux2=float(np.max(w_all[j])),
-                    seed=root,
-                )
-            )
-    plots = []
-    if cfg.plot and block == 0:
-        for k, lam in enumerate(cfg.lambda_grid):
-            xs = _downsample(z_tmin[k])
-            grid = np.linspace(xs[0], xs[-1], 256)
-            plots.append(
-                PlotSlice(
-                    name=f"right_r{r}_lam{lam:g}",
-                    samples=xs,
-                    curve_x=tuple(float(x) for x in grid),
-                    curve_y=tuple(
-                        float(v) for v in limits.cauchy_rth_jump_cdf(r + 1, lam, grid)
-                    ),
-                )
-            )
     joint_hits = int(np.count_nonzero(np.all(z_tmin <= levels[:, None], axis=0)))
-    return rows, ratio_rows, joint_hits, plots
+    return rows, ratio_rows, joint_hits, _ks_plots(cfg, block, "right", slices, z_all, cdf)
 
 
 def _run_right(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     """Zero-index small-horizon limit: ranked-jump laws, joint fidi, ratio trend."""
     by_r = _slice_tasks(cfg, _right_task, len(cfg.r_grid))
-    t_desc = sorted(cfg.t_grid, reverse=True)
     floor = _PILOT_KS_THRESHOLD * math.sqrt(_PILOT_ANCHOR_N / cfg.replicates)
     for r, blocks in zip(cfg.r_grid, by_r):
         for k, lam in enumerate(cfg.lambda_grid):
-            combo_rows = _slice_rows(blocks, k)
-            report.rows.extend(combo_rows)
-            label = f"r={r} lam={lam:g}"
-            trend, medians = _ks_trend(cfg, label, combo_rows)
-            report.verdicts.append(trend)
+            label = f"r={r} lam={_label(lam)}"
+            terminal = _report_slice(cfg, report, blocks, k, label)[-1]
             report.verdicts.append(
                 Verdict(
                     name=f"ks_terminal_floor {label}",
-                    passed=medians[-1] < floor,
-                    detail=f"terminal median {medians[-1]:.6g} vs threshold {floor:.6g}",
+                    passed=terminal < floor,
+                    detail=f"terminal median {terminal:.6g} vs threshold {floor:.6g}",
                 )
             )
-    for blocks in by_r:
-        ratio_rows = [row for res in blocks for row in res[1]]
-        report.rows.extend(ratio_rows)
-        if ratio_rows:
-            meds = [
-                _median([row.aux1 for row in ratio_rows if row.t == t]) for t in t_desc
-            ]
-            report.verdicts.append(_ratio_trend(meds))
+    # Only the smallest r's tasks carry ratio rows.
+    ratio_rows = [row for blocks in by_r for res in blocks for row in res[1]]
+    report.rows.extend(ratio_rows)
+    t_desc = sorted(cfg.t_grid, reverse=True)
+    meds = [_median([row.aux1 for row in ratio_rows if row.t == t]) for t in t_desc]
+    report.verdicts.append(_ratio_trend(meds))
     n = cfg.replicates * cfg.seed_blocks
     query = FidiQuery(lambdas=cfg.lambda_grid, levels=cfg.level_grid)
+    tail = str(levy.parse_tail(cfg.tail, 0.0))
     for r_idx, (r, blocks) in enumerate(zip(cfg.r_grid, by_r)):
-        mc = sum(res[2] for res in blocks) / n
-        analytic = limits.fidi_probability(query, r + 1)
-        report.rows.append(
-            ReportRow(
-                edge="right:fidi",
-                tail=str(levy.parse_tail(cfg.tail, 0.0)),
-                alpha=0.0,
-                t=min(cfg.t_grid),
-                lam=cfg.lambda_grid[-1],
-                r=r,
-                n=n,
-                ks_stat=abs(analytic - mc),
-                p_value=math.nan,
-                aux1=analytic,
-                aux2=mc,
-                seed=_edge_root(cfg, 0, r_idx),
-            )
+        _mc_check(
+            report, f"fidi_joint r={r}", limits.fidi_probability(query, r + 1),
+            sum(res[2] for res in blocks) / n, n, edge="right:fidi", tail=tail, alpha=0.0,
+            t=min(cfg.t_grid), lam=cfg.lambda_grid[-1], r=r, seed=_edge_root(cfg, 0, r_idx),
         )
-        report.verdicts.append(_mc_agreement(f"fidi_joint r={r}", analytic, mc, n))
     for blocks in by_r:
         report.plots.extend(blocks[0][3])
 
@@ -708,21 +694,12 @@ def _run_bottom(cfg: ExperimentConfig, report: ExperimentReport) -> None:
                 errs = errors[:, li, ri, ai]
                 report.rows.append(
                     ReportRow(
-                        edge="bottom",
-                        tail="cauchy",
-                        alpha=alpha,
-                        t=math.nan,
-                        lam=lam,
-                        r=r,
-                        n=cfg.replicates,
-                        ks_stat=math.nan,
-                        p_value=math.nan,
-                        aux1=_median(errs),
-                        aux2=float(np.mean(errs <= 0.02)),
-                        seed=root,
+                        edge="bottom", tail="cauchy", alpha=alpha, lam=lam, r=r,
+                        n=cfg.replicates, aux1=_median(errs),
+                        aux2=float(np.mean(errs <= 0.02)), seed=root,
                     )
                 )
-            label = f"r={r} lam={lam:g}"
+            label = f"r={r} lam={_label(lam)}"
             per_seed = errors[:, li, ri]
             inversions = np.sum(np.diff(per_seed, axis=1) > 1e-12, axis=1)
             mono_ok = int(np.sum(inversions <= 1))
@@ -744,7 +721,7 @@ def _run_bottom(cfg: ExperimentConfig, report: ExperimentReport) -> None:
             if cfg.plot:
                 report.plots.append(
                     PlotSlice(
-                        name=f"bottom_r{r}_lam{lam:g}",
+                        name=f"bottom_r{r}_lam{_label(lam)}",
                         samples=_downsample(per_seed[:, -1]),
                         curve_x=(),
                         curve_y=(),
@@ -808,26 +785,12 @@ def _run_fidi(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     n = cfg.replicates
     for qi, q in enumerate(FIDI_QUERY_GRID):
         for rank_idx, rank in enumerate(_FIDI_RANKS):
-            analytic = limits.fidi_probability(q, rank)
-            mc = float(hits[qi, rank_idx]) / n
-            report.rows.append(
-                ReportRow(
-                    edge="fidi",
-                    tail="cauchy",
-                    alpha=1.0,
-                    t=float(qi + 1),  # query index; the schema has no query column
-                    lam=q.lambdas[-1],
-                    r=rank,
-                    n=n,
-                    ks_stat=abs(analytic - mc),
-                    p_value=math.nan,
-                    aux1=analytic,
-                    aux2=mc,
-                    seed=root,
-                )
+            _mc_check(
+                report, f"fidi_query{qi + 1}_rank{rank}", limits.fidi_probability(q, rank),
+                float(hits[qi, rank_idx]) / n, n, edge="fidi", tail="cauchy", alpha=1.0,
+                t=float(qi + 1),  # query index; the schema has no query column
+                lam=q.lambdas[-1], r=rank, seed=root,
             )
-            name = f"fidi_query{qi + 1}_rank{rank}"
-            report.verdicts.append(_mc_agreement(name, analytic, mc, n))
     worst = max(
         abs(limits.fidi_probability(q, k) - limits.cauchy_rth_jump_cdf(k, *q.lambdas, *q.levels))
         for q in FIDI_QUERY_GRID
@@ -867,8 +830,7 @@ def _diag_sandwich(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[Verdict
         viol = int(np.sum(back > u))
         rows.append(
             ReportRow(
-                edge="diag:sandwich", tail=spec_str, alpha=tail.alpha, t=math.nan,
-                lam=math.nan, r=0, n=10_000, ks_stat=math.nan, p_value=math.nan,
+                edge="diag:sandwich", tail=spec_str, alpha=tail.alpha, r=0, n=10_000,
                 aux1=float(viol), aux2=0.0, seed=root,
             )
         )
@@ -908,8 +870,7 @@ def _diag_power_ratio(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[Verd
         worst = max(worst, abs(ratio / target - 1.0))
         rows.append(
             ReportRow(
-                edge="diag:power_ratio", tail="rational(0.5)", alpha=0.5, t=math.nan,
-                lam=math.nan, r=0, n=1, ks_stat=math.nan, p_value=math.nan,
+                edge="diag:power_ratio", tail="rational(0.5)", alpha=0.5, r=0, n=1,
                 aux1=ratio, aux2=target, seed=root,
             )
         )
@@ -945,9 +906,7 @@ def _diag_ratio_trend(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[Verd
     meds = [_median(w_t) for w_t in w]
     rows = [
         ReportRow(
-            edge="diag:ratio", tail="log", alpha=0.0, t=t, lam=1.0, r=0,
-            n=100, ks_stat=math.nan, p_value=math.nan, aux1=m, aux2=math.nan,
-            seed=root,
+            edge="diag:ratio", tail="log", alpha=0.0, t=t, lam=1.0, r=0, n=100, aux1=m, seed=root
         )
         for t, m in zip(t_grid, meds)
     ]

@@ -279,6 +279,21 @@ class TestEndToEnd:
         assert f"wrote {csv_path}" in out
         assert "edge fidi: PASS" in out
 
+    def test_right_plots_a_horizon_of_infinite_samples(self, tmp_path, capsys):
+        # At t = 10 every log-tail z is infinite (the tail is 0 beyond 1): the
+        # run completes, its verdicts fail, and the plot has no NaN coordinate.
+        config = tmp_path / "right.ini"
+        config.write_text(
+            "[edge]\nr = 0\nlevels = 1.0\n[grids]\nt = 10\nlambda = 1.0\n"
+            "[run]\nreplicates = 1000\nseed_blocks = 1\nplot = true\n"
+        )
+        argv = ["edge-right", "--config", str(config), "--output", str(tmp_path)]
+        rc = cli.parse_and_dispatch(argv, environ={})
+        capsys.readouterr()
+        assert rc == 2
+        svg = (tmp_path / "subortrim_right_right_r0_lam1.svg").read_text()
+        assert "nan" not in svg
+
     def test_format_selectivity(self, tmp_path, capsys):
         rc = cli.parse_and_dispatch(_fidi_argv(tmp_path, "--format", "csv"), environ={})
         assert rc == 0
@@ -501,6 +516,18 @@ class TestEmitPlot:
             )
         )
         assert "<polyline" in svg and "<path" not in svg
+
+    def test_infinite_sample_at_axis_end(self):
+        # z = inf is a legitimate sample: the axis spans the finite values and
+        # the infinite one steps up at the axis end.
+        svg = cli.emit_plot(
+            PlotSlice(name="overflow", samples=(1.0, 2.0, float("inf")), curve_x=(), curve_y=())
+        )
+        assert "nan" not in svg and "inf" not in svg
+        assert 'text-anchor="end">2</text>' in svg
+        steps = "M 62.00 434.00 L 62.00 434.00 L 62.00 296.00 L 622.00 296.00 "
+        steps += "L 622.00 158.00 L 622.00 158.00 L 622.00 20.00 L 622.00 20.00"
+        assert f'd="{steps}"' in svg
 
     def test_plots_written_when_requested(self, tmp_path, capsys):
         rc = cli.parse_and_dispatch(

@@ -953,6 +953,19 @@ PINNED_PLOTS_SHA256 = {
     "right-log": "09f6fbf2cd63e7f6df603866acec667d8c393eea628caf321410c775812f2c37",
 }
 
+# sha256 of repr([(name, passed, detail), ...]) over each pinned config's
+# verdicts in report order, recorded before edge-left and edge-right shared
+# one KS-row builder and fidi and right:fidi one Monte Carlo check.
+PINNED_VERDICTS_SHA256 = {
+    "left-stable": "e4723c06390583ff3d8bdc01ff5a6b2400dde3429f81c67f5c1c1a7969e54668",
+    "left-rational": "a693f8900552689ea006fcc1d0b4fce8af112e85c386a6de2c9dd0ff4fa0e7ce",
+    "right-log": "f16d04d2485c9af2d425ca24ed13e22102f7b9fa0a846ef9a006078532cdd342",
+    "fidi-partial-block": "a75e7f1612b0c14f0c827cf5c428c85b89922d4469260cd64ed0b23babf85eb0",
+    "bottom-mixed-r": "1d0f70e98cf677d21cd2af200d3de633d361bae0ad09efbb6f747e1f64dc2dee",
+    "bottom-multi-node": "492261c7c5a91dab4b398151fe4154ac106043efe39cab3e75bc2d710927c6e8",
+    "diagnostics": "16636b11e1d1a1fa3bc79f6c75498ae74fa2ec9cd5a5f7c0baacf8af557e4a4b",
+}
+
 
 @functools.cache
 def _pinned_report(name: str) -> ExperimentReport:
@@ -977,3 +990,75 @@ class TestPinnedCsv:
         report = run_experiment(ExperimentConfig(**PINNED_CSV_CONFIGS[name], plot=True))
         digest = hashlib.sha256(repr(report.plots).encode("utf-8")).hexdigest()
         assert digest == PINNED_PLOTS_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_VERDICTS_SHA256))
+    def test_verdict_digest(self, name):
+        verdicts = [(v.name, v.passed, v.detail) for v in _pinned_report(name).verdicts]
+        digest = hashlib.sha256(repr(verdicts).encode("utf-8")).hexdigest()
+        assert digest == PINNED_VERDICTS_SHA256[name]
+
+
+class TestReportNames:
+    # Grid values that agree to six significant digits print alike under
+    # ``:g``; their verdict and plot names must still differ.
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(edge="left", alpha_grid=(0.5,), lambda_grid=(0.5, 0.5000001)),
+            dict(edge="left", alpha_grid=(0.5, 0.5000001), lambda_grid=(1.0,)),
+            dict(edge="right", lambda_grid=(0.5, 0.5000001), level_grid=(1.0, 2.0)),
+            dict(edge="bottom", lambda_grid=(0.9999999, 1.0), replicates=2),
+        ],
+        ids=["left-lambda", "left-alpha", "right-lambda", "bottom-lambda"],
+    )
+    def test_near_equal_grid_values_keep_names_unique(self, kw):
+        cfg = dict(t_grid=(1.0, 1e-3), r_grid=(0,), replicates=1000, seed_blocks=1, plot=True)
+        report = run_experiment(ExperimentConfig(**{**cfg, **kw}))
+        names = [v.name for v in report.verdicts]
+        plots = [p.name for p in report.plots]
+        assert len(set(names)) == len(names)
+        assert len(plots) == 2 and len(set(plots)) == 2
+
+    def test_short_labels_unchanged(self):
+        assert experiments._label(1.0) == "1"
+        assert experiments._label(0.25) == "0.25"
+        assert experiments._label(1e-8) == "1e-08"
+        assert experiments._label(0.5000001) == "0.5000001"
+        assert experiments._label(0.9999999) == "0.9999999"
+
+
+class TestPlotHorizon:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(edge="left", tail="rational", alpha_grid=(0.3,)),
+            dict(edge="right", level_grid=(1.0,)),
+        ],
+        ids=["left", "right"],
+    )
+    def test_plots_show_the_smallest_horizon_in_any_grid_order(self, kw):
+        # Plots of (1e-1, 1e-4), (1e-4, 1e-1) and (1e-4,) alone all show t = 1e-4.
+        def plots(t_grid):
+            cfg = ExperimentConfig(
+                **kw, t_grid=t_grid, lambda_grid=(1.0,), r_grid=(0,), replicates=1000,
+                seed_blocks=1, plot=True,
+            )
+            return run_experiment(cfg).plots
+
+        alone = plots((1e-4,))
+        assert plots((1e-1, 1e-4)) == alone
+        assert plots((1e-4, 1e-1)) == alone
+
+    def test_right_curve_spans_the_finite_samples(self):
+        # Under the log tail the tail function is 0 beyond 1, so at t = 1 about
+        # a fifth of the z samples are infinite.
+        cfg = ExperimentConfig(
+            edge="right", tail="log", t_grid=(1.0,), lambda_grid=(1.0,), level_grid=(1.0,),
+            r_grid=(0,), replicates=1000, seed_blocks=1, plot=True,
+        )
+        (plot,) = run_experiment(cfg).plots
+        samples = np.array(plot.samples)
+        finite = samples[np.isfinite(samples)]
+        assert 0 < finite.size < samples.size and np.all(samples[finite.size :] == np.inf)
+        assert plot.curve_x[0] == finite[0] and plot.curve_x[-1] == finite[-1]
+        assert np.all(np.isfinite(plot.curve_y))
