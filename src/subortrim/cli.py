@@ -42,11 +42,11 @@ by the grid's.  Edge-right needs a zero-index family (``log`` or
 other: edge-bottom and fidi ``cauchy``, diagnostics ``log``.
 
 Edge-right checks the joint law of its levels for every ``r`` of the
-trim grid; the levels need not be monotone at any ``r``.  Unknown
-sections or keys are rejected.  Command-line flags override config
-values; the ``SUBORTRIM_SEED`` environment variable is the lowest-priority
-seed source.  ``--jobs`` only caps worker processes — reports are byte
-identical for any value.
+trim grid; the levels must be positive and finite but need not be
+monotone at any ``r``.  Unknown sections or keys are rejected.
+Command-line flags override config values; the ``SUBORTRIM_SEED``
+environment variable is the lowest-priority seed source.  ``--jobs``
+only caps worker processes — reports are byte identical for any value.
 """
 
 from __future__ import annotations
@@ -204,12 +204,10 @@ def _int(text: str, label: str) -> int:
 
 
 def _bool(text: str, label: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise CliError("config", f"{label} must be a boolean, got {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise CliError("config", f"{label} must be a boolean, got {text!r}") from None
 
 
 def _text(text: str, label: str) -> str:
@@ -267,7 +265,7 @@ def _effective_config(
     for flag in ("seed", "replicates", "jobs", "output", "plot", "format"):
         value = getattr(args, flag)
         if value is not None:
-            kwargs["master_seed" if flag == "seed" else flag] = value
+            kwargs[_CONFIG_KEYS["run", flag][0]] = value
     # seed priority: flag > config > environment > built-in default
     if "master_seed" not in kwargs and _SEED_ENV in environ:
         kwargs["master_seed"] = _int(environ[_SEED_ENV], _SEED_ENV)
@@ -371,11 +369,10 @@ def _write_reports(report: ExperimentReport, fmt: str, out_dir: str) -> list[str
     if fmt in ("json", "both"):
         _atomic_write(base + ".json", json.dumps(report.summary(), indent=2) + "\n")
         written.append(base + ".json")
-    if report.config.plot:
-        for plot_slice in report.plots:
-            path = f"{base}_{plot_slice.name}.svg"
-            _atomic_write(path, emit_plot(plot_slice))
-            written.append(path)
+    for plot_slice in report.plots:  # a report holds plots only when its config asks
+        path = f"{base}_{plot_slice.name}.svg"
+        _atomic_write(path, emit_plot(plot_slice))
+        written.append(path)
     return written
 
 
@@ -400,7 +397,7 @@ def _run_edge(
         raise CliError("output", f"output directory does not exist: {out_dir}")
     try:
         report = run_experiment(config)
-    except ValueError as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise CliError("run", str(exc), edge=edge) from exc
     for verdict in report.verdicts:
         flag = "PASS" if verdict.passed else "FAIL"

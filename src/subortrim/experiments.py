@@ -68,6 +68,8 @@ terminal bound rather than a strict decrease.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import operator
 from dataclasses import dataclass, field, fields
@@ -158,8 +160,9 @@ class ExperimentConfig:
             raise ValueError(f"edge {self.edge} runs the fixed {fixed!r} family, got {self.tail!r}")
         if any(not 0.0 < a < 1.0 for a in self.alpha_grid):
             raise ValueError("alpha_grid values must lie in (0, 1)")
-        if any(not 0.0 < t < math.inf for t in self.t_grid):
-            raise ValueError("t_grid values must be positive and finite")
+        for name in ("t_grid", "level_grid"):  # the JSON summary echoes both
+            if any(not 0.0 < v < math.inf for v in getattr(self, name)):
+                raise ValueError(f"{name} values must be positive and finite")
         lams = self.lambda_grid
         if any(not 0.0 < v <= 1.0 for v in lams) or any(
             b <= a for a, b in zip(lams, lams[1:])
@@ -188,8 +191,6 @@ class ExperimentConfig:
         if self.edge == "right":
             if len(self.level_grid) != len(self.lambda_grid):
                 raise ValueError("level_grid must match lambda_grid in length")
-            if any(not y > 0.0 for y in self.level_grid):  # NaN fails too
-                raise ValueError("level_grid values must be positive")
             levy.parse_tail(self.tail, 0.0)  # edge-right needs a zero-index family
         alphas = self.alpha_grid
         if self.edge == "bottom" and any(b >= a for a, b in zip(alphas, alphas[1:])):
@@ -238,8 +239,8 @@ class ReportRow:
     aux2: float = math.nan
     seed: int
 
-    def csv_line(self) -> str:
-        vals = (
+    def csv_cells(self) -> tuple[str, ...]:
+        return (
             self.edge,
             self.tail,
             repr(float(self.alpha)),
@@ -254,7 +255,6 @@ class ReportRow:
             str(int(self.seed)),
             "0",
         )
-        return ",".join(vals)
 
 
 @dataclass(frozen=True)
@@ -270,8 +270,8 @@ class PlotSlice:
 
     name: str
     samples: tuple[float, ...]
-    curve_x: tuple[float, ...]
-    curve_y: tuple[float, ...]
+    curve_x: tuple[float, ...] = ()
+    curve_y: tuple[float, ...] = ()
 
 
 @dataclass
@@ -290,9 +290,12 @@ class ExperimentReport:
         return all(v.passed for v in self.verdicts)
 
     def csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        lines.extend(row.csv_line() for row in self.rows)
-        return "\n".join(lines) + "\n"
+        """The header and the rows; a cell that holds a comma is quoted."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        writer.writerows(row.csv_cells() for row in self.rows)
+        return out.getvalue()
 
     def summary(self) -> dict:
         return {
@@ -694,7 +697,7 @@ def _run_bottom(cfg: ExperimentConfig, report: ExperimentReport) -> None:
                 errs = errors[:, li, ri, ai]
                 report.rows.append(
                     ReportRow(
-                        edge="bottom", tail="cauchy", alpha=alpha, lam=lam, r=r,
+                        edge="bottom", tail=cfg.tail, alpha=alpha, lam=lam, r=r,
                         n=cfg.replicates, aux1=_median(errs),
                         aux2=float(np.mean(errs <= 0.02)), seed=root,
                     )
@@ -710,7 +713,7 @@ def _run_bottom(cfg: ExperimentConfig, report: ExperimentReport) -> None:
                     detail=f"{mono_ok}/{cfg.replicates} seeds with <= 1 inversion",
                 )
             )
-            frac = float(np.mean(per_seed[:, -1] <= 0.02))
+            frac = report.rows[-1].aux2  # the last alpha's share within 2%
             report.verdicts.append(
                 Verdict(
                     name=f"terminal_2pct {label}",
@@ -720,12 +723,7 @@ def _run_bottom(cfg: ExperimentConfig, report: ExperimentReport) -> None:
             )
             if cfg.plot:
                 report.plots.append(
-                    PlotSlice(
-                        name=f"bottom_r{r}_lam{_label(lam)}",
-                        samples=_downsample(per_seed[:, -1]),
-                        curve_x=(),
-                        curve_y=(),
-                    )
+                    PlotSlice(f"bottom_r{r}_lam{_label(lam)}", _downsample(per_seed[:, -1]))
                 )
     report.verdicts.append(
         Verdict(
@@ -787,7 +785,7 @@ def _run_fidi(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         for rank_idx, rank in enumerate(_FIDI_RANKS):
             _mc_check(
                 report, f"fidi_query{qi + 1}_rank{rank}", limits.fidi_probability(q, rank),
-                float(hits[qi, rank_idx]) / n, n, edge="fidi", tail="cauchy", alpha=1.0,
+                float(hits[qi, rank_idx]) / n, n, edge="fidi", tail=cfg.tail, alpha=1.0,
                 t=float(qi + 1),  # query index; the schema has no query column
                 lam=q.lambdas[-1], r=rank, seed=root,
             )
@@ -817,10 +815,9 @@ def _no_violations(name: str, viol: int, over: str) -> Verdict:
     return Verdict(name=name, passed=viol == 0, detail=f"{viol} violations over {over}")
 
 
-def _diag_sandwich(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[Verdict]]:
+def _diag_sandwich(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     """Inverse sandwich tail(inverse(u)) <= u of each family, in the log domain."""
     root = _edge_root(cfg)
-    rows, verdicts = [], []
     for spec_str in _DIAG_FAMILIES:
         tail = levy.parse_tail(spec_str)
         rng = np.random.default_rng(derive_seed(root, 1))
@@ -828,20 +825,18 @@ def _diag_sandwich(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[Verdict
         log_x = np.asarray(levy.tail_inverse_log(tail, u))  # covers u whose inverse underflows
         back = np.asarray(levy.tail_eval_from_log(tail, log_x))
         viol = int(np.sum(back > u))
-        rows.append(
+        report.rows.append(
             ReportRow(
                 edge="diag:sandwich", tail=spec_str, alpha=tail.alpha, r=0, n=10_000,
                 aux1=float(viol), aux2=0.0, seed=root,
             )
         )
-        verdicts.append(_no_violations(f"inverse_sandwich {spec_str}", viol, "10000 points"))
-    return rows, verdicts
+        report.verdicts.append(_no_violations(f"inverse_sandwich {spec_str}", viol, "10000 points"))
 
 
-def _diag_potter(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[Verdict]]:
+def _diag_potter(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     """Potter bounds on each family's slowly varying factor L(x) = tail(x) * x**alpha."""
     root = _edge_root(cfg)
-    verdicts = []
     for spec_str in _DIAG_FAMILIES:
         tail = levy.parse_tail(spec_str)
         # Below this abscissa L is monotone.
@@ -854,81 +849,75 @@ def _diag_potter(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[Verdict]]
         lo = np.minimum(u / v, v / u)
         hi = np.maximum(u / v, v / u)
         viol = int(np.sum((ratio < lo) | (ratio > hi)))
-        verdicts.append(_no_violations(f"potter_bounds {spec_str}", viol, "10000 pairs"))
-    return [], verdicts
+        report.verdicts.append(_no_violations(f"potter_bounds {spec_str}", viol, "10000 pairs"))
 
 
-def _diag_power_ratio(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[Verdict]]:
+def _diag_power_ratio(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     """Regular variation of the rational tail: tail(x) / tail(cx) against c**alpha."""
     root = _edge_root(cfg)
     tail = levy.rational_tail(0.5)
     x = 1e-8
-    rows, worst = [], 0.0
+    worst = 0.0
     for c in (0.5, 1.0, 2.0, 5.0):
         ratio = float(levy.tail_eval(tail, x)) / float(levy.tail_eval(tail, c * x))
         target = c**tail.alpha
         worst = max(worst, abs(ratio / target - 1.0))
-        rows.append(
+        report.rows.append(
             ReportRow(
                 edge="diag:power_ratio", tail="rational(0.5)", alpha=0.5, r=0, n=1,
                 aux1=ratio, aux2=target, seed=root,
             )
         )
-    verdict = Verdict(
-        name="power_ratio_limit",
-        passed=worst < 1e-3,
-        detail=f"worst relative deviation {worst:.3g} at x=1e-08",
+    report.verdicts.append(
+        Verdict(
+            name="power_ratio_limit",
+            passed=worst < 1e-3,
+            detail=f"worst relative deviation {worst:.3g} at x=1e-08",
+        )
     )
-    return rows, [verdict]
 
 
-def _diag_slowvar(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[Verdict]]:
+def _diag_slowvar(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     """Slow variation of the log tail: |tail(2x) / tail(x) - 1| shrinks toward 0."""
     tail = levy.log_power_tail()
     devs = [
         abs(float(levy.tail_eval(tail, 2 * x)) / float(levy.tail_eval(tail, x)) - 1.0)
         for x in (1e-8, 1e-15, 1e-23, 1e-31)
     ]
-    verdict = Verdict(
-        name="slow_variation_trend",
-        passed=all(b < a for a, b in zip(devs, devs[1:])) and devs[-1] < 1e-2,
-        detail="deviations " + " ".join(f"{d:.4g}" for d in devs),
+    report.verdicts.append(
+        Verdict(
+            name="slow_variation_trend",
+            passed=all(b < a for a, b in zip(devs, devs[1:])) and devs[-1] < 1e-2,
+            detail="deviations " + " ".join(f"{d:.4g}" for d in devs),
+        )
     )
-    return [], [verdict]
 
 
-def _diag_ratio_trend(cfg: ExperimentConfig) -> tuple[list[ReportRow], list[Verdict]]:
+def _diag_ratio_trend(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     """Median trimmed ratio of the log tail as the horizon shrinks."""
     root = _edge_root(cfg)
     t_grid = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     seeds = _replicate_seeds(root, 3, 100)
     _, w = _z_sweep(levy.log_power_tail(), seeds, cfg.n_terms, t_grid, (), ratio_r=0)
     meds = [_median(w_t) for w_t in w]
-    rows = [
+    report.rows.extend(
         ReportRow(
             edge="diag:ratio", tail="log", alpha=0.0, t=t, lam=1.0, r=0, n=100, aux1=m, seed=root
         )
         for t, m in zip(t_grid, meds)
-    ]
-    return rows, [_ratio_trend(meds)]
-
-
-#: The diagnostics' checks, in the order of their rows and verdicts.
-_DIAG_CHECKS = (
-    _diag_sandwich, _diag_potter, _diag_power_ratio, _diag_slowvar, _diag_ratio_trend,
-)
-
-
-def _diag_task(args):
-    check, cfg = args
-    return check(cfg)
+    )
+    report.verdicts.append(_ratio_trend(meds))
 
 
 def _run_diagnostics(cfg: ExperimentConfig, report: ExperimentReport) -> None:
-    """Tail-function property suites and the trimmed-ratio trend study."""
-    for rows, verdicts in _run_pool(cfg, _diag_task, [(c, cfg) for c in _DIAG_CHECKS]):
-        report.rows.extend(rows)
-        report.verdicts.extend(verdicts)
+    """Tail-function property suites and the trimmed-ratio trend study, in the calling process.
+
+    Each check appends its rows and verdicts; the report keeps this order.
+    """
+    for check in (
+        _diag_sandwich, _diag_potter, _diag_power_ratio, _diag_slowvar, _diag_ratio_trend,
+    ):
+        check(cfg, report)
 
 
 class _Edge(NamedTuple):

@@ -224,24 +224,20 @@ def cauchy_ordered_jump_sample(arr: ArrivalSeries, r, lam: float) -> float | np.
         width = min(total, 2 * width)
     _check_depth(kept.size, rank_list)
     log_jumps = np.negative(np.log(kept[:count]))
-    out = np.array([math.exp(v) for v in log_jumps[ranks.ravel()]]).reshape(ranks.shape)
+    out = np.array([math.exp(v) for v in log_jumps[rank_list]]).reshape(ranks.shape)
     return float(out) if out.ndim == 0 else out
 
 
 def _ranks(r) -> tuple[np.ndarray, list[int]]:
-    """``r`` as an integer array of trim counts (``intp`` if empty) and their flat list.
+    """``r`` as an array of trim counts (``intp`` if empty) and their flat list.
 
-    A float raises ``TypeError`` and a negative count ``ValueError``, not an index error.
+    Each count goes through :func:`pointproc._trim_count`: a bool or a float
+    raises ``TypeError`` and a negative count ``ValueError``, not an index error.
     """
     ranks = np.asarray(r)
     if ranks.size == 0:
         return ranks.astype(np.intp), []
-    if ranks.dtype.kind not in "iu":
-        raise TypeError(f"trim counts must be integers, got {r!r}")
-    rank_list = ranks.ravel().tolist()
-    if min(rank_list) < 0:
-        raise ValueError(f"trim count must be >= 0, got {r!r}")
-    return ranks, rank_list
+    return ranks, [_trim_count(k) for k in ranks.ravel().tolist()]
 
 
 def _check_depth(kept: int, ranks: list[int]) -> None:

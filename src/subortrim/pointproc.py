@@ -579,8 +579,13 @@ def trimmed_log_sums(log_j: np.ndarray, keep: np.ndarray, r: int, log_comp) -> n
 
 
 def _trim_count(r, least: int = 0, name: str = "trim count") -> int:
-    """``r`` as a Python int ``>= least``; a float raises ``TypeError``, not a slice error."""
+    """``r`` as a Python int ``>= least``; a bool or a float raises ``TypeError``.
+
+    Unchecked, a float fails as a slice error and ``True`` trims one jump.
+    """
     try:
+        if isinstance(r, bool):  # operator.index takes True as 1, but not np.True_
+            raise TypeError
         r = operator.index(r)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {r!r}") from None

@@ -168,10 +168,16 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "text",
-        ["[grids]\nt = 1e-2, inf\n", "[edge]\nlevels = 1.0, nan\n[grids]\nlambda = 0.5, 1.0\n"],
+        [
+            "[grids]\nt = 1e-2, inf\n",
+            "[edge]\nlevels = 1.0, nan\n[grids]\nlambda = 0.5, 1.0\n",
+            "[edge]\nr = 0\nlevels = inf\n[grids]\nlambda = 1.0\n",
+        ],
     )
     def test_non_finite_horizon_or_level_is_a_config_error(self, tmp_path, capsys, text):
-        # Both used to pass the constructor and fail deep in the run.
+        # Each used to pass the constructor: a non-finite horizon or a NaN level
+        # failed deep in the run, and an infinite level passed its joint check
+        # vacuously and wrote Infinity into the JSON summary.
         rc, payload = self._run(
             tmp_path, capsys, text, ("--output", str(tmp_path)), command="edge-right"
         )
@@ -393,6 +399,27 @@ class TestFailurePaths:
         assert payload["error"] == "run"
         assert payload["edge"] == "left"
         assert "deepen" in payload["message"]
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_arithmetic_failure_is_a_json_error(self, tmp_path, capsys):
+        # At rank 201 and level 1e-10 the fidi weights overflow beyond the exact
+        # range: fidi_probability raises ArithmeticError after the KS rows.
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[edge]\nr = 200\nlevels = 1e-10\n[grids]\nt = 1e-2\nlambda = 1.0\n"
+            "[run]\nreplicates = 1000\nseed_blocks = 1\n"
+        )
+        rc = cli.parse_and_dispatch(
+            ["edge-right", "--config", str(path), "--output", str(tmp_path)], environ={}
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = _first_json(err)
+        assert payload["error"] == "run"
+        assert payload["edge"] == "right"
+        assert "overflow" in payload["message"]
         assert "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 

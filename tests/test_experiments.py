@@ -10,6 +10,7 @@ import csv
 import functools
 import hashlib
 import io
+import json
 import math
 import tracemalloc
 import weakref
@@ -134,6 +135,10 @@ class TestConfig:
             dict(edge="left", alpha_grid=(0.5, 0.5)),
             dict(edge="left", t_grid=(1e-2, 1e-4, 1e-2)),
             dict(edge="bottom", r_grid=(1, 0, 1)),
+            # An infinite level makes the joint check vacuous, and the JSON
+            # summary, which echoes every grid, would carry Infinity.
+            dict(edge="right", lambda_grid=(1.0,), level_grid=(math.inf,)),
+            dict(edge="left", level_grid=(1.0, math.inf, 1.5, 2.0)),
         ],
     )
     def test_rejected_configs(self, kw):
@@ -242,8 +247,7 @@ class TestCsvShape:
             aux2=float("nan"),
             seed=42,
         )
-        line = row.csv_line()
-        fields = line.split(",")
+        fields = row.csv_cells()
         assert fields[0] == "left"
         assert fields[2] == "0.5"
         assert fields[3] == "0.0001"
@@ -844,7 +848,7 @@ class TestDeterminismAndParallel:
         assert serial.csv_text() == parallel.csv_text()
 
     def test_diagnostics_jobs_do_not_change_bytes(self):
-        # Each check builds its rows and verdicts in a pool worker at jobs > 1.
+        # Diagnostics run in the calling process whatever jobs is.
         serial = run_experiment(_tiny("diagnostics", jobs=1))
         parallel = run_experiment(_tiny("diagnostics", jobs=2))
         assert serial.csv_text() == parallel.csv_text()
@@ -912,7 +916,9 @@ class TestRestrictConsistency:
 # The right-log and fidi-partial-block digests were re-recorded when one
 # rank-r recursion replaced the rank-2 one: the rank-2 analytic values
 # (aux1) and their distances to Monte Carlo (ks_stat) moved in the last
-# bits, at most 4.4e-16, with every verdict unchanged.
+# bits, at most 4.4e-16, with every verdict unchanged.  The diagnostics
+# digest was re-recorded when the CSV began to quote a cell that holds a
+# comma: its one const(2,0.5) row now reads "const(2,0.5)".
 PINNED_CSV_SHA256 = {
     "left-stable": "006d20b691b6f368a62099d20e5c2991b16199d3ca73cbb7b4257030676ead52",
     "left-rational": "45648938e5bd8b5bccbf26271631f651792665ad454f6f178f8a0135215ed9f3",
@@ -920,7 +926,7 @@ PINNED_CSV_SHA256 = {
     "fidi-partial-block": "d88aff057ee68f5826caeaf214ef907257605b6faadd6f74b5d2e810d3e211e0",
     "bottom-mixed-r": "c349a55757de97a1be54bd5699d86b12f4e0b0b0afd52e529ce09df146edc5f0",
     "bottom-multi-node": "28731a29f5687f5bb3c3fb1bcda2686a6412ad82083041957db1be8f87433cf8",
-    "diagnostics": "f471703ff210ae8088720c64ae130ead5929d031108db205e52810170a8ffcdf",
+    "diagnostics": "cabc887b2084f44de50178b66466856b43447b2da166d37fa6e0554fc2170d0b",
 }
 PINNED_CSV_CONFIGS = {
     "left-stable": dict(
@@ -996,6 +1002,30 @@ class TestPinnedCsv:
         verdicts = [(v.name, v.passed, v.detail) for v in _pinned_report(name).verdicts]
         digest = hashlib.sha256(repr(verdicts).encode("utf-8")).hexdigest()
         assert digest == PINNED_VERDICTS_SHA256[name]
+
+
+class TestStrictOutput:
+    """Every report reads back under strict parsers: its CSV and its JSON summary."""
+
+    @pytest.mark.parametrize("name", [*sorted(PINNED_CSV_CONFIGS), "left-const"])
+    def test_csv_and_summary_parse_strictly(self, name):
+        if name == "left-const":  # str(tail) is const(2,0.5): its cell holds a comma
+            report = run_experiment(
+                ExperimentConfig(
+                    edge="left", tail="const(2)", alpha_grid=(0.5,), t_grid=(1e-2,),
+                    lambda_grid=(1.0,), r_grid=(0,), replicates=1000, seed_blocks=1,
+                )
+            )
+        else:
+            report = _pinned_report(name)
+        reader = csv.DictReader(io.StringIO(report.csv_text()))
+        records = list(reader)
+        assert reader.fieldnames == CSV_HEADER.split(",")
+        assert len(records) == len(report.rows)
+        for record, row in zip(records, report.rows):
+            assert None not in record and None not in record.values()  # 13 cells
+            assert record["tail"] == row.tail
+        json.dumps(report.summary(), allow_nan=False)
 
 
 class TestReportNames:

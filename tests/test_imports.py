@@ -8,6 +8,7 @@ branch that still needs scipy (a non-integer log-power exponent), so the
 gate is seen to notice a load.  The same runs, all serial, must not load
 the process-pool modules either: ``concurrent.futures.process`` and
 ``multiprocessing`` cost several milliseconds of every cold start.  Nor
+does a diagnostics run at any ``jobs``, which never uses the pool.  Nor
 does the CLI import load ``numpy.random`` (about 10 ms), which a run
 loads when it first draws.
 """
@@ -58,10 +59,21 @@ print(json.dumps({"after_import": after_import, "rows": rows, "after_runs": afte
 """
 
 
-def _run_fresh_interpreter() -> dict:
+DIAGNOSTICS_SCRIPT = """
+import json, sys
+
+from subortrim.experiments import ExperimentConfig, run_experiment
+
+report = run_experiment(ExperimentConfig(edge="diagnostics", replicates=5, jobs=2))
+pools = sorted(m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules)
+print(json.dumps({"rows": len(report.rows), "pools_after_run": pools}))
+"""
+
+
+def _run_fresh_interpreter(script: str = SCRIPT) -> dict:
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -78,3 +90,10 @@ def test_cli_import_and_edge_runs_leave_scipy_special_unloaded():
     assert out["pools_after_import"] == []
     assert out["pools_after_runs"] == []
     assert not out["random_after_import"]
+
+
+def test_diagnostics_at_two_jobs_load_no_process_pool():
+    # Diagnostics run in the calling process whatever jobs is.
+    out = _run_fresh_interpreter(DIAGNOSTICS_SCRIPT)
+    assert out["rows"] > 0
+    assert out["pools_after_run"] == []

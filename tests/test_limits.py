@@ -150,9 +150,9 @@ class TestCauchyRthJumpCdf:
             got = cauchy_rth_jump_cdf(3, 1.0, np.array([1e-309, 1.0]))
         assert got.tolist() == [0.0, cauchy_rth_jump_cdf(3, 1.0, 1.0)]
 
-    @pytest.mark.parametrize("r", [1.5, 2.0, np.float64(1.0)])
+    @pytest.mark.parametrize("r", [1.5, 2.0, np.float64(1.0), True, np.True_])
     def test_float_rank_raises_type_error(self, r):
-        # 1.5 used to fail only inside range(); 2.0 was taken as 2.
+        # 1.5 used to fail only inside range(); 2.0 was taken as 2, True as 1.
         with pytest.raises(TypeError, match="rank must be an integer"):
             cauchy_rth_jump_cdf(r, 1.0, 1.0)
         assert cauchy_rth_jump_cdf(np.int64(2), 1.0, 1.0) == cauchy_rth_jump_cdf(2, 1.0, 1.0)
@@ -312,7 +312,9 @@ class TestCoupledSamples:
             math.sqrt(0.25 + 0.0625), rel=1e-12
         )
 
-    @pytest.mark.parametrize("r", [1.5, 1.0, [0, 1.5], np.array([0.0, 1.0])])
+    @pytest.mark.parametrize(
+        "r", [1.5, 1.0, [0, 1.5], np.array([0.0, 1.0]), True, np.array([True, False])]
+    )
     def test_non_integer_ranks_raise_type_error(self, r):
         # A float used to fail as numpy's "slice indices must be integers"
         # or as an IndexError.

@@ -556,10 +556,10 @@ class TestTrimmedValueIsTheMaskedKernel:
 
 
 class TestIntegerTrimCounts:
-    @pytest.mark.parametrize("r", [1.5, 1.0, np.float64(1.0), "1"])
+    @pytest.mark.parametrize("r", [1.5, 1.0, np.float64(1.0), "1", True, np.True_])
     def test_non_integer_counts_raise_type_error(self, r):
         # A float used to fail as numpy's "slice indices must be integers",
-        # or as an IndexError in z_statistic.
+        # or as an IndexError in z_statistic, and True was taken as 1.
         ladder = _hand_ladder(np.log([8.0, 4.0, 2.0, 1.0]))
         calls = [
             lambda: trimmed_value(ladder, r),
