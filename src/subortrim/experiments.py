@@ -168,8 +168,12 @@ class ExperimentConfig:
             b <= a for a, b in zip(lams, lams[1:])
         ):
             raise ValueError("lambda_grid must be strictly increasing within (0, 1]")
-        for name in ("replicates", "n_terms", "seed_blocks", "jobs", "master_seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        floors = {"replicates": 1000 if spec.ks else 1, "n_terms": 1000, "seed_blocks": 1}
+        for name, least in {**floors, "jobs": 1, "master_seed": 0}.items():
+            value = _integer(name, getattr(self, name))
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
         r_grid = tuple(_integer("r_grid entry", r) for r in self.r_grid)
         object.__setattr__(self, "r_grid", r_grid)
         if any(r < 0 for r in r_grid):
@@ -178,16 +182,8 @@ class ExperimentConfig:
             values = getattr(self, name)  # a repeat would repeat verdict names
             if not values or len(set(values)) < len(values):
                 raise ValueError(f"{name} must be nonempty and without repeats")
-        floor = 1000 if spec.ks else 1
-        if self.replicates < floor:
-            raise ValueError(f"edge {self.edge} needs replicates >= {floor}")
-        for name, least in (("n_terms", 1000), ("seed_blocks", 1), ("jobs", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
         if max(r_grid) >= self.n_terms:  # a trim leaves no jump to sum
             raise ValueError(f"r_grid values must be below n_terms = {self.n_terms}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.edge == "right":
             if len(self.level_grid) != len(self.lambda_grid):
                 raise ValueError("level_grid must match lambda_grid in length")

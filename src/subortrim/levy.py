@@ -211,15 +211,18 @@ def parse_tail(text: str, index: float | None = None) -> TailFunction:
     return build(*vals)
 
 
-def _validated(x, name: str):
-    arr = np.asarray(x, dtype=float)
-    if not (arr > 0.0).all():  # NaN fails the comparison too
-        raise ValueError(f"{name} must be positive and not NaN")
-    return arr
+def _elementwise(kernel, values, name: str, positive: bool):
+    """``kernel`` of ``values`` flattened to 1-D, in their shape; a scalar gives a float.
 
-
-def _maybe_scalar(arr, like):
-    return float(arr) if np.isscalar(like) or np.ndim(like) == 0 else arr
+    The one input check of every elementwise entry point: NaN raises
+    ``ValueError``, and so does a value ``<= 0`` when ``positive``.
+    """
+    arr = np.asarray(values, dtype=float)
+    bad = not (arr > 0.0).all() if positive else np.isnan(arr).any()  # NaN fails > 0 too
+    if bad:
+        raise ValueError(f"{name} must be {'positive and ' if positive else ''}not NaN")
+    out = kernel(arr.reshape(-1)).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
 
 
 def tail_eval(tail: TailFunction, x) -> float | np.ndarray:
@@ -228,10 +231,8 @@ def tail_eval(tail: TailFunction, x) -> float | np.ndarray:
     ``x`` must be positive (``inf`` allowed, giving 0); log-power tails
     give 0 exactly at and beyond 1.
     """
-    arr = _validated(x, "x")
     with np.errstate(divide="ignore", over="ignore"):
-        out = _eval_from_log(tail, np.log(arr.reshape(-1)))
-    return _maybe_scalar(out.reshape(arr.shape), x)
+        return _elementwise(lambda v: _eval_from_log(tail, np.log(v)), x, "x", True)
 
 
 def tail_eval_from_log(tail: TailFunction, log_x) -> float | np.ndarray:
@@ -242,12 +243,8 @@ def tail_eval_from_log(tail: TailFunction, log_x) -> float | np.ndarray:
     directly from the exponent, which keeps the deep small-jump regime
     exact.
     """
-    arr = np.asarray(log_x, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError("log_x must not be NaN")
     with np.errstate(over="ignore"):
-        out = _eval_from_log(tail, arr.reshape(-1))
-    return _maybe_scalar(out.reshape(arr.shape), log_x)
+        return _elementwise(lambda v: _eval_from_log(tail, v), log_x, "log_x", False)
 
 
 def _eval_from_log(tail: TailFunction, log_x: np.ndarray) -> np.ndarray:
@@ -283,8 +280,7 @@ def tail_inverse(tail: TailFunction, u) -> float | np.ndarray:
     within one rounding step of it.  For very large ``u`` the result may
     underflow to 0.0; use the log-domain form in that regime.
     """
-    out = np.exp(tail_inverse_log(tail, u))
-    return _maybe_scalar(out, u)
+    return _elementwise(lambda v: np.exp(tail_inverse_log(tail, v)), u, "u", True)
 
 
 def tail_inverse_log(tail: TailFunction, u) -> float | np.ndarray:
@@ -314,13 +310,16 @@ def tail_inverse_log(tail: TailFunction, u) -> float | np.ndarray:
     ``p < 1`` and huge ``u``) raises ``ValueError``.  ``u = inf`` gives
     ``-inf`` for every family.
     """
-    arr = _validated(u, "u")
-    flat = arr.reshape(-1)
+    return _elementwise(lambda flat: _inverse_log_blocks(tail, flat), u, "u", True)
+
+
+def _inverse_log_blocks(tail: TailFunction, flat: np.ndarray) -> np.ndarray:
+    """:func:`tail_inverse_log` of a 1-D query, one ``_INVERSE_BLOCK`` at a time."""
     out = np.empty(flat.shape)
     for lo in range(0, flat.size, _INVERSE_BLOCK):
         hi = lo + _INVERSE_BLOCK
         out[lo:hi] = _inverse_log_flat(tail, flat[lo:hi])
-    return _maybe_scalar(out.reshape(arr.shape), u)
+    return out
 
 
 #: Elements per block of a long inverse query: 2**14 doubles are 128 kB per
@@ -542,10 +541,7 @@ def small_jump_mean(tail: TailFunction, eps) -> float | np.ndarray:
     series of positive terms up to level 10 (``_RATIONAL_SERIES_CAP``).
     Scalar input yields a float, from a one-element call.
     """
-    arr = np.asarray(eps, dtype=float)
-    if not (arr > 0.0).all():
-        raise ValueError(f"eps must be positive, got {eps}")
-    return _maybe_scalar(_small_jump_mean(tail, arr.reshape(-1)).reshape(arr.shape), eps)
+    return _elementwise(lambda e: _small_jump_mean(tail, e), eps, "eps", True)
 
 
 def _small_jump_mean(tail: TailFunction, e: np.ndarray) -> np.ndarray:
@@ -630,11 +626,7 @@ def log_small_jump_mean(tail: TailFunction, log_eps) -> float | np.ndarray:
     ulps at any depth.  ``log_eps = -inf`` gives ``-inf``.  Elementwise:
     an array gives an array, a scalar a float (a one-element call).
     """
-    arr = np.asarray(log_eps, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError("log_eps must not be NaN")
-    out = _log_small_jump_mean(tail, arr.reshape(-1))
-    return _maybe_scalar(out.reshape(arr.shape), log_eps)
+    return _elementwise(lambda z: _log_small_jump_mean(tail, z), log_eps, "log_eps", False)
 
 
 def _log_small_jump_mean(tail: TailFunction, z: np.ndarray) -> np.ndarray:

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy import tail_eval  # noqa: F401 - perfbench's tracer test rebinds limits.tail_eval
-from .pointproc import _SUM_NODE, ArrivalSeries, _check_level, _trim_count, log_sum_exp_sorted
+from .levy import _elementwise, tail_eval  # noqa: F401 - perfbench's tracer test rebinds tail_eval
+from .pointproc import _SUM_NODE, ArrivalSeries, _check_depth, _check_level, _trim_count
+from .pointproc import log_sum_exp_sorted
 from .stats import poisson_below
 
 __all__ = [
@@ -77,13 +78,8 @@ def cauchy_rth_jump_cdf(r: int, lam: float, x) -> float | np.ndarray:
     r = _trim_count(r, 1, "rank")
     if not lam > 0.0 or math.isnan(lam):
         raise ValueError(f"restriction level must be positive, got {lam}")
-    arr = np.asarray(x, dtype=float)
-    if arr.size and (np.any(np.isnan(arr)) or np.any(arr <= 0.0)):
-        raise ValueError("jump level must be positive")
     with np.errstate(over="ignore"):  # lam / x past the largest double is inf: the CDF is 0
-        means = lam / arr.reshape(-1)
-    out = poisson_below(r, means)
-    return float(out[0]) if np.ndim(x) == 0 else out.reshape(arr.shape)
+        return _elementwise(lambda v: poisson_below(r, lam / v), x, "x", True)
 
 
 def fidi_probability(q: FidiQuery, r: int) -> float:
@@ -191,7 +187,7 @@ def trimmed_stable_power_sample(arr: ArrivalSeries, alpha, r, lam: float) -> flo
             log_jumps = arr.arrivals[arr.marks <= lam]
             np.log(log_jumps, out=log_jumps)
         np.negative(log_jumps, out=log_jumps)
-        _check_depth(log_jumps.size, rank_list)
+        _check_depth(log_jumps.size, max(rank_list) + 1)
         scratch = np.empty(min(log_jumps.size, _SUM_NODE))  # every (r, alpha) sums in it
         for k in rank_list:
             for a in alpha_list:
@@ -222,7 +218,7 @@ def cauchy_ordered_jump_sample(arr: ArrivalSeries, r, lam: float) -> float | np.
         if kept.size >= count or width == total:
             break
         width = min(total, 2 * width)
-    _check_depth(kept.size, rank_list)
+    _check_depth(kept.size, count)
     log_jumps = np.negative(np.log(kept[:count]))
     out = np.array([math.exp(v) for v in log_jumps[rank_list]]).reshape(ranks.shape)
     return float(out) if out.ndim == 0 else out
@@ -233,17 +229,17 @@ def _ranks(r) -> tuple[np.ndarray, list[int]]:
 
     Each count goes through :func:`pointproc._trim_count`: a bool or a float
     raises ``TypeError`` and a negative count ``ValueError``, not an index error.
+    ``np.asarray`` folds a bool inside a sequence into its ints, so a flat
+    sequence's own elements are checked (a nested one's through an object array).
     """
     ranks = np.asarray(r)
     if ranks.size == 0:
         return ranks.astype(np.intp), []
-    return ranks, [_trim_count(k) for k in ranks.ravel().tolist()]
-
-
-def _check_depth(kept: int, ranks: list[int]) -> None:
-    """Raise unless ``kept`` restricted jumps reach rank ``r + 1`` for every ``r``."""
-    if kept <= max(ranks):
-        raise ValueError(f"only {kept} restricted jumps, trim {ranks}: deepen the series")
+    if not isinstance(r, (list, tuple)):
+        r = ranks.ravel().tolist()
+    elif ranks.ndim > 1:
+        r = np.asarray(r, dtype=object).ravel().tolist()
+    return ranks, [_trim_count(k) for k in r]
 
 
 #: Fixed validation grid: 12 queries spanning n = 1..4, mixed widths and

@@ -338,7 +338,8 @@ def sample_arrivals(seed: int, n_terms: int, *, seed_words=None) -> ArrivalSerie
     the contract.  ``Gamma_k`` has a Gamma(k, 1) law; marks are independent
     of arrivals and lie in ``(0, 1]``.  The cumulative sum and the marks are
     formed in place on the drawn arrays.  ``seed`` and ``n_terms`` must be
-    integers (Python or numpy); a float raises ``TypeError``.
+    integers (Python or numpy); a float, or a bool ``n_terms``, raises
+    ``TypeError``.
 
     ``seed_words``, when given, is the seed's row of :func:`_seed_words`
     (the four uint64 words ``SeedSequence(seed).generate_state(4,
@@ -348,10 +349,8 @@ def sample_arrivals(seed: int, n_terms: int, *, seed_words=None) -> ArrivalSerie
     interim: it goes when a block draw of the whole stream matrix replaces
     the per-row calls (ROADMAP item 9).
     """
-    n = operator.index(n_terms)
     seed = operator.index(seed)
-    if n < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    n = _trim_count(n_terms, 1, "n_terms")
     bits = np.random.PCG64(seed if seed_words is None else _seed_words_type()(seed_words))
     rng = np.random.Generator(bits)
     arrivals = rng.standard_exponential(n)
@@ -604,11 +603,17 @@ def _kept_prefix(keep: np.ndarray, count: int) -> int:
     total = keep.shape[1]
     width = min(total, 2 * count)
     while True:
-        if total and (np.count_nonzero(keep[:, :width], axis=1) >= count).all():
+        held = int(np.count_nonzero(keep[:, :width], axis=1).min(initial=count))
+        if held >= count or width == total:
+            _check_depth(held, count)
             return width
-        if width == total:
-            raise ValueError(f"a row keeps no more than {count - 1} jumps: deepen the series")
         width = min(total, 2 * width)
+
+
+def _check_depth(kept: int, need: int) -> None:
+    """Raise unless ``kept`` jumps reach the ``need`` a trim or rank asks for."""
+    if kept < need:
+        raise ValueError(f"need at least {need} jumps, have {kept}: deepen the series")
 
 
 def trimmed_ratios(log_j: np.ndarray, r: int) -> np.ndarray:
@@ -622,8 +627,7 @@ def trimmed_ratios(log_j: np.ndarray, r: int) -> np.ndarray:
     Raises when a row holds fewer than ``r + 2`` jumps.
     """
     r = _trim_count(r)
-    if log_j.shape[1] < r + 2:
-        raise ValueError(f"need at least {r + 2} jumps for the ratio, have {log_j.shape[1]}")
+    _check_depth(log_j.shape[1], r + 2)
     shifted = log_j[:, r + 1 :] - log_j[:, r : r + 1]
     with np.errstate(under="ignore"):
         return 1.0 + _exp_live_prefix(shifted).sum(axis=1)
@@ -668,8 +672,7 @@ def trimmed_value(ladder: JumpLadder, r: int, compensate: bool = False) -> Trimm
         to ``-inf``, which is the matrix that call reduces.
     """
     r = _trim_count(r)
-    if len(ladder) <= r:
-        raise ValueError(f"a row keeps no more than {r} jumps: deepen the series")
+    _check_depth(len(ladder), r + 1)
     comp = _log_compensation(ladder.tail, ladder.horizon, [ladder.floor_log_jump], compensate)
     terms = ladder.log_jumps[None, :].copy()
     terms[:, :r] = -np.inf
@@ -689,10 +692,7 @@ def z_statistic(ladder: JumpLadder, lam: float, r: int) -> float:
     """
     r = _trim_count(r, 1, "rank")
     restricted = restrict_to(ladder, lam)
-    if len(restricted) < r:
-        raise ValueError(
-            f"only {len(restricted)} jumps inside restriction {lam}: deepen the series"
-        )
+    _check_depth(len(restricted), r)
     rate = float(tail_eval_from_log(ladder.tail, float(restricted.log_jumps[r - 1])))
     if rate == 0.0:
         return math.inf

@@ -38,6 +38,7 @@ from subortrim.levy import (
     tail_inverse,
     tail_inverse_log,
 )
+from subortrim.limits import cauchy_rth_jump_cdf
 
 # Roots of x**-a / (1+x) = u, frozen from a 400-step geometric bisection
 # run independently of the package code.
@@ -1056,6 +1057,48 @@ class TestLogSmallJumpMeanArrays:
             log_small_jump_mean(rational_tail(0.5), np.array([-1.0, math.nan]))
         with pytest.raises(ValueError):
             small_jump_mean(rational_tail(0.5), np.array([0.5, math.nan]))
+
+
+_RATIONAL = rational_tail(0.5)
+
+#: Every elementwise entry point: the call, the argument's name in its error, and a valid value.
+_ELEMENTWISE = {
+    "tail_eval": (lambda v: tail_eval(_RATIONAL, v), "x", 0.5),
+    "tail_eval_from_log": (lambda v: tail_eval_from_log(_RATIONAL, v), "log_x", -0.5),
+    "tail_inverse": (lambda v: tail_inverse(_RATIONAL, v), "u", 2.0),
+    "tail_inverse_log": (lambda v: tail_inverse_log(_RATIONAL, v), "u", 2.0),
+    "small_jump_mean": (lambda v: small_jump_mean(_RATIONAL, v), "eps", 0.5),
+    "log_small_jump_mean": (lambda v: log_small_jump_mean(_RATIONAL, v), "log_eps", -0.5),
+    "cauchy_rth_jump_cdf": (lambda v: cauchy_rth_jump_cdf(2, 1.0, v), "x", 0.5),
+}
+
+
+#: The entries whose 0-d and shaped queries no other test covers: the
+#: inverse's property test draws shapes of up to two dimensions, empty and 0-d.
+_UNSHAPED = [entry for entry in _ELEMENTWISE if entry != "tail_inverse_log"]
+
+
+class TestElementwiseBoundary:
+    @pytest.mark.parametrize("entry", list(_ELEMENTWISE))
+    def test_nan_in_a_matrix_raises_under_the_arguments_name(self, entry):
+        call, name, good = _ELEMENTWISE[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be (positive and )?not NaN$"):
+            call(np.array([[good, good], [good, math.nan]]))
+
+    @pytest.mark.parametrize("entry", _UNSHAPED)
+    def test_zero_d_array_gives_the_float_of_a_scalar(self, entry):
+        call, _, good = _ELEMENTWISE[entry]
+        got = call(np.array(good))
+        assert type(got) is float and got == call(good)
+
+    @pytest.mark.parametrize("entry", _UNSHAPED)
+    def test_shape_is_kept_and_each_element_is_its_scalar_call(self, entry):
+        call, _, good = _ELEMENTWISE[entry]
+        values = good * np.array([[1.0, 1.5, 2.0], [3.0, 5.0, 8.0]])
+        got = call(values)
+        assert type(got) is np.ndarray and got.shape == (2, 3)
+        assert got.ravel().tolist() == [call(float(v)) for v in values.ravel()]
+        assert call(np.empty((0, 2))).shape == (0, 2)
 
 
 class TestRegularVariation:

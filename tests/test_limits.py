@@ -313,11 +313,15 @@ class TestCoupledSamples:
         )
 
     @pytest.mark.parametrize(
-        "r", [1.5, 1.0, [0, 1.5], np.array([0.0, 1.0]), True, np.array([True, False])]
+        "r",
+        [
+            1.5, 1.0, [0, 1.5], np.array([0.0, 1.0]), True, np.array([True, False]),
+            [0, True], (0, True), [[0], [True]],
+        ],
     )
     def test_non_integer_ranks_raise_type_error(self, r):
         # A float used to fail as numpy's "slice indices must be integers"
-        # or as an IndexError.
+        # or as an IndexError, and a bool inside a sequence was taken as 1.
         arr = self._hand_arr()
         with pytest.raises(TypeError):
             trimmed_stable_power_sample(arr, 0.5, r, 1.0)

@@ -25,6 +25,7 @@ from subortrim.levy import (
     tail_eval_from_log,
     tail_inverse_log,
 )
+from subortrim.limits import cauchy_ordered_jump_sample, trimmed_stable_power_sample
 from subortrim.pointproc import (
     ArrivalSeries,
     JumpLadder,
@@ -181,9 +182,12 @@ class TestSampleArrivals:
         with pytest.raises(ValueError):
             sample_arrivals(1, 0)
 
-    @pytest.mark.parametrize("seed, n_terms", [(7.9, 5), (7.0, 5), (7, 5.0), (np.float64(7.0), 5)])
+    @pytest.mark.parametrize(
+        "seed, n_terms", [(7.9, 5), (7.0, 5), (7, 5.0), (np.float64(7.0), 5), (5, True)]
+    )
     def test_rejects_non_integers(self, seed, n_terms):
-        # sample_arrivals(7.9, 5) used to draw the series of seed 7.
+        # sample_arrivals(7.9, 5) used to draw the series of seed 7, and
+        # sample_arrivals(5, True) a one-term series.
         with pytest.raises(TypeError):
             sample_arrivals(seed, n_terms)
 
@@ -303,6 +307,10 @@ class TestIterArrivals:
     def test_float_seed_raises_type_error(self):
         with pytest.raises(TypeError):
             next(iter_arrivals([0, 1, 7.0], 5))
+
+    def test_bool_n_terms_raises_type_error(self):
+        with pytest.raises(TypeError):
+            next(iter_arrivals([0], True))
 
     def test_empty_and_numpy_seeds(self):
         assert list(iter_arrivals([], 5)) == []
@@ -553,6 +561,29 @@ class TestTrimmedValueIsTheMaskedKernel:
         with pytest.raises(ValueError) as scalar:
             trimmed_value(ladder, r)
         assert str(scalar.value) == str(kernel.value)
+
+
+_THREE_JUMPS = np.log([8.0, 4.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "short",
+    [
+        lambda: trimmed_log_sums(_THREE_JUMPS[None, :], np.ones((1, 3), bool), 3, [-math.inf]),
+        lambda: trimmed_value(_hand_ladder(_THREE_JUMPS), 3),
+        lambda: z_statistic(_hand_ladder(_THREE_JUMPS), 1.0, 4),
+        lambda: trimmed_ratios(_THREE_JUMPS[None, :], 2),
+        lambda: trimmed_stable_power_sample(_hand_series([1.0, 2.0, 4.0], [1.0] * 3), 0.5, 3, 1.0),
+        lambda: cauchy_ordered_jump_sample(_hand_series([1.0, 2.0, 4.0], [1.0] * 3), 3, 1.0),
+    ],
+    ids=["trimmed_log_sums", "trimmed_value", "z_statistic", "trimmed_ratios",
+         "trimmed_stable_power_sample", "cauchy_ordered_jump_sample"],
+)
+def test_every_depth_error_has_one_wording(short):
+    # Three jumps where four are needed: each route raises the one message.
+    with pytest.raises(ValueError) as err:
+        short()
+    assert str(err.value) == "need at least 4 jumps, have 3: deepen the series"
 
 
 class TestIntegerTrimCounts:
